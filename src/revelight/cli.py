@@ -22,7 +22,7 @@ import numpy as np
 
 from . import streams
 from .engine import RunConfig, run_algorithm, run_asyrevel, run_tig_baseline, measure_comm
-from .errors import ConfigError, FormatError, ParseError, UsageError
+from .errors import ConfigError, DomainError, FormatError, ParseError, UsageError
 from .fedproto import Transcript, audit_transcript
 from .models import GlobalModel, LocalModel, PartitionedDataset, partition_features
 from .verify import (
@@ -455,7 +455,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, UsageError, ParseError, FormatError, FileNotFoundError) as exc:
+    except (ConfigError, DomainError, UsageError, ParseError, FormatError,
+            FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

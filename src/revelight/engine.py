@@ -19,9 +19,19 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import streams
-from .errors import ConfigError, UsageError, UnsupportedModelError
-from .estimator import GAUSSIAN, SPHERE, client_block_zoe, sample_direction, server_block_zoe
+from .errors import ConfigError, ShapeError, UsageError, UnsupportedModelError
+from .estimator import (
+    GAUSSIAN,
+    SCHEMES,
+    SPHERE,
+    client_block_zoe,
+    head_direction,
+    sample_direction,
+    two_point_head,
+)
 from .fedproto import (
+    COMPUTE_DISTS,
+    LATENCY_DISTS,
     DelayModel,
     PartyNode,
     ServerNode,
@@ -33,7 +43,8 @@ from .models import (
     GlobalModel,
     LocalModel,
     PartitionedDataset,
-    global_value,
+    head_losses,
+    head_predictions,
     init_state,
     local_forward,
     nonconvex_reg,
@@ -72,8 +83,11 @@ class RunConfig:
     record_snapshots: bool = False
 
     def validate(self) -> None:
-        if self.algorithm not in ALGORITHMS:
-            raise ConfigError(f"unknown algorithm {self.algorithm!r}")
+        for key, allowed in (("algorithm", ALGORITHMS), ("clock", ("virtual", "wall")),
+                             ("scheme", SCHEMES), ("compute_dist", COMPUTE_DISTS),
+                             ("latency_dist", LATENCY_DISTS)):
+            if getattr(self, key) not in allowed:
+                raise ConfigError(f"unknown {key} {getattr(self, key)!r}; expected one of {allowed}")
         if self.q < 1:
             raise ConfigError("need at least one party")
         if self.T < 0:
@@ -95,8 +109,8 @@ class RunConfig:
                 raise ConfigError(f"straggler party {party} outside 1..{self.q}")
             if factor < 1.0:
                 raise ConfigError("slowdown factor must be >= 1")
-        if self.clock not in ("virtual", "wall"):
-            raise ConfigError(f"unknown clock {self.clock!r}")
+        if self.eval_every is not None and self.eval_every < 1:
+            raise ConfigError("eval_every must be at least 1")
         if self.latency > 0 and self.tau < self.q - 1:
             raise ConfigError(
                 f"bounded staleness infeasible: latency > 0 allows {self.q - 1} "
@@ -110,6 +124,11 @@ class RunConfig:
         if self.algorithm == "asyrevel_uni":
             return SPHERE
         return self.scheme
+
+    @property
+    def eta0(self) -> float:
+        """Head step size: eta_server, or eta / q when it is unset."""
+        return self.eta_server if self.eta_server is not None else self.eta / self.q
 
     def activation_p(self) -> list[float]:
         return list(self.p) if self.p is not None else [1.0 / self.q] * self.q
@@ -178,43 +197,27 @@ class RunMetrics:
                 )
 
 
+def _party_outputs(w, data: PartitionedDataset, local_model: LocalModel) -> list[np.ndarray]:
+    return [local_forward(local_model, wm, X) for wm, X in zip(w, data.blocks)]
+
+
 def evaluate_loss(w0, w, data: PartitionedDataset, lam_eff,
                   local_model: LocalModel, global_model: GlobalModel) -> float:
-    """Training objective at the given parameters (vectorized GLM fast path)."""
-    if local_model.kind == "linear" and global_model.kind == "logistic":
-        margin = np.zeros(data.n)
-        for m in range(data.q):
-            margin += data.blocks[m] @ w[m]
-        loss = float(np.mean(np.logaddexp(0.0, -data.labels * margin)))
-        return loss + lam_eff * sum(nonconvex_reg(wm) for wm in w)
-    total = 0.0
-    for i in range(data.n):
-        c = [local_forward(local_model, w[m], data.blocks[m][i]) for m in range(data.q)]
-        total += global_value(global_model, w0, c, data.labels[i])
-    return total / data.n + lam_eff * sum(nonconvex_reg(wm) for wm in w)
+    """Training objective at the given parameters: the mean head loss over
+    the samples plus the regularizer."""
+    if len(w) != data.q:
+        raise ShapeError(f"{len(w)} parameter blocks for {data.q} parties")
+    losses = head_losses(global_model, w0, _party_outputs(w, data, local_model), data.labels)
+    return float(np.mean(losses)) + lam_eff * sum(nonconvex_reg(wm) for wm in w)
 
 
 def evaluate_accuracy(w0, w, data: PartitionedDataset | None,
                       local_model: LocalModel, global_model: GlobalModel) -> float:
+    """Fraction of `data` the model labels correctly (nan without data)."""
     if data is None:
         return float("nan")
-    if local_model.kind == "linear" and global_model.kind == "logistic":
-        margin = np.zeros(data.n)
-        for m in range(data.q):
-            margin += data.blocks[m] @ w[m]
-        pred = np.where(margin >= 0, 1, -1)
-        return float(np.mean(pred == data.labels))
-    correct = 0
-    for i in range(data.n):
-        c = [local_forward(local_model, w[m], data.blocks[m][i]) for m in range(data.q)]
-        feats = np.concatenate(c)
-        if global_model.kind == "logistic":
-            pred = 1 if float(np.sum(feats)) >= 0 else -1
-        else:
-            logits = feats @ w0.reshape(feats.size, global_model.classes)
-            pred = int(np.argmax(logits))
-        correct += pred == data.labels[i]
-    return correct / data.n
+    pred = head_predictions(global_model, w0, _party_outputs(w, data, local_model))
+    return float(np.mean(pred == data.labels))
 
 
 class _Recorder:
@@ -227,7 +230,7 @@ class _Recorder:
         self.lm = local_model
         self.gm = global_model
         self.transcript = transcript
-        self.every = cfg.eval_every if cfg.eval_every else data.n
+        self.every = cfg.eval_every or data.n
         self.metrics = RunMetrics(transcript=transcript)
         self.last_v = [0.0] * (cfg.q + 1)
         self.max_stal = 0
@@ -275,11 +278,13 @@ class _Recorder:
         return self.metrics
 
 
-def _build_nodes(cfg: RunConfig, data: PartitionedDataset, local_model: LocalModel,
-                 global_model: GlobalModel, transcript: Transcript | None):
+def _start_protocol(cfg: RunConfig, data: PartitionedDataset, local_model: LocalModel,
+                    global_model: GlobalModel, test_data: PartitionedDataset | None):
+    """Party and server nodes after the cache warm-up, and a recorder on the
+    transcript that holds the warm-up uploads."""
+    transcript = Transcript()
     state = init_state(data, local_model, global_model, cfg.seed)
     scheme = cfg.direction_scheme
-    eta0 = cfg.eta_server if cfg.eta_server is not None else cfg.eta / cfg.q
     parties = [
         PartyNode(m + 1, data.blocks[m], local_model, state.w[m],
                   mu=cfg.mu, eta=cfg.eta, lam_eff=cfg.lam_eff,
@@ -287,9 +292,10 @@ def _build_nodes(cfg: RunConfig, data: PartitionedDataset, local_model: LocalMod
         for m in range(cfg.q)
     ]
     server = ServerNode(global_model, state.w0, data.labels, data.n, cfg.q,
-                        mu=cfg.mu, eta0=eta0, scheme=scheme, seed=cfg.seed,
+                        mu=cfg.mu, eta0=cfg.eta0, scheme=scheme, seed=cfg.seed,
                         transcript=transcript)
-    return parties, server
+    warmup_cache(parties, server)
+    return parties, server, _Recorder(cfg, data, test_data, local_model, global_model, transcript)
 
 
 def run_asyrevel(cfg: RunConfig, data: PartitionedDataset, local_model: LocalModel,
@@ -309,16 +315,13 @@ def run_asyrevel(cfg: RunConfig, data: PartitionedDataset, local_model: LocalMod
         from .wallclock import run_asyrevel_wall
 
         return run_asyrevel_wall(cfg, data, local_model, global_model, test_data)
-    transcript = Transcript()
-    parties, server = _build_nodes(cfg, data, local_model, global_model, transcript)
-    warmup_cache(parties, server)
-    rec = _Recorder(cfg, data, test_data, local_model, global_model, transcript)
-
+    parties, server, rec = _start_protocol(cfg, data, local_model, global_model, test_data)
     if schedule is not None:
         return _run_serialized(cfg, parties, server, rec, schedule)
+    transcript = rec.transcript
 
-    delay = DelayModel(tau=cfg.tau, compute=cfg.compute_dist,
-                       latency=cfg.latency, latency_dist=cfg.latency_dist)
+    delay = DelayModel(compute=cfg.compute_dist, latency=cfg.latency,
+                       latency_dist=cfg.latency_dist)
     means = cfg.party_means()
     queue = StalenessQueue(cfg.tau)
     heap: list = []
@@ -438,12 +441,9 @@ def run_synrevel(cfg: RunConfig, data: PartitionedDataset, local_model: LocalMod
     a barrier waits for the slowest, the server answers every party from the
     same-round outputs (staleness identically zero), then updates apply."""
     cfg.validate()
-    transcript = Transcript()
-    parties, server = _build_nodes(cfg, data, local_model, global_model, transcript)
-    warmup_cache(parties, server)
-    rec = _Recorder(cfg, data, test_data, local_model, global_model, transcript)
-    delay = DelayModel(tau=0, compute=cfg.compute_dist,
-                       latency=cfg.latency, latency_dist=cfg.latency_dist)
+    parties, server, rec = _start_protocol(cfg, data, local_model, global_model, test_data)
+    transcript = rec.transcript
+    delay = DelayModel(compute=cfg.compute_dist)
     means = cfg.party_means()
 
     vtime = 0.0
@@ -484,6 +484,36 @@ def run_synrevel(cfg: RunConfig, data: PartitionedDataset, local_model: LocalMod
     return rec.finish(server.w0, [p.w for p in parties], [p.steps for p in parties])
 
 
+def _centralized_start(cfg: RunConfig, data: PartitionedDataset, local_model: LocalModel,
+                       global_model: GlobalModel):
+    """Initial w0 and blocks w of a run without parties, and the warm
+    per-(sample, block) output cache that mirrors the protocol's warm-up."""
+    state = init_state(data, local_model, global_model, cfg.seed)
+    cache = [[local_forward(local_model, state.w[m], data.blocks[m][i]) for m in range(cfg.q)]
+             for i in range(data.n)]
+    return np.array(state.w0), [np.array(x) for x in state.w], cache
+
+
+def _activations(cfg: RunConfig):
+    """Party activations in compute-time order for the drivers that send
+    nothing through the network model (nonfed, tig).
+
+    Yields (time, party, step) without end: each party's next activation
+    follows its previous one by a compute time drawn at (party, step).
+    """
+    delay = DelayModel(compute=cfg.compute_dist)
+    means = cfg.party_means()
+    heap = [(delay.compute_time(cfg.seed, m + 1, 0, means[m]), m + 1) for m in range(cfg.q)]
+    heapq.heapify(heap)
+    steps = [0] * cfg.q
+    while True:
+        now, pid = heapq.heappop(heap)
+        k = steps[pid - 1]
+        yield now, pid, k
+        steps[pid - 1] = k + 1
+        heapq.heappush(heap, (now + delay.compute_time(cfg.seed, pid, k + 1, means[pid - 1]), pid))
+
+
 def run_nonfederated(cfg: RunConfig, data: PartitionedDataset, local_model: LocalModel,
                      global_model: GlobalModel, test_data: PartitionedDataset | None = None) -> RunMetrics:
     """Centralized counterpart: all features on one node, the identical
@@ -493,30 +523,15 @@ def run_nonfederated(cfg: RunConfig, data: PartitionedDataset, local_model: Loca
     trajectory is bit-identical to the federated run under shared streams.
     """
     cfg.validate()
-    state = init_state(data, local_model, global_model, cfg.seed)
-    w = [np.array(x) for x in state.w]
-    w0 = np.array(state.w0)
+    w0, w, cache = _centralized_start(cfg, data, local_model, global_model)
     scheme = cfg.direction_scheme
-    eta0 = cfg.eta_server if cfg.eta_server is not None else cfg.eta / cfg.q
     rec = _Recorder(cfg, data, test_data, local_model, global_model, None)
-    means = cfg.party_means()
-    delay = DelayModel(tau=0, compute=cfg.compute_dist)
-
-    # warm per-(sample, block) output cache, mirroring the protocol's warm-up
-    cache = [
-        [local_forward(local_model, w[m], data.blocks[m][i]) for m in range(cfg.q)]
-        for i in range(data.n)
-    ]
     steps = [0] * cfg.q
-    server_draws = 0
-    heap = [(delay.compute_time(cfg.seed, m + 1, 0, means[m]), m + 1) for m in range(cfg.q)]
-    heapq.heapify(heap)
-    stopped = rec.log(0, 0.0, w0, w)
-    t = 0
-    while t < cfg.T and not stopped:
-        now, pid = heapq.heappop(heap)
+    rec.log(0, 0.0, w0, w)
+    for t, (now, pid, k) in zip(range(1, cfg.T + 1), _activations(cfg)):
+        if rec.stopped:
+            break
         m = pid - 1
-        k = steps[m]
         i = int(streams.stream(cfg.seed, streams.SAMPLE, pid, k).integers(data.n))
         u = sample_direction(scheme, w[m].size,
                              streams.stream(cfg.seed, streams.DIRECTION, pid, k))
@@ -527,50 +542,40 @@ def run_nonfederated(cfg: RunConfig, data: PartitionedDataset, local_model: Loca
         g1 = nonconvex_reg(w[m] + cfg.mu * u.u)
         row = list(cache[i])
         row[m] = c
-        y = data.labels[i]
-        h = global_value(global_model, w0, row, y)
-        row_bar = list(row)
-        row_bar[m] = c_hat
-        h_bar = global_value(global_model, w0, row_bar, y)
-        if w0.size > 0:
-            u0 = sample_direction(
-                scheme, w0.size,
-                streams.stream(cfg.seed, streams.SERVER_DIRECTION, 0, server_draws),
-            )
-            h_hat = global_value(global_model, w0 + cfg.mu * u0.u, row, y)
-            v0 = server_block_zoe(h, h_hat, cfg.mu, u0)
-            w0 = w0 - eta0 * v0
+        # the server addresses head directions by the count of uploads answered
+        u0 = head_direction(scheme, w0.size, cfg.seed, t - 1)
+        h, h_bar, v0 = two_point_head(global_model, w0, row, pid, c_hat, data.labels[i],
+                                      cfg.mu, u0)
+        if v0 is not None:
+            w0 = w0 - cfg.eta0 * v0
             rec.note_update(0, v0)
-        server_draws += 1
         cache[i][m] = c
         v_hat = client_block_zoe(h, h_bar, g0, g1, w[m].size, cfg.mu, cfg.lam_eff, u)
         w[m] = w[m] - cfg.eta * v_hat
         rec.note_update(pid, v_hat)
         steps[m] = k + 1
-        t += 1
-        heapq.heappush(heap, (now + delay.compute_time(cfg.seed, pid, k + 1, means[m]), pid))
         if rec.due(t):
-            stopped = rec.log(t, now, w0, w)
+            rec.log(t, now, w0, w)
     return rec.finish(w0, w, steps)
 
 
-def _head_gradient(global_model: GlobalModel, w0, row, label, m):
-    """Intermediate gradient of the head w.r.t. party m's output vector."""
+def _head_gradients(global_model: GlobalModel, w0, row, label, m):
+    """Gradients of the head at one sample: w.r.t. party m's output vector,
+    and w.r.t. the head parameters w0 (None for the parameter-free head)."""
+    feats = np.concatenate(row)
+    odim = row[m - 1].size
     if global_model.kind == "logistic":
         y = int(label)
-        total = float(np.sum(np.concatenate([np.atleast_1d(c) for c in row])))
-        sig = 1.0 / (1.0 + np.exp(y * total))
-        return np.full(np.atleast_1d(row[m - 1]).size, -y * sig)
-    feats = np.concatenate([np.atleast_1d(c) for c in row])
+        sig = 1.0 / (1.0 + np.exp(y * float(np.sum(feats))))
+        return np.full(odim, -y * sig), None
+    # softmax cross-entropy: d/dlogits = softmax(logits) - onehot(label)
     W = w0.reshape(feats.size, global_model.classes)
     logits = feats @ W
     z = logits - np.max(logits)
     probs = np.exp(z) / np.sum(np.exp(z))
     probs[int(label)] -= 1.0
-    dfeats = W @ probs
-    odim = np.atleast_1d(row[m - 1]).size
     lo = (m - 1) * odim
-    return dfeats[lo:lo + odim]
+    return (W @ probs)[lo:lo + odim], np.outer(feats, probs).ravel()
 
 
 def _local_param_gradient(local_model: LocalModel, w_m, x, upstream):
@@ -578,32 +583,19 @@ def _local_param_gradient(local_model: LocalModel, w_m, x, upstream):
     if local_model.kind == "linear":
         return float(upstream[0]) * x
     # manual backprop through the rectifier stack
-    shapes = local_model.layer_shapes(x.size)
+    layers = local_model.layers(w_m, x.size)
     acts = [np.asarray(x, dtype=np.float64)]
-    pre = []
-    off = 0
-    for l, (width, fan_in) in enumerate(shapes):
-        W = w_m[off:off + width * fan_in].reshape(width, fan_in)
-        off += width * fan_in
-        b = w_m[off:off + width]
-        off += width
+    for l, (W, b) in enumerate(layers):
         z = W @ acts[-1] + b
-        pre.append(z)
-        acts.append(np.maximum(z, 0.0) if l != len(shapes) - 1 else z)
+        acts.append(np.maximum(z, 0.0) if l != len(layers) - 1 else z)
     grad = np.zeros_like(w_m)
     delta = np.asarray(upstream, dtype=np.float64)
-    off = w_m.size
-    for l in range(len(shapes) - 1, -1, -1):
-        width, fan_in = shapes[l]
-        off -= width
-        b_slice = slice(off, off + width)
-        off -= width * fan_in
-        W_slice = slice(off, off + width * fan_in)
-        W = w_m[W_slice].reshape(width, fan_in)
-        grad[b_slice] = delta
-        grad[W_slice] = np.outer(delta, acts[l]).ravel()
+    for l, (gW, gb) in reversed(list(enumerate(local_model.layers(grad, x.size)))):
+        gb[:] = delta
+        gW[:] = np.outer(delta, acts[l])
         if l > 0:
-            delta = (W.T @ delta) * (pre[l - 1] > 0)
+            # acts[l] is the rectified output of layer l - 1
+            delta = (layers[l][0].T @ delta) * (acts[l] > 0)
     return grad
 
 
@@ -624,58 +616,36 @@ def run_tig_baseline(cfg: RunConfig, data: PartitionedDataset, local_model: Loca
             "a black-box model cannot supply the intermediate gradient"
         )
     transcript = Transcript()
-    state = init_state(data, local_model, global_model, cfg.seed)
-    w = [np.array(x) for x in state.w]
-    w0 = np.array(state.w0)
-    eta0 = cfg.eta_server if cfg.eta_server is not None else cfg.eta / cfg.q
+    w0, w, cache = _centralized_start(cfg, data, local_model, global_model)
     rec = _Recorder(cfg, data, test_data, local_model, global_model, transcript)
-    means = cfg.party_means()
-    delay = DelayModel(tau=0, compute=cfg.compute_dist)
-
-    cache = [
-        [local_forward(local_model, w[m], data.blocks[m][i]) for m in range(cfg.q)]
-        for i in range(data.n)
-    ]
     for i in range(data.n):
         for m in range(cfg.q):
             transcript.record_raw(0.0, "up", "tig_output", m + 1, i, -1, cache[i][m])
     steps = [0] * cfg.q
-    heap = [(delay.compute_time(cfg.seed, m + 1, 0, means[m]), m + 1) for m in range(cfg.q)]
-    heapq.heapify(heap)
-    stopped = rec.log(0, 0.0, w0, w)
-    t = 0
-    while t < cfg.T and not stopped:
-        now, pid = heapq.heappop(heap)
+    rec.log(0, 0.0, w0, w)
+    for t, (now, pid, k) in zip(range(1, cfg.T + 1), _activations(cfg)):
+        if rec.stopped:
+            break
         m = pid - 1
-        k = steps[m]
         i = int(streams.stream(cfg.seed, streams.SAMPLE, pid, k).integers(data.n))
         x = data.blocks[m][i]
         c = local_forward(local_model, w[m], x)
         transcript.record_raw(now, "up", "tig_output", pid, i, k, c)
         row = list(cache[i])
         row[m] = c
-        upstream = _head_gradient(global_model, w0, row, data.labels[i], pid)
+        upstream, g0 = _head_gradients(global_model, w0, row, data.labels[i], pid)
         transcript.record_raw(now, "down", "tig_grad", pid, i, k, upstream)
         grad = _local_param_gradient(local_model, w[m], x, upstream)
         transcript.record_raw(now, "down", "tig_chain", pid, i, k, grad)
         w[m] = w[m] - cfg.eta * grad
         rec.note_update(pid, grad)
-        if w0.size > 0:
-            feats = np.concatenate([np.atleast_1d(cc) for cc in row])
-            W = w0.reshape(feats.size, global_model.classes)
-            logits = feats @ W
-            z = logits - np.max(logits)
-            probs = np.exp(z) / np.sum(np.exp(z))
-            probs[int(data.labels[i])] -= 1.0
-            g0 = np.outer(feats, probs).ravel()
-            w0 = w0 - eta0 * g0
+        if g0 is not None:
+            w0 = w0 - cfg.eta0 * g0
             rec.note_update(0, g0)
         cache[i][m] = c
         steps[m] = k + 1
-        t += 1
-        heapq.heappush(heap, (now + delay.compute_time(cfg.seed, pid, k + 1, means[m]), pid))
         if rec.due(t):
-            stopped = rec.log(t, now, w0, w)
+            rec.log(t, now, w0, w)
     return rec.finish(w0, w, steps)
 
 

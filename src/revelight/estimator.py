@@ -23,7 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import streams
 from .errors import DomainError
+from .models import GlobalModel, global_value
 
 GAUSSIAN = "gaussian"
 SPHERE = "sphere"
@@ -37,20 +39,6 @@ class Direction:
     u: np.ndarray
     scheme: str
     dim: int
-
-
-@dataclass
-class SmoothingConfig:
-    """Per-block smoothing radii and the direction scheme."""
-
-    mu: list[float]
-    scheme: str = GAUSSIAN
-
-    def __post_init__(self) -> None:
-        if self.scheme not in SCHEMES:
-            raise DomainError(f"unknown scheme {self.scheme!r}")
-        if any(m <= 0 for m in self.mu):
-            raise DomainError("smoothing radii must be positive")
 
 
 @dataclass
@@ -129,6 +117,32 @@ def server_block_zoe(h: float, h_hat: float, mu: float, u0: Direction | None) ->
         raise DomainError(f"smoothing radius must be positive, got {mu}")
     factor = dim_factor(u0.scheme, u0.dim)
     return (factor / mu) * (h_hat - h) * u0.u
+
+
+def head_direction(scheme: str, d0: int, seed: int, k: int) -> Direction | None:
+    """The server's k-th head direction; None without a trainable head (d0 = 0)."""
+    if d0 == 0:
+        return None
+    return sample_direction(scheme, d0, streams.stream(seed, streams.SERVER_DIRECTION, 0, k))
+
+
+def two_point_head(head: GlobalModel, w0: np.ndarray, row: list[np.ndarray], m: int,
+                   c_hat: np.ndarray, label, mu: float, u0: Direction | None):
+    """The server's half of one two-point step for party m (1-based).
+
+    row holds the q party outputs, party m's current one in place.  Returns
+    the head value h at row, h_bar with party m's perturbed output c_hat
+    substituted, and the head estimate v0 along u0 (None when u0 is None).
+    """
+    h = global_value(head, w0, row, label)
+    row_bar = list(row)
+    row_bar[m - 1] = c_hat
+    h_bar = global_value(head, w0, row_bar, label)
+    v0 = None
+    if u0 is not None:
+        h_hat = global_value(head, w0 + mu * u0.u, row, label)
+        v0 = server_block_zoe(h, h_hat, mu, u0)
+    return h, h_bar, v0
 
 
 def _direction_matrix(scheme: str, dim: int, draws: int, rng: np.random.Generator) -> np.ndarray:

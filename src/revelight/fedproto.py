@@ -22,13 +22,17 @@ import numpy as np
 
 from . import streams
 from .errors import DecodeError, DomainError, ProtocolError, ShapeError
-from .estimator import client_block_zoe, sample_direction, server_block_zoe
-from .models import GlobalModel, LocalModel, global_value, local_forward, nonconvex_reg
+from .estimator import client_block_zoe, head_direction, sample_direction, two_point_head
+from .models import GlobalModel, LocalModel, local_forward, nonconvex_reg
 
 _HEAD = struct.Struct("<IBiiiH")
 HEADER_BYTES = _HEAD.size  # 19
 UPLOAD_TAG = 0
 REPLY_TAG = 1
+MAX_VECTOR = 0xFFFF  # the header's 2-byte vector length
+
+COMPUTE_DISTS = ("constant", "exponential")
+LATENCY_DISTS = ("constant", "uniform")
 
 
 @dataclass
@@ -61,6 +65,8 @@ def encode_message(msg) -> bytes:
         c_hat = np.asarray(msg.c_hat, dtype=np.float64)
         if c.shape != c_hat.shape:
             raise ShapeError("upload vectors c and c_hat must have equal length")
+        if c.size > MAX_VECTOR:
+            raise ShapeError(f"upload vector length {c.size} exceeds the frame limit {MAX_VECTOR}")
         floats = np.concatenate([c, c_hat])
         head = _HEAD.pack(
             HEADER_BYTES - 4 + 8 * floats.size, UPLOAD_TAG,
@@ -228,31 +234,20 @@ class ServerCache:
     def row(self, sample: int) -> list[np.ndarray]:
         return [self.get(sample, p) for p in range(1, self.q + 1)]
 
-    def fully_populated(self) -> bool:
-        return all(v is not None for row in self.latest for v in row)
-
 
 @dataclass
 class DelayModel:
-    """Bounded-staleness timing model for the simulated protocol.
+    """Compute-time and latency model for the simulated protocol; both are
+    drawn from the counter-based streams so timings replay exactly."""
 
-    tau bounds message-transit staleness (uploads processed between an
-    upload's send and its own processing); the delay queue enforces it by
-    construction.  Compute times and network latencies are drawn from the
-    counter-based streams so timings replay exactly.
-    """
-
-    tau: int = 0
-    compute: str = "constant"     # 'constant' | 'exponential'
+    compute: str = "constant"     # one of COMPUTE_DISTS
     latency: float = 0.0          # mean one-way latency, virtual units
-    latency_dist: str = "constant"  # 'constant' | 'uniform'
+    latency_dist: str = "constant"  # one of LATENCY_DISTS
 
     def __post_init__(self) -> None:
-        if self.tau < 0:
-            raise DomainError("delay bound must be nonnegative")
-        if self.compute not in ("constant", "exponential"):
+        if self.compute not in COMPUTE_DISTS:
             raise DomainError(f"unknown compute-time model {self.compute!r}")
-        if self.latency_dist not in ("constant", "uniform"):
+        if self.latency_dist not in LATENCY_DISTS:
             raise DomainError(f"unknown latency model {self.latency_dist!r}")
 
     def compute_time(self, seed: int, party: int, step: int, mean: float) -> float:
@@ -427,56 +422,33 @@ class ServerNode:
 
     def handle_upload(self, upload: Upload, event: int) -> Reply:
         """Head values from the pre-update cache, reply, then cache overwrite."""
-        i, m = upload.sample, upload.party
-        if not 0 <= i < self.cache.n:
-            raise ProtocolError(f"unknown sample id {i}")
-        row = self.cache.row(i)
-        row[m - 1] = upload.c
-        y = self.labels[i]
-        h = global_value(self.model, self.w0, row, y)
-        row_bar = list(row)
-        row_bar[m - 1] = upload.c_hat
-        h_bar = global_value(self.model, self.w0, row_bar, y)
-        if self.w0.size > 0:
-            u0 = sample_direction(
-                self.scheme, self.w0.size,
-                streams.stream(self.seed, streams.SERVER_DIRECTION, 0, self.uploads_seen),
-            )
-            h_hat = global_value(self.model, self.w0 + self.mu * u0.u, row, y)
-            v0 = server_block_zoe(h, h_hat, self.mu, u0)
-            if not np.isfinite(v0).all():
-                raise ProtocolError("server: non-finite head update rejected")
+        reply, v0 = self._step(upload, self.w0, event)
+        if v0 is not None:
             self.w0 = self.w0 - self.eta0 * v0
-            self.last_v0 = v0
-        self.uploads_seen += 1
-        self.cache.put(i, m, upload.c, stamp=event)
-        return Reply(party=m, sample=i, h=h, h_bar=h_bar, seq=upload.seq)
+        self.last_v0 = v0
+        return reply
 
     def answer_round(self, upload: Upload, fresh: list[np.ndarray], w0_base: np.ndarray,
                      event: int):
-        """Synchronous-round reply: head values against the same-round outputs
-        of every party (staleness zero), estimates taken at w0_base.
+        """Synchronous-round reply against the same-round outputs `fresh` of
+        every party (staleness zero), estimates taken at w0_base.  Returns
+        (reply, head_estimate or None); the caller applies it after the barrier."""
+        return self._step(upload, w0_base, event, fresh)
 
-        Returns (reply, head_estimate or None); the caller applies the head
-        updates after the barrier.
-        """
+    def _step(self, upload: Upload, w0: np.ndarray, event: int, fresh=None):
+        """Two-point step at head parameters w0 against the cached outputs,
+        or `fresh` when given; rejects an unknown sample and a non-finite head
+        estimate, counts the upload and caches its output."""
         i, m = upload.sample, upload.party
         if not 0 <= i < self.cache.n:
             raise ProtocolError(f"unknown sample id {i}")
-        row = list(fresh)
-        y = self.labels[i]
-        h = global_value(self.model, w0_base, row, y)
-        row_bar = list(row)
-        row_bar[m - 1] = upload.c_hat
-        h_bar = global_value(self.model, w0_base, row_bar, y)
-        v0 = None
-        if w0_base.size > 0:
-            u0 = sample_direction(
-                self.scheme, w0_base.size,
-                streams.stream(self.seed, streams.SERVER_DIRECTION, 0, self.uploads_seen),
-            )
-            h_hat = global_value(self.model, w0_base + self.mu * u0.u, row, y)
-            v0 = server_block_zoe(h, h_hat, self.mu, u0)
+        row = self.cache.row(i) if fresh is None else list(fresh)
+        row[m - 1] = upload.c
+        u0 = head_direction(self.scheme, w0.size, self.seed, self.uploads_seen)
+        h, h_bar, v0 = two_point_head(self.model, w0, row, m, upload.c_hat, self.labels[i],
+                                      self.mu, u0)
+        if v0 is not None and not np.isfinite(v0).all():
+            raise ProtocolError("server: non-finite head update rejected")
         self.uploads_seen += 1
         self.cache.put(i, m, upload.c, stamp=event)
         return Reply(party=m, sample=i, h=h, h_bar=h_bar, seq=upload.seq), v0

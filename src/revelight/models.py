@@ -85,12 +85,6 @@ class ModelState:
     def block_dims(self) -> list[int]:
         return [int(wm.size) for wm in self.w]
 
-    def copy(self) -> "ModelState":
-        return ModelState(self.w0.copy(), [wm.copy() for wm in self.w])
-
-    def all_finite(self) -> bool:
-        return bool(np.isfinite(self.w0).all()) and all(np.isfinite(wm).all() for wm in self.w)
-
 
 @dataclass
 class LocalModel:
@@ -120,11 +114,7 @@ class LocalModel:
     def param_dim(self, input_dim: int) -> int:
         if self.kind == "linear":
             return input_dim
-        total, fan_in = 0, input_dim
-        for width in self.layer_sizes:
-            total += width * fan_in + width
-            fan_in = width
-        return total
+        return sum(width * fan_in + width for width, fan_in in self.layer_shapes(input_dim))
 
     def layer_shapes(self, input_dim: int) -> list[tuple[int, int]]:
         shapes, fan_in = [], input_dim
@@ -132,6 +122,17 @@ class LocalModel:
             shapes.append((width, fan_in))
             fan_in = width
         return shapes
+
+    def layers(self, w_m: np.ndarray, input_dim: int) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Views (W_l, b_l) into a flat mlp parameter vector, first layer
+        first; each layer stores its (width, fan_in) weights, then its biases."""
+        out, off = [], 0
+        for width, fan_in in self.layer_shapes(input_dim):
+            W = w_m[off:off + width * fan_in].reshape(width, fan_in)
+            off += width * fan_in
+            out.append((W, w_m[off:off + width]))
+            off += width
+        return out
 
     def init_params(self, input_dim: int, rng: np.random.Generator | None = None) -> np.ndarray:
         """Zero weights for linear; scaled gaussian weights, zero biases for mlp."""
@@ -179,56 +180,52 @@ class GlobalModel:
         return rng.standard_normal(self.d0) * np.sqrt(1.0 / (self.q * self.party_output_dim))
 
 
-def local_forward(model: LocalModel, w_m: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Evaluate one party's local model; returns the output vector c.
+def local_forward(model: LocalModel, w_m: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """Evaluate one party's local model on a feature row, giving the output
+    vector c, or on an (n, dbar) row matrix, giving the (n, output_dim) outputs.
 
-    Linear returns the inner product as a length-1 vector; mlp applies the
-    layer recursion u_l = relu(W_l u_{l-1} + b_l) with a linear last layer.
+    Linear is the inner product; mlp applies the layer recursion
+    u_l = relu(W_l u_{l-1} + b_l) with a linear last layer.
     """
     w_m = np.asarray(w_m, dtype=np.float64)
-    x = np.asarray(x, dtype=np.float64)
+    X = np.asarray(X, dtype=np.float64)
+    dbar = X.shape[-1]
     if model.kind == "linear":
-        if w_m.size != x.size:
-            raise ShapeError(f"linear model: dim(w)={w_m.size} != dim(x)={x.size}")
-        return np.array([np.dot(w_m, x)])
-    if w_m.size != model.param_dim(x.size):
+        if w_m.size != dbar:
+            raise ShapeError(f"linear model: dim(w)={w_m.size} != dim(x)={dbar}")
+        return X.dot(w_m[:, None])
+    if w_m.size != model.param_dim(dbar):
         raise ShapeError(
-            f"mlp parameters have {w_m.size} entries, layout needs {model.param_dim(x.size)}"
+            f"mlp parameters have {w_m.size} entries, layout needs {model.param_dim(dbar)}"
         )
-    u = x
-    off = 0
-    shapes = model.layer_shapes(x.size)
-    last = len(shapes) - 1
-    for l, (width, fan_in) in enumerate(shapes):
-        W = w_m[off:off + width * fan_in].reshape(width, fan_in)
-        off += width * fan_in
-        b = w_m[off:off + width]
-        off += width
-        u = W @ u + b
-        if l != last:
+    u = X
+    layers = model.layers(w_m, dbar)
+    for l, (W, b) in enumerate(layers):
+        u = u.dot(W.T) + b
+        if l != len(layers) - 1:
             u = np.maximum(u, 0.0)
     return u
 
 
 def _softplus(z: float) -> float:
-    # log(1 + e^z), stable for large |z|
+    # log(1 + e^z), stable for large |z|; head_losses applies the same formula
+    # elementwise, so its rows equal this bit for bit
     return float(max(z, 0.0) + np.log1p(np.exp(-abs(z))))
 
 
 def global_value(model: GlobalModel, w0: np.ndarray, c: list[np.ndarray], label) -> float:
-    """Server head value for one sample given the q party outputs."""
+    """Server head value for one sample given the q party outputs (the
+    protocol's per-call head; head_losses evaluates a batch)."""
     if len(c) != model.q:
         raise ShapeError(f"expected {model.q} party outputs, got {len(c)}")
+    feats = np.concatenate(c)
+    y = int(label)
     if model.kind == "logistic":
-        y = int(label)
         if y not in (-1, 1):
             raise DomainError(f"logistic label must be +/-1, got {label!r}")
-        total = np.sum(np.concatenate([np.atleast_1d(ci) for ci in c]))
-        return _softplus(-y * float(total))
-    y = int(label)
+        return _softplus(-y * float(np.sum(feats)))
     if not 0 <= y < model.classes:
         raise DomainError(f"label {label!r} outside [0, {model.classes})")
-    feats = np.concatenate([np.atleast_1d(ci) for ci in c])
     if w0.size != feats.size * model.classes:
         raise ShapeError(f"head parameters {w0.size} != {feats.size}x{model.classes}")
     logits = feats @ w0.reshape(feats.size, model.classes)
@@ -236,29 +233,49 @@ def global_value(model: GlobalModel, w0: np.ndarray, c: list[np.ndarray], label)
     return float(zmax + np.log(np.sum(np.exp(logits - zmax))) - logits[y])
 
 
+def _head_scores(model: GlobalModel, w0: np.ndarray, C: list[np.ndarray]) -> np.ndarray:
+    # per-sample margins (logistic) or (n, classes) logits (softmax_fcn)
+    if len(C) != model.q:
+        raise ShapeError(f"expected {model.q} party output matrices, got {len(C)}")
+    feats = np.concatenate(C, axis=1)
+    if model.kind == "logistic":
+        return np.sum(feats, axis=1)
+    if w0.size != feats.shape[1] * model.classes:
+        raise ShapeError(f"head parameters {w0.size} != {feats.shape[1]}x{model.classes}")
+    return feats @ w0.reshape(feats.shape[1], model.classes)
+
+
+def head_losses(model: GlobalModel, w0: np.ndarray, C: list[np.ndarray], labels) -> np.ndarray:
+    """Per-sample head values for a batch: C holds the q (n, output_dim)
+    party output matrices, labels the n labels.  Row i equals global_value
+    on row i of every matrix."""
+    y = np.asarray(labels).astype(int)
+    scores = _head_scores(model, w0, C)
+    if model.kind == "logistic":
+        if not np.isin(y, (-1, 1)).all():
+            raise DomainError("logistic labels must be +/-1")
+        z = -y * scores
+        return np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
+    if y.size and not (0 <= y.min() and y.max() < model.classes):
+        raise DomainError(f"labels outside [0, {model.classes})")
+    zmax = np.max(scores, axis=1)
+    lse = zmax + np.log(np.sum(np.exp(scores - zmax[:, None]), axis=1))
+    return lse - scores[np.arange(y.size), y]
+
+
+def head_predictions(model: GlobalModel, w0: np.ndarray, C: list[np.ndarray]) -> np.ndarray:
+    """Predicted labels for a batch: the margin's sign (+/-1) or the argmax class."""
+    scores = _head_scores(model, w0, C)
+    if model.kind == "logistic":
+        return np.where(scores >= 0, 1, -1)
+    return np.argmax(scores, axis=1)
+
+
 def nonconvex_reg(w: np.ndarray) -> float:
     """Bounded even regularizer sum_j w_j^2 / (1 + w_j^2); value in [0, dim(w))."""
     w = np.asarray(w, dtype=np.float64)
     sq = w * w
     return float(np.sum(sq / (1.0 + sq)))
-
-
-def composite_objective(
-    state: ModelState,
-    data: PartitionedDataset,
-    lam_eff: float,
-    local_model: LocalModel,
-    global_model: GlobalModel,
-) -> float:
-    """Full training objective: mean per-sample head loss plus the regularizer."""
-    if len(state.w) != data.q:
-        raise ShapeError(f"{len(state.w)} parameter blocks for {data.q} parties")
-    total = 0.0
-    for i in range(data.n):
-        c = [local_forward(local_model, state.w[m], data.blocks[m][i]) for m in range(data.q)]
-        total += global_value(global_model, state.w0, c, data.labels[i])
-    reg = sum(nonconvex_reg(wm) for wm in state.w)
-    return total / data.n + lam_eff * reg
 
 
 def partition_features(d_total: int, q: int) -> list[int]:

@@ -42,7 +42,3 @@ def stream(seed: int, purpose: int, party: int = 0, step: int = 0) -> np.random.
     )
     return np.random.Generator(bg)
 
-
-def derive_seed(seed: int, salt: int) -> int:
-    """Derive an independent sub-seed (used for per-trial verification rngs)."""
-    return int(stream(seed, TRIAL, step=salt).integers(0, 2**63 - 1))

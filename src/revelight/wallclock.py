@@ -17,16 +17,11 @@ import threading
 import time as _time
 
 
-from .fedproto import Transcript, warmup_cache
-
-
 def run_asyrevel_wall(cfg, data, local_model, global_model, test_data=None):
-    from .engine import _Recorder, _build_nodes
+    from .engine import _start_protocol
 
-    transcript = Transcript()
-    parties, server = _build_nodes(cfg, data, local_model, global_model, transcript)
-    warmup_cache(parties, server)
-    rec = _Recorder(cfg, data, test_data, local_model, global_model, transcript)
+    parties, server, rec = _start_protocol(cfg, data, local_model, global_model, test_data)
+    transcript = rec.transcript
 
     cap = os.environ.get("REVELIGHT_THREADS")
     slots = threading.Semaphore(max(1, int(cap)) if cap else cfg.q)

@@ -227,6 +227,16 @@ class TestMainCli:
         fields = out.split(",")
         assert fields[0] == "asyrevel_gau" and len(fields) == 6
 
+    @pytest.mark.parametrize("line", ["compute_dist = bogus", "latency_dist = bogus",
+                                      "scheme = bogus", "eval_every = 0"])
+    def test_bad_config_value_is_one_error_line(self, tmp_path, capsys, line):
+        cfgp = tmp_path / "run.cfg"
+        cfgp.write_text(CONFIG + line + "\n")
+        rc = main(["train", "--config", str(cfgp), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+
     def test_train_missing_config(self, tmp_path, capsys):
         rc = main(["train", "--config", str(tmp_path / "nope.cfg")])
         assert rc == 2

@@ -4,7 +4,6 @@ import pytest
 from revelight.cli import synthetic_pair
 from revelight.engine import (
     RunConfig,
-    evaluate_loss,
     matched_schedule,
     measure_comm,
     run_algorithm,
@@ -377,14 +376,3 @@ class TestCsvAndWall:
         lm, gm = glm_models(4)
         m = run_algorithm(_cfg(algorithm="nonfed", T=256), train, lm, gm, test)
         assert m.rows[-1].t == 256
-
-    def test_loss_evaluator_fast_path_matches_generic(self, bench_data, glm_models):
-        from revelight.models import ModelState, composite_objective
-
-        train, _ = bench_data(2)
-        lm, gm = glm_models(2)
-        rng = np.random.default_rng(0)
-        w = [rng.standard_normal(d) * 0.2 for d in train.block_dims]
-        fast = evaluate_loss(np.zeros(0), w, train, 1e-4, lm, gm)
-        slow = composite_objective(ModelState(np.zeros(0), w), train, 1e-4, lm, gm)
-        assert fast == pytest.approx(slow, abs=1e-12)

@@ -9,7 +9,6 @@ from revelight.estimator import (
     SPHERE,
     Direction,
     HyperParams,
-    SmoothingConfig,
     client_block_zoe,
     dim_factor,
     estimate_smoothness,
@@ -261,8 +260,6 @@ class TestPrescribe:
             prescribe_hyperparams(0, 0, 1.0, 1.0, [4], GAUSSIAN)
         with pytest.raises(DomainError):
             HyperParams(eta=0.1, eta_server=0.1, T=10, tau=-1, m0=1, L_est=1, mu=[0.1])
-        with pytest.raises(DomainError):
-            SmoothingConfig(mu=[0.0])
 
 
 class TestEstimateSmoothness:

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from revelight import streams
-from revelight.errors import DecodeError, ProtocolError
+from revelight.errors import DecodeError, ProtocolError, ShapeError
 from revelight.estimator import SPHERE
 from revelight.fedproto import (
     DelayModel,
@@ -81,6 +81,13 @@ class TestCodec:
         with pytest.raises(DecodeError):
             decode_message(raw)
 
+    def test_vector_longer_than_length_field(self):
+        longest = np.zeros(0xFFFF)
+        assert len(encode_message(Upload(1, 1, longest, longest, 0))) == frame_bytes(2 * 0xFFFF)
+        too_long = np.zeros(0x10000)
+        with pytest.raises(ShapeError, match="exceeds the frame limit"):
+            encode_message(Upload(1, 1, too_long, too_long, 0))
+
 
 def _tiny_setup(n=6, d=8, q=2, seed=5, scheme=SPHERE, mu=0.05, eta=0.1, lam=1e-3):
     rng = np.random.default_rng(seed)
@@ -105,7 +112,8 @@ class TestWarmup:
     def test_cache_fully_populated(self):
         _, _, _, parties, server, _ = _tiny_setup()
         cache = warmup_cache(parties, server)
-        assert cache.fully_populated()
+        assert np.all(cache.stamp == 0)
+        assert all(len(cache.row(i)) == cache.q for i in range(cache.n))
 
     def test_cache_matches_direct_forward(self):
         data, lm, _, parties, server, _ = _tiny_setup()
@@ -165,6 +173,25 @@ class TestServerHandleUpload:
         up.sample = 999
         with pytest.raises(ProtocolError, match="unknown sample"):
             server.handle_upload(up, event=1)
+
+    @pytest.mark.parametrize("entry", ["handle_upload", "answer_round"])
+    def test_non_finite_head_estimate_rejected(self, entry):
+        # an infinite party output makes the softmax head value NaN
+        gm = GlobalModel(kind="softmax_fcn", q=2, party_output_dim=1, classes=2)
+        w0 = np.random.default_rng(0).standard_normal(gm.d0)
+        server = ServerNode(gm, w0, np.array([0, 1, 0]), 3, 2, mu=0.1, eta0=0.1,
+                            scheme=SPHERE, seed=3)
+        for i in range(3):
+            for m in (1, 2):
+                server.cache.put(i, m, np.array([0.5]), stamp=0)
+        up = Upload(1, 2, np.array([np.inf]), np.array([0.4]), 0)
+        with np.errstate(invalid="ignore"), pytest.raises(ProtocolError, match="non-finite head"):
+            if entry == "handle_upload":
+                server.handle_upload(up, event=1)
+            else:
+                server.answer_round(up, [up.c, np.array([0.5])], server.w0, event=1)
+        assert np.array_equal(server.w0, w0)
+        assert server.uploads_seen == 0 and server.cache.stamp[2, 0] == 0
 
     def test_cache_overwritten_after_reply(self):
         _, _, _, parties, server, _ = _tiny_setup()
@@ -361,17 +388,17 @@ class TestTranscript:
 
 class TestDelayModel:
     def test_constant_compute(self):
-        dm = DelayModel(tau=0, compute="constant")
+        dm = DelayModel(compute="constant")
         assert dm.compute_time(1, 1, 0, 1.4) == 1.4
 
     def test_exponential_is_deterministic_per_address(self):
-        dm = DelayModel(tau=0, compute="exponential")
+        dm = DelayModel(compute="exponential")
         a = dm.compute_time(7, 2, 5, 1.0)
         b = dm.compute_time(7, 2, 5, 1.0)
         assert a == b and a > 0
 
     def test_latency_uniform_range(self):
-        dm = DelayModel(tau=3, latency=0.5, latency_dist="uniform")
+        dm = DelayModel(latency=0.5, latency_dist="uniform")
         vals = [dm.latency_time(1, 1, k) for k in range(200)]
         assert all(0 <= v <= 1.0 for v in vals)
         assert 0.3 < np.mean(vals) < 0.7

@@ -4,14 +4,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from revelight import streams
+from revelight.engine import evaluate_accuracy, evaluate_loss
 from revelight.errors import DomainError, ShapeError
 from revelight.models import (
     GlobalModel,
     LocalModel,
     ModelState,
     PartitionedDataset,
-    composite_objective,
     global_value,
+    head_losses,
     init_state,
     local_forward,
     nonconvex_reg,
@@ -77,6 +78,8 @@ class TestGlobalValue:
         g = GlobalModel(kind="logistic", q=1)
         with pytest.raises(DomainError):
             global_value(g, np.zeros(0), [np.array([0.0])], 2)
+        with pytest.raises(DomainError):
+            head_losses(g, np.zeros(0), [np.zeros((2, 1))], np.array([1, 2]))
 
     def test_softmax_head_uniform_logits(self):
         g = GlobalModel(kind="softmax_fcn", q=2, party_output_dim=1, classes=4)
@@ -88,6 +91,8 @@ class TestGlobalValue:
         g = GlobalModel(kind="softmax_fcn", q=1, party_output_dim=1, classes=3)
         with pytest.raises(DomainError):
             global_value(g, np.zeros(g.d0), [np.array([0.0])], 3)
+        with pytest.raises(DomainError):
+            head_losses(g, np.zeros(g.d0), [np.zeros((2, 1))], np.array([0, 3]))
 
 
 class TestNonconvexReg:
@@ -141,7 +146,8 @@ class TestCompositeObjective:
         rng = np.random.default_rng(0)
         data, state = _random_instance(rng, 12, 8, 2)
         state = ModelState(np.zeros(0), [np.zeros(d) for d in data.block_dims])
-        v = composite_objective(state, data, 1e-4, LocalModel(), GlobalModel(kind="logistic", q=2))
+        lm, gm = LocalModel(), GlobalModel(kind="logistic", q=2)
+        v = evaluate_loss(state.w0, state.w, data, 1e-4, lm, gm)
         assert v == pytest.approx(np.log(2.0), abs=1e-15)
 
     def test_single_sample_reduction(self):
@@ -153,7 +159,8 @@ class TestCompositeObjective:
         expect = global_value(gm, state.w0, c, data.labels[0]) + lam * sum(
             nonconvex_reg(wm) for wm in state.w
         )
-        assert composite_objective(state, data, lam, lm, gm) == pytest.approx(expect, abs=1e-15)
+        got = evaluate_loss(state.w0, state.w, data, lam, lm, gm)
+        assert got == pytest.approx(expect, abs=1e-15)
 
     def test_against_per_sample_oracle_n16(self):
         # independent oracle: explicit per-sample summation over concatenated w
@@ -167,19 +174,20 @@ class TestCompositeObjective:
             z = -data.labels[i] * float(X[i] @ w_cat)
             acc += np.logaddexp(0.0, z)
         oracle = acc / 16 + lam * float(np.sum(w_cat**2 / (1 + w_cat**2)))
-        got = composite_objective(state, data, lam, LocalModel(), GlobalModel(kind="logistic", q=4))
+        lm, gm = LocalModel(), GlobalModel(kind="logistic", q=4)
+        got = evaluate_loss(state.w0, state.w, data, lam, lm, gm)
         assert got == pytest.approx(oracle, abs=1e-12)
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(3)
         data, state = _random_instance(rng, 20, 8, 2)
         lm, gm = LocalModel(), GlobalModel(kind="logistic", q=2)
-        v1 = composite_objective(state, data, 1e-4, lm, gm)
+        v1 = evaluate_loss(state.w0, state.w, data, 1e-4, lm, gm)
         perm = rng.permutation(20)
         data2 = PartitionedDataset(
             blocks=[b[perm] for b in data.blocks], labels=data.labels[perm]
         )
-        v2 = composite_objective(state, data2, 1e-4, lm, gm)
+        v2 = evaluate_loss(state.w0, state.w, data2, 1e-4, lm, gm)
         assert v1 == pytest.approx(v2, abs=1e-12)
 
     @settings(deadline=None, max_examples=100)
@@ -191,7 +199,8 @@ class TestCompositeObjective:
         q = int(rng.integers(1, min(d, 6) + 1))
         data, state = _random_instance(rng, n, d, q)
         lam = float(rng.uniform(0, 1e-2))
-        fed = composite_objective(state, data, lam, LocalModel(), GlobalModel(kind="logistic", q=q))
+        lm, gm = LocalModel(), GlobalModel(kind="logistic", q=q)
+        fed = evaluate_loss(state.w0, state.w, data, lam, lm, gm)
         X = data.concatenated()
         w_cat = np.concatenate(state.w)
         cent = float(
@@ -200,13 +209,84 @@ class TestCompositeObjective:
         assert abs(fed - cent) <= 1e-12
 
 
+def _per_sample_oracle(w0, w, data, lm, gm):
+    """Per-sample head values and predictions, one local_forward row at a time."""
+    losses, preds = [], []
+    for i in range(data.n):
+        c = [local_forward(lm, w[m], data.blocks[m][i]) for m in range(data.q)]
+        losses.append(global_value(gm, w0, c, data.labels[i]))
+        feats = np.concatenate(c)
+        if gm.kind == "logistic":
+            preds.append(1 if np.sum(feats) >= 0 else -1)
+        else:
+            preds.append(int(np.argmax(feats @ w0.reshape(feats.size, gm.classes))))
+    return np.array(losses), np.array(preds)
+
+
+class TestBatchedEvaluation:
+    """head_losses and evaluate_loss/evaluate_accuracy, which run every
+    model kind through batched local_forward, against the per-sample path."""
+
+    def _check(self, w0, w, data, lm, gm, lam, exact_rows):
+        C = [local_forward(lm, w[m], data.blocks[m]) for m in range(data.q)]
+        assert all(Cm.shape == (data.n, lm.output_dim) for Cm in C)
+        rows = [global_value(gm, w0, [Cm[i] for Cm in C], data.labels[i]) for i in range(data.n)]
+        batched = head_losses(gm, w0, C, data.labels)
+        if exact_rows:
+            assert np.array_equal(batched, rows)
+        else:
+            assert np.allclose(batched, rows, rtol=1e-12, atol=1e-12)
+        losses, preds = _per_sample_oracle(w0, w, data, lm, gm)
+        expect = np.mean(losses) + lam * sum(nonconvex_reg(wm) for wm in w)
+        got = evaluate_loss(w0, w, data, lam, lm, gm)
+        assert got == pytest.approx(expect, rel=1e-12, abs=1e-12)
+        assert evaluate_accuracy(w0, w, data, lm, gm) == np.mean(preds == data.labels)
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.integers(0, 10**6), st.floats(0.1, 100.0))
+    def test_linear_logistic(self, seed, scale):
+        # scale drives margins into both branches of the stable softplus
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 48))
+        d = int(rng.integers(1, 24))
+        q = int(rng.integers(1, min(d, 6) + 1))
+        data, state = _random_instance(rng, n, d, q)
+        w = [wm * scale for wm in state.w]
+        lm, gm = LocalModel(), GlobalModel(kind="logistic", q=q)
+        self._check(state.w0, w, data, lm, gm, float(rng.uniform(0, 1e-2)), exact_rows=True)
+
+    @settings(deadline=None, max_examples=40)
+    @given(st.integers(0, 10**6))
+    def test_mlp_softmax(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 32))
+        q = int(rng.integers(1, 4))
+        odim = int(rng.integers(1, 3))
+        classes = int(rng.integers(2, 5))
+        hidden = tuple(int(h) for h in rng.integers(1, 6, size=rng.integers(1, 3)))
+        dims = [int(dm) for dm in rng.integers(1, 5, size=q)]
+        lm = LocalModel(kind="mlp", layer_sizes=hidden + (odim,))
+        gm = GlobalModel(kind="softmax_fcn", q=q, party_output_dim=odim, classes=classes)
+        X = rng.standard_normal((n, sum(dims)))
+        data = PartitionedDataset.from_matrix(X, rng.integers(0, classes, size=n), dims)
+        w = [rng.standard_normal(lm.param_dim(dm)) for dm in dims]
+        w0 = rng.standard_normal(gm.d0)
+        self._check(w0, w, data, lm, gm, float(rng.uniform(0, 1e-2)), exact_rows=False)
+
+    def test_row_matrix_shape_mismatch(self):
+        with pytest.raises(ShapeError):
+            local_forward(LocalModel(), np.zeros(3), np.zeros((5, 4)))
+        with pytest.raises(ShapeError):
+            local_forward(LocalModel(kind="mlp", layer_sizes=(2, 1)), np.zeros(5), np.zeros((5, 4)))
+
+
 class TestInitState:
     def test_linear_init_is_zero(self):
         rng = np.random.default_rng(0)
         data, _ = _random_instance(rng, 4, 8, 2)
         st_ = init_state(data, LocalModel(), GlobalModel(kind="logistic", q=2), seed=7)
         assert all(np.all(w == 0) for w in st_.w)
-        assert st_.d0 == 0 and st_.all_finite()
+        assert st_.d0 == 0 and all(np.isfinite(w).all() for w in st_.w)
 
     def test_mlp_init_deterministic(self):
         rng = np.random.default_rng(0)
