@@ -327,7 +327,7 @@ def run_asyrevel(cfg: RunConfig, data: PartitionedDataset, local_model: LocalMod
     heap: list = []
     serial = 0
     sent = 0
-    inflight_msgs: dict[int, object] = {}
+    inflight_msgs: dict[int, tuple] = {}  # serial -> (upload, its latency)
     processed = 0  # uploads the server has answered
     applied = 0    # client update events completed; the run's event counter
 
@@ -346,14 +346,14 @@ def run_asyrevel(cfg: RunConfig, data: PartitionedDataset, local_model: LocalMod
             nxt = queue.pop_next(processed)
             if nxt is None:
                 return
-            upload, send_count, _ser = nxt
+            (upload, lat), send_count, _ser = nxt
             rec.max_stal = max(rec.max_stal, processed - send_count)
             reply = server.handle_upload(upload, event=processed + 1)
             processed += 1
             transcript.record(now, "down", reply)
             if server.last_v0 is not None:
                 rec.note_update(0, server.last_v0)
-            lat = delay.latency_time(cfg.seed, upload.party, upload.seq)
+            # the reply travels the same (party, seq) link as its upload
             heapq.heappush(heap, (now + lat, _REPLY, upload.party, reply))
 
     while applied < cfg.T and heap and not rec.stopped:
@@ -368,7 +368,7 @@ def run_asyrevel(cfg: RunConfig, data: PartitionedDataset, local_model: LocalMod
             sent += 1
             lat = delay.latency_time(cfg.seed, idx, upload.seq)
             queue.send(serial, now + lat, processed)
-            inflight_msgs[serial] = upload
+            inflight_msgs[serial] = (upload, lat)
             heapq.heappush(heap, (now + lat, _DELIVER, serial, None))
         elif kind == _DELIVER:
             queue.deliver(idx, inflight_msgs.pop(idx))
@@ -412,9 +412,10 @@ def _run_serialized(cfg, parties, server, rec, schedule) -> RunMetrics:
     return rec.finish(server.w0, [p.w for p in parties], [p.steps for p in parties])
 
 
-def round_sample(seed: int, r: int, n: int) -> int:
-    """The shared per-round index used by synchronous rounds (party slot 0)."""
-    return int(streams.stream(seed, streams.SAMPLE, 0, r).integers(n))
+def round_sample(samples: streams.Stream, r: int, n: int) -> int:
+    """The shared per-round index used by synchronous rounds: the SAMPLE
+    stream `samples` at party slot 0, step r."""
+    return int(samples.at(0, r).integers(n))
 
 
 def matched_schedule(cfg: RunConfig, n: int, events: int | None = None):
@@ -425,10 +426,11 @@ def matched_schedule(cfg: RunConfig, n: int, events: int | None = None):
     trajectories coincide exactly (a barrier over one worker is a no-op).
     """
     events = events if events is not None else cfg.T
+    samples = streams.Stream(cfg.seed, streams.SAMPLE)
     sched = []
     r = 0
     while len(sched) < events:
-        i = round_sample(cfg.seed, r, n)
+        i = round_sample(samples, r, n)
         for m in range(1, cfg.q + 1):
             sched.append((m, i))
         r += 1
@@ -445,13 +447,14 @@ def run_synrevel(cfg: RunConfig, data: PartitionedDataset, local_model: LocalMod
     transcript = rec.transcript
     delay = DelayModel(compute=cfg.compute_dist)
     means = cfg.party_means()
+    samples = streams.Stream(cfg.seed, streams.SAMPLE)
 
     vtime = 0.0
     t = 0
     stopped = rec.log(0, 0.0, server.w0, [p.w for p in parties])
     r = 0
     while t < cfg.T and not stopped:
-        i = round_sample(cfg.seed, r, data.n)
+        i = round_sample(samples, r, data.n)
         uploads = [party.start_step(sample=i) for party in parties]
         round_time = max(
             delay.compute_time(cfg.seed, m + 1, r, means[m]) for m in range(cfg.q)
@@ -526,15 +529,17 @@ def run_nonfederated(cfg: RunConfig, data: PartitionedDataset, local_model: Loca
     w0, w, cache = _centralized_start(cfg, data, local_model, global_model)
     scheme = cfg.direction_scheme
     rec = _Recorder(cfg, data, test_data, local_model, global_model, None)
+    samples = streams.Stream(cfg.seed, streams.SAMPLE)
+    directions = streams.Stream(cfg.seed, streams.DIRECTION)
+    head_directions = streams.Stream(cfg.seed, streams.SERVER_DIRECTION)
     steps = [0] * cfg.q
     rec.log(0, 0.0, w0, w)
     for t, (now, pid, k) in zip(range(1, cfg.T + 1), _activations(cfg)):
         if rec.stopped:
             break
         m = pid - 1
-        i = int(streams.stream(cfg.seed, streams.SAMPLE, pid, k).integers(data.n))
-        u = sample_direction(scheme, w[m].size,
-                             streams.stream(cfg.seed, streams.DIRECTION, pid, k))
+        i = int(samples.at(pid, k).integers(data.n))
+        u = sample_direction(scheme, w[m].size, directions.at(pid, k))
         x = data.blocks[m][i]
         c = local_forward(local_model, w[m], x)
         c_hat = local_forward(local_model, w[m] + cfg.mu * u.u, x)
@@ -543,7 +548,7 @@ def run_nonfederated(cfg: RunConfig, data: PartitionedDataset, local_model: Loca
         row = list(cache[i])
         row[m] = c
         # the server addresses head directions by the count of uploads answered
-        u0 = head_direction(scheme, w0.size, cfg.seed, t - 1)
+        u0 = head_direction(scheme, w0.size, head_directions, t - 1)
         h, h_bar, v0 = two_point_head(global_model, w0, row, pid, c_hat, data.labels[i],
                                       cfg.mu, u0)
         if v0 is not None:
@@ -621,13 +626,14 @@ def run_tig_baseline(cfg: RunConfig, data: PartitionedDataset, local_model: Loca
     for i in range(data.n):
         for m in range(cfg.q):
             transcript.record_raw(0.0, "up", "tig_output", m + 1, i, -1, cache[i][m])
+    samples = streams.Stream(cfg.seed, streams.SAMPLE)
     steps = [0] * cfg.q
     rec.log(0, 0.0, w0, w)
     for t, (now, pid, k) in zip(range(1, cfg.T + 1), _activations(cfg)):
         if rec.stopped:
             break
         m = pid - 1
-        i = int(streams.stream(cfg.seed, streams.SAMPLE, pid, k).integers(data.n))
+        i = int(samples.at(pid, k).integers(data.n))
         x = data.blocks[m][i]
         c = local_forward(local_model, w[m], x)
         transcript.record_raw(now, "up", "tig_output", pid, i, k, c)

@@ -119,11 +119,12 @@ def server_block_zoe(h: float, h_hat: float, mu: float, u0: Direction | None) ->
     return (factor / mu) * (h_hat - h) * u0.u
 
 
-def head_direction(scheme: str, d0: int, seed: int, k: int) -> Direction | None:
-    """The server's k-th head direction; None without a trainable head (d0 = 0)."""
+def head_direction(scheme: str, d0: int, directions: streams.Stream, k: int) -> Direction | None:
+    """The server's k-th head direction, drawn from its SERVER_DIRECTION
+    stream; None without a trainable head (d0 = 0)."""
     if d0 == 0:
         return None
-    return sample_direction(scheme, d0, streams.stream(seed, streams.SERVER_DIRECTION, 0, k))
+    return sample_direction(scheme, d0, directions.at(0, k))
 
 
 def two_point_head(head: GlobalModel, w0: np.ndarray, row: list[np.ndarray], m: int,

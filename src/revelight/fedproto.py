@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -30,6 +30,7 @@ HEADER_BYTES = _HEAD.size  # 19
 UPLOAD_TAG = 0
 REPLY_TAG = 1
 MAX_VECTOR = 0xFFFF  # the header's 2-byte vector length
+INT32_MIN, INT32_MAX = -2**31, 2**31 - 1  # the header's 4-byte party, sample, seq
 
 COMPUTE_DISTS = ("constant", "exponential")
 LATENCY_DISTS = ("constant", "uniform")
@@ -60,6 +61,11 @@ def frame_bytes(n_floats: int) -> int:
 
 def encode_message(msg) -> bytes:
     """Encode one message as a length-prefixed binary frame."""
+    if isinstance(msg, (Upload, Reply)):
+        for name in ("party", "sample", "seq"):
+            value = getattr(msg, name)
+            if not INT32_MIN <= value <= INT32_MAX:
+                raise ShapeError(f"{name} {value} does not fit the frame's 4-byte field")
     if isinstance(msg, Upload):
         c = np.asarray(msg.c, dtype=np.float64)
         c_hat = np.asarray(msg.c_hat, dtype=np.float64)
@@ -150,17 +156,20 @@ class Transcript:
         return iter(self.entries)
 
     def record(self, time: float, direction: str, msg) -> TranscriptEntry:
-        raw = encode_message(msg)
+        """Log one message with the size of its frame, which `frame_bytes`
+        gives without encoding it."""
         if isinstance(msg, Upload):
-            entry = TranscriptEntry(
-                time, direction, "upload", msg.party, msg.sample, msg.seq,
-                np.concatenate([msg.c, msg.c_hat]), len(raw),
-            )
+            if np.shape(msg.c) != np.shape(msg.c_hat):
+                raise ShapeError("upload vectors c and c_hat must have equal length")
+            variant, payload = "upload", np.concatenate([msg.c, msg.c_hat])
+        elif isinstance(msg, Reply):
+            variant, payload = "reply", np.array([msg.h, msg.h_bar])
         else:
-            entry = TranscriptEntry(
-                time, direction, "reply", msg.party, msg.sample, msg.seq,
-                np.array([msg.h, msg.h_bar]), len(raw),
-            )
+            raise DomainError(f"cannot record {type(msg).__name__}")
+        entry = TranscriptEntry(
+            time, direction, variant, msg.party, msg.sample, msg.seq,
+            payload, frame_bytes(payload.size),
+        )
         self.entries.append(entry)
         self._bytes[direction] += entry.nbytes
         return entry
@@ -238,11 +247,13 @@ class ServerCache:
 @dataclass
 class DelayModel:
     """Compute-time and latency model for the simulated protocol; both are
-    drawn from the counter-based streams so timings replay exactly."""
+    drawn from the counter-based streams so timings replay exactly.  The
+    model owns its COMPUTE and LATENCY streams."""
 
     compute: str = "constant"     # one of COMPUTE_DISTS
     latency: float = 0.0          # mean one-way latency, virtual units
     latency_dist: str = "constant"  # one of LATENCY_DISTS
+    _streams: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.compute not in COMPUTE_DISTS:
@@ -250,19 +261,23 @@ class DelayModel:
         if self.latency_dist not in LATENCY_DISTS:
             raise DomainError(f"unknown latency model {self.latency_dist!r}")
 
+    def _at(self, seed: int, purpose: int, party: int, step: int) -> np.random.Generator:
+        owned = self._streams.get(purpose)
+        if owned is None or owned.seed != seed:
+            owned = self._streams[purpose] = streams.Stream(seed, purpose)
+        return owned.at(party, step)
+
     def compute_time(self, seed: int, party: int, step: int, mean: float) -> float:
         if self.compute == "constant":
             return mean
-        rng = streams.stream(seed, streams.COMPUTE, party=party, step=step)
-        return float(rng.exponential(mean))
+        return float(self._at(seed, streams.COMPUTE, party, step).exponential(mean))
 
     def latency_time(self, seed: int, party: int, step: int) -> float:
         if self.latency <= 0:
             return 0.0
         if self.latency_dist == "constant":
             return self.latency
-        rng = streams.stream(seed, streams.LATENCY, party=party, step=step)
-        return float(rng.uniform(0.0, 2.0 * self.latency))
+        return float(self._at(seed, streams.LATENCY, party, step).uniform(0.0, 2.0 * self.latency))
 
 
 class StalenessQueue:
@@ -343,7 +358,8 @@ class PartyNode:
         self.eta = eta
         self.lam_eff = lam_eff
         self.scheme = scheme
-        self.seed = seed
+        self.samples = streams.Stream(seed, streams.SAMPLE)
+        self.directions = streams.Stream(seed, streams.DIRECTION)
         self.steps = 0          # activation counter, addresses the streams
         self.pending = None     # outstanding (sample, direction, g0, g1)
 
@@ -361,11 +377,10 @@ class PartyNode:
             raise ProtocolError(f"party {self.id} already has an outstanding upload")
         k = self.steps
         if sample is None:
-            i = int(streams.stream(self.seed, streams.SAMPLE, self.id, k).integers(self.X.shape[0]))
+            i = int(self.samples.at(self.id, k).integers(self.X.shape[0]))
         else:
             i = int(sample)
-        u = sample_direction(self.scheme, self.dim,
-                             streams.stream(self.seed, streams.DIRECTION, self.id, k))
+        u = sample_direction(self.scheme, self.dim, self.directions.at(self.id, k))
         x = self.X[i]
         c = local_forward(self.model, self.w, x)
         c_hat = local_forward(self.model, self.w + self.mu * u.u, x)
@@ -410,7 +425,7 @@ class ServerNode:
         self.mu = mu
         self.eta0 = eta0
         self.scheme = scheme
-        self.seed = seed
+        self.directions = streams.Stream(seed, streams.SERVER_DIRECTION)
         self.transcript = transcript
         self.uploads_seen = 0
         self.last_v0: np.ndarray | None = None
@@ -444,7 +459,7 @@ class ServerNode:
             raise ProtocolError(f"unknown sample id {i}")
         row = self.cache.row(i) if fresh is None else list(fresh)
         row[m - 1] = upload.c
-        u0 = head_direction(self.scheme, w0.size, self.seed, self.uploads_seen)
+        u0 = head_direction(self.scheme, w0.size, self.directions, self.uploads_seen)
         h, h_bar, v0 = two_point_head(self.model, w0, row, m, upload.c_hat, self.labels[i],
                                       self.mu, u0)
         if v0 is not None and not np.isfinite(v0).all():
@@ -483,14 +498,20 @@ def audit_transcript(transcript: Transcript, dims: list[int], d0: int = 0,
 
     A transcript passes iff every payload vector is no longer than the
     largest local output and no payload vector length equals a parameter
-    block dimension (a parameter- or gradient-shaped payload).  Reports the
-    first offending entry otherwise.
+    block dimension (a parameter- or gradient-shaped payload), unless that
+    length is the entry's own function-value length: max_output_dim for
+    each half of an upload, 1 for each scalar of a reply.  So a block of
+    dimension 1 (the linear model at q = d) does not flag clean traffic,
+    while tig_* entries carry no function values and are always checked.
+    Reports the first offending entry otherwise.
     """
     blocked = {int(d) for d in dims}
     if d0 > 0:
         blocked.add(int(d0))
+    legal = {"upload": max_output_dim, "reply": 1}
     checked = 0
     for idx, entry in enumerate(transcript):
+        own = legal.get(entry.variant)
         for length in entry.vector_lengths():
             checked += 1
             if length > max_output_dim:
@@ -499,7 +520,7 @@ def audit_transcript(transcript: Transcript, dims: list[int], d0: int = 0,
                     f"entry {idx} ({entry.variant}, party {entry.party}): payload vector "
                     f"length {length} exceeds max local output dim {max_output_dim}",
                 )
-            if length in blocked:
+            if length in blocked and length != own:
                 return AuditReport(
                     False, checked, idx,
                     f"entry {idx} ({entry.variant}, party {entry.party}): payload vector "

@@ -8,7 +8,21 @@ modes (and the centralized replay oracles) bit-for-bit comparable.
 
 The backing generator is Philox, whose 256-bit counter we partition as
 (0, step, party, purpose); the free-running low word leaves each address
-2^64 draws, far more than any caller consumes.
+2^64 draws, far more than any caller consumes.  The key holds the seed, so
+one key plus a settable counter reaches every address (Salmon et al.,
+"Parallel random numbers: as easy as 1, 2, 3", SC'11).
+
+Two ways in, one sequence of draws per address:
+
+- `Stream` keeps one generator for a (seed, purpose) pair and moves it to
+  each (party, step) by resetting its counter.  The per-event draws use it,
+  one instance per owner so that each generator stays on one thread:
+  `PartyNode` owns SAMPLE and DIRECTION, `ServerNode` SERVER_DIRECTION,
+  `DelayModel` COMPUTE and LATENCY, and the centralized and synchronous
+  driver loops their own.
+- `stream()` builds an independent generator for one address.  It serves
+  the cold sites (INIT, DATA, SPLIT, TRIAL) and any caller that keeps a
+  generator across calls.
 """
 
 from __future__ import annotations
@@ -28,17 +42,52 @@ SPLIT = 8         # train/test fold shuffling
 TRIAL = 9         # verification trial instances
 
 
-def stream(seed: int, purpose: int, party: int = 0, step: int = 0) -> np.random.Generator:
-    """Return the generator for one address.
-
-    Addresses with distinct (purpose, party, step) never overlap.  The
-    generator is cheap to construct; callers create one per draw site.
-    """
+def _philox(seed: int, purpose: int, party: int, step: int) -> np.random.Philox:
     if seed < 0:
         raise ValueError("seed must be nonnegative")
-    bg = np.random.Philox(
-        key=np.uint64(seed),
-        counter=[0, np.uint64(step), np.uint64(party), np.uint64(purpose)],
-    )
-    return np.random.Generator(bg)
+    # an explicit uint64 array: a list mixing ints and np.uint64 would pass
+    # through float64 and merge addresses above 2**53
+    counter = np.array([0, step, party, purpose], dtype=np.uint64)
+    return np.random.Philox(key=np.uint64(seed), counter=counter)
 
+
+def stream(seed: int, purpose: int, party: int = 0, step: int = 0) -> np.random.Generator:
+    """Return a new, independent generator for one address.
+
+    Addresses with distinct (purpose, party, step) never overlap.  Building
+    one costs a Philox set-up; hot loops re-address a `Stream` instead.
+    """
+    return np.random.Generator(_philox(seed, purpose, party, step))
+
+
+class Stream:
+    """One owner's generator for a (seed, purpose) pair, re-addressed in place.
+
+    `at(party, step)` resets the generator to the start of that address and
+    returns it; its draws are exactly those of `stream(seed, purpose, party,
+    step)`.  The reset also drops any buffered output, including the half
+    32-bit word `integers` can leave behind.  A re-address invalidates the
+    position of the previous one, and an instance must not be shared between
+    threads.
+    """
+
+    __slots__ = ("seed", "purpose", "_bits", "_gen", "_state", "_counter")
+
+    def __init__(self, seed: int, purpose: int) -> None:
+        self.seed = seed
+        self.purpose = purpose
+        self._bits = _philox(seed, purpose, 0, 0)
+        self._gen = np.random.Generator(self._bits)
+        self._state = self._bits.state
+        self._counter = self._state["state"]["counter"]
+
+    def at(self, party: int, step: int) -> np.random.Generator:
+        counter = self._counter
+        counter[1] = step
+        counter[2] = party
+        state = self._state
+        state["buffer_pos"] = 4  # buffer exhausted: the next draw runs the counter
+        state["has_uint32"] = 0
+        state["uinteger"] = 0
+        self._bits.state = state  # copied in; state["buffer"] stays zero
+        return self._gen

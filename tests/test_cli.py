@@ -260,6 +260,15 @@ class TestMainCli:
         assert rc == 1
         assert "error: audit violation" in capsys.readouterr().err
 
+    def test_audit_command_passes_at_q_equals_d(self, tmp_path, capsys):
+        cfgp = tmp_path / "run.cfg"
+        cfgp.write_text(CONFIG.replace("d = 16", "d = 4").replace("T = 512", "T = 64"))
+        assert main(["train", "--config", str(cfgp), "--out", str(tmp_path / "out")]) == 0
+        transcript = tmp_path / "out" / "transcript_asyrevel_gau_7.jsonl"
+        rc = main(["audit", "--transcript", str(transcript), "--dims", "1,1,1,1"])
+        assert rc == 0
+        assert "audit pass" in capsys.readouterr().out
+
     def test_verify_command(self, tmp_path, capsys):
         rc = main(["verify", "--trials", "1", "--out", str(tmp_path)])
         assert rc == 0

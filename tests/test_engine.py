@@ -118,6 +118,24 @@ class TestAsyRevel:
             paths.append(p.read_bytes())
         assert paths[0] == paths[1]
 
+    def test_one_latency_draw_per_upload(self, bench_data, glm_models, monkeypatch):
+        from revelight.fedproto import DelayModel
+
+        calls = []
+        draw = DelayModel.latency_time
+
+        def counted(self, seed, party, step):
+            calls.append((party, step))
+            return draw(self, seed, party, step)
+
+        monkeypatch.setattr(DelayModel, "latency_time", counted)
+        train, _ = bench_data(4)
+        lm, gm = glm_models(4)
+        m = run_asyrevel(_cfg(T=300, tau=3, latency=0.6, latency_dist="uniform"), train, lm, gm)
+        sent = [(e.party, e.seq) for e in m.transcript if e.direction == "up" and e.seq >= 0]
+        assert len(sent) == 300
+        assert sorted(calls) == sorted(sent)
+
     def test_staleness_bounded_and_exercised(self, bench_data, glm_models):
         train, test = bench_data(4)
         lm, gm = glm_models(4)

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from revelight import streams
-from revelight.errors import DecodeError, ProtocolError, ShapeError
+from revelight.errors import DecodeError, DomainError, ProtocolError, ShapeError
 from revelight.estimator import SPHERE
 from revelight.fedproto import (
     DelayModel,
@@ -87,6 +87,21 @@ class TestCodec:
         too_long = np.zeros(0x10000)
         with pytest.raises(ShapeError, match="exceeds the frame limit"):
             encode_message(Upload(1, 1, too_long, too_long, 0))
+
+    @pytest.mark.parametrize("msg", [
+        Upload(2**31, 0, np.zeros(1), np.zeros(1), 0),
+        Upload(0, -2**31 - 1, np.zeros(1), np.zeros(1), 0),
+        Upload(0, 0, np.zeros(1), np.zeros(1), 2**31),
+        Reply(1, 0, 0.1, 0.2, seq=-2**31 - 1),
+        Reply(2**40, 0, 0.1, 0.2, seq=0),
+    ], ids=["upload_party", "upload_sample", "upload_seq", "reply_seq", "reply_party"])
+    def test_header_field_outside_int32(self, msg):
+        with pytest.raises(ShapeError, match="does not fit the frame's 4-byte field"):
+            encode_message(msg)
+
+    def test_header_fields_at_int32_limits(self):
+        msg = Reply(2**31 - 1, -2**31, 0.1, 0.2, seq=-2**31)
+        assert decode_message(encode_message(msg)) == msg
 
 
 def _tiny_setup(n=6, d=8, q=2, seed=5, scheme=SPHERE, mu=0.05, eta=0.1, lam=1e-3):
@@ -360,6 +375,33 @@ class TestAudit:
     def test_empty_transcript_passes(self):
         assert audit_transcript(Transcript(), dims=[4, 4], max_output_dim=1).ok
 
+    def test_block_dimension_one_passes(self):
+        """q = d: every block has dimension 1, the length of an output."""
+        from revelight.cli import synthetic_pair
+        from revelight.engine import RunConfig, run_asyrevel
+
+        train, _ = synthetic_pair("noisy", 64, 16, 4, 4, seed=0)
+        gm = GlobalModel(kind="logistic", q=4)
+        m = run_asyrevel(RunConfig(algorithm="asyrevel_gau", q=4, T=16), train, LocalModel(), gm)
+        assert train.block_dims == [1, 1, 1, 1]
+        report = audit_transcript(m.transcript, dims=train.block_dims, max_output_dim=1)
+        assert report.ok, report.reason
+        assert report.checked == 2 * len(m.transcript)
+
+    @pytest.mark.parametrize("variant", ["tig_output", "tig_grad", "tig_chain"])
+    def test_block_dimension_one_still_flags_baseline_traffic(self, variant):
+        transcript = Transcript()
+        transcript.record_raw(0.0, "down", variant, 1, 0, 0, np.zeros(1))
+        report = audit_transcript(transcript, dims=[1, 1, 1, 1], max_output_dim=1)
+        assert not report.ok and "matches a parameter block dimension" in report.reason
+
+    def test_output_length_equal_to_a_block_dimension_passes(self):
+        transcript = Transcript()
+        transcript.record(0.0, "up", Upload(1, 0, np.zeros(3), np.ones(3), 0))
+        transcript.record(0.0, "down", Reply(1, 0, 0.1, 0.2, 0))
+        assert audit_transcript(transcript, dims=[3, 5], max_output_dim=3).ok
+        assert not audit_transcript(transcript, dims=[3, 5], max_output_dim=4).ok
+
 
 class TestTranscript:
     def test_jsonl_round_trip(self, tmp_path):
@@ -377,6 +419,23 @@ class TestTranscript:
             assert (a.time, a.direction, a.variant, a.party, a.sample, a.seq, a.nbytes) == \
                    (b.time, b.direction, b.variant, b.party, b.sample, b.seq, b.nbytes)
             assert np.allclose(a.payload, b.payload)
+
+    @pytest.mark.parametrize("msg", [
+        Upload(1, 3, np.array([0.5]), np.array([0.25]), 7),
+        Upload(2, 0, np.arange(3.0), np.arange(3.0) + 1, 0),
+        Reply(2, 5, 0.1, 0.2, 9),
+    ], ids=["upload_dim1", "upload_dim3", "reply"])
+    def test_record_bytes_equal_encoded_frame(self, msg):
+        transcript = Transcript()
+        assert transcript.record(0.0, "up", msg).nbytes == len(encode_message(msg))
+
+    def test_record_rejects_unequal_upload_halves(self):
+        with pytest.raises(ShapeError):
+            Transcript().record(0.0, "up", Upload(1, 0, np.zeros(2), np.zeros(3), 0))
+
+    def test_record_rejects_non_message(self):
+        with pytest.raises(DomainError):
+            Transcript().record(0.0, "up", np.zeros(2))
 
     def test_total_bytes_by_direction(self):
         _, _, _, parties, server, transcript = _tiny_setup()

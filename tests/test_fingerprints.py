@@ -1,0 +1,80 @@
+"""Pinned trajectory fingerprints of all five drivers.
+
+Each fingerprint is the sha256 of a run's transcript JSONL followed by its
+final head and block parameter bytes.  Any change to a random draw, to the
+order of the draws, to the arithmetic of a step or to the wire format moves
+it, so a refactor or speedup that claims to keep every trajectory bit for bit
+must leave these hashes alone.
+
+The linear+logistic head has no parameters (d0 = 0), so only the mlp +
+softmax_fcn set-ups draw server directions; only the exponential set-up
+draws compute times.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from revelight.cli import make_synthetic
+from revelight.engine import ALGORITHMS, RunConfig, run_algorithm
+from revelight.models import GlobalModel, LocalModel, PartitionedDataset
+
+_RUN = dict(q=4, T=400, tau=3, latency=0.6, latency_dist="uniform", seed=4,
+            eta=5e-3, eta_server=1e-3, lam_eff=1e-5, eval_every=100)
+
+SETUPS = {
+    "linear_logistic": ("linear", {}),
+    "mlp_softmax": ("mlp", {}),
+    "mlp_softmax_exp_straggler": ("mlp", dict(compute_dist="exponential", straggler=(2, 1.5))),
+}
+
+# computed before the streams were re-addressed in place
+PINNED = {
+    ("linear_logistic", "asyrevel_gau"): "7d5aaffd50b8bf6beac73a2751000381bc4b9aba6f01a5cd1c4fc3c52ad485a0",
+    ("linear_logistic", "asyrevel_uni"): "6a57b0485979184946f9764b005af1bb5b385a26001a77a3102085264edc6799",
+    ("linear_logistic", "synrevel"): "a23b19857c76f4007a89e94260e3cb702c50a0c5390e0a48630c0ab2302b6693",
+    ("linear_logistic", "nonfed"): "29e08064831379dca8756c255e0bf6f86a89348c26ec630bcb5c04ee8133b7b2",
+    ("linear_logistic", "tig"): "6e64613c8447493790b787d2d5eb5e5e57616fe89ce963b934ad254fb5dab49a",
+    ("mlp_softmax", "asyrevel_gau"): "6cb604ff467c83b65561e1952e7a7fc2c8974399dfd50ed5f887bb904a41f12c",
+    ("mlp_softmax", "asyrevel_uni"): "df37290d9cb94c19ca7f90761527cc5989591dd99c41f017c3fe5e36ed16592c",
+    ("mlp_softmax", "synrevel"): "b6c8c420e0a43911f9fc71a0fb7a695486607452cf0accf3ae4327ca48bbab76",
+    ("mlp_softmax", "nonfed"): "75f773f8a308712d1a1461b844b9f785a4f931c6833915d3326b5215c92c7b4d",
+    ("mlp_softmax", "tig"): "04e418adfda5dec09db6bf31956eafbd2a82bca14a02bdfe12d67aace29c3cad",
+    ("mlp_softmax_exp_straggler", "asyrevel_gau"): "034b836de48941cf65054e212b1a365e681f230ecdc812e9d026a7a3cb55bdeb",
+    ("mlp_softmax_exp_straggler", "asyrevel_uni"): "bfdfac598848a51688ae049086bbfc5f61798a0d88078ade5f1e1fd58df630aa",
+    ("mlp_softmax_exp_straggler", "synrevel"): "e209821c6235b2614d42db93f54dfd1f6d4b6f40ffc8c8606eb91909e1f55c45",
+    ("mlp_softmax_exp_straggler", "nonfed"): "4ec76c4a547ab4fcf45128646959aaf15637e5e5d09a9897fd4bbadf8ebfd83c",
+    ("mlp_softmax_exp_straggler", "tig"): "21e01956c6de1a74f536a576e90698839fe4554fdbb32b4030291e937b57d1c7",
+}
+
+
+def _problem(kind: str):
+    X, y = make_synthetic("noisy", 256, 16, seed=4)
+    if kind == "linear":
+        data = PartitionedDataset.from_matrix(X, y, [4, 4, 4, 4])
+        return data, LocalModel(), GlobalModel(kind="logistic", q=4)
+    data = PartitionedDataset.from_matrix(X, ((y + 1) // 2).astype(int), [4, 4, 4, 4])
+    return (data, LocalModel(kind="mlp", layer_sizes=(8, 1)),
+            GlobalModel(kind="softmax_fcn", q=4, party_output_dim=1, classes=2))
+
+
+def fingerprint(setup: str, algorithm: str, workdir) -> str:
+    kind, extra = SETUPS[setup]
+    data, lm, gm = _problem(kind)
+    metrics = run_algorithm(RunConfig(algorithm=algorithm, **_RUN, **extra), data, lm, gm)
+    h = hashlib.sha256()
+    if metrics.transcript is not None:
+        path = workdir / "fingerprint.jsonl"
+        metrics.transcript.to_jsonl(path)
+        h.update(path.read_bytes())
+    h.update(np.asarray(metrics.final_w0, dtype=np.float64).tobytes())
+    for wm in metrics.final_w:
+        h.update(np.asarray(wm, dtype=np.float64).tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+@pytest.mark.parametrize("setup", SETUPS)
+def test_trajectory_fingerprint(setup, algorithm, tmp_path):
+    assert fingerprint(setup, algorithm, tmp_path) == PINNED[setup, algorithm]

@@ -1,0 +1,67 @@
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from revelight import streams
+from revelight.engine import RunConfig, run_asyrevel
+
+uint64 = st.integers(0, 2**64 - 1)
+purposes = st.integers(1, 9)
+
+# one prior draw of each kind; integers(n) can leave half a 32-bit word behind
+_DRAWS = {
+    "integers": lambda g, n: g.integers(n),
+    "standard_normal": lambda g, n: g.standard_normal(n % 5 + 1),
+    "uniform": lambda g, n: g.uniform(0.0, 1.0 + n),
+    "exponential": lambda g, n: g.exponential(1.0 + n),
+}
+draws = st.lists(st.tuples(st.sampled_from(sorted(_DRAWS)), st.integers(1, 1000)), max_size=8)
+
+
+def _take(g, n):
+    return (int(g.integers(n)), g.standard_normal(3).tolist(), float(g.uniform(0.0, 2.0)),
+            float(g.exponential(1.5)), int(g.integers(2**40)))
+
+
+class TestStream:
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 2**63 - 1), purposes, uint64, uint64, uint64, uint64, draws,
+           st.integers(1, 10**6))
+    def test_readdress_matches_fresh_stream(self, seed, purpose, party0, step0, party, step,
+                                            prior, n):
+        owned = streams.Stream(seed, purpose)
+        g = owned.at(party0, step0)
+        for kind, arg in prior:
+            _DRAWS[kind](g, arg)
+        assert _take(owned.at(party, step), n) == _take(streams.stream(seed, purpose, party, step), n)
+
+    def test_addresses_above_2_53_stay_distinct(self):
+        a = streams.stream(1, streams.SAMPLE, 2**53, 0).integers(2**62)
+        b = streams.stream(1, streams.SAMPLE, 2**53 + 1, 0).integers(2**62)
+        assert a != b
+
+    def test_stream_returns_independent_generators(self):
+        g = streams.stream(3, streams.TRIAL, 1, 2)
+        first = g.standard_normal(4)
+        h = streams.stream(3, streams.TRIAL, 1, 2)
+        assert np.array_equal(h.standard_normal(4), first)
+        assert not np.array_equal(g.standard_normal(4), first)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError):
+            streams.Stream(-1, streams.SAMPLE)
+
+
+def test_wall_clock_uploads_follow_party_streams(bench_data, glm_models, monkeypatch):
+    """Party threads draw concurrently; each upload's sample is still the one
+    its own party's SAMPLE stream gives at that party's step."""
+    monkeypatch.setenv("REVELIGHT_THREADS", "4")
+    train, _ = bench_data(4)
+    lm, gm = glm_models(4)
+    cfg = RunConfig(algorithm="asyrevel_gau", q=4, T=512, seed=11, clock="wall")
+    m = run_asyrevel(cfg, train, lm, gm)
+    uploads = [e for e in m.transcript if e.variant == "upload" and e.seq >= 0]
+    assert len(uploads) == 512
+    for e in uploads:
+        assert e.sample == streams.stream(11, streams.SAMPLE, e.party, e.seq).integers(train.n)
