@@ -48,6 +48,7 @@ from .models import (
     init_state,
     local_forward,
     nonconvex_reg,
+    party_columns,
 )
 
 ALGORITHMS = ("asyrevel_gau", "asyrevel_uni", "synrevel", "nonfed", "tig")
@@ -462,7 +463,7 @@ def run_synrevel(cfg: RunConfig, data: PartitionedDataset, local_model: LocalMod
         vtime += round_time
         for up in uploads:
             transcript.record(vtime, "up", up)
-        fresh = [up.c for up in uploads]
+        fresh = np.concatenate([up.c for up in uploads])
         replies = []
         v0_total = None
         w0_round = server.w0.copy()
@@ -490,10 +491,14 @@ def run_synrevel(cfg: RunConfig, data: PartitionedDataset, local_model: LocalMod
 def _centralized_start(cfg: RunConfig, data: PartitionedDataset, local_model: LocalModel,
                        global_model: GlobalModel):
     """Initial w0 and blocks w of a run without parties, and the warm
-    per-(sample, block) output cache that mirrors the protocol's warm-up."""
+    (n, q*k) output cache that mirrors the protocol's warm-up: row i is
+    sample i's flat head input, built from the same per-row forward passes."""
     state = init_state(data, local_model, global_model, cfg.seed)
-    cache = [[local_forward(local_model, state.w[m], data.blocks[m][i]) for m in range(cfg.q)]
-             for i in range(data.n)]
+    cache = np.array([
+        np.concatenate([local_forward(local_model, state.w[m], data.blocks[m][i])
+                        for m in range(cfg.q)])
+        for i in range(data.n)
+    ])
     return np.array(state.w0), [np.array(x) for x in state.w], cache
 
 
@@ -532,12 +537,14 @@ def run_nonfederated(cfg: RunConfig, data: PartitionedDataset, local_model: Loca
     samples = streams.Stream(cfg.seed, streams.SAMPLE)
     directions = streams.Stream(cfg.seed, streams.DIRECTION)
     head_directions = streams.Stream(cfg.seed, streams.SERVER_DIRECTION)
+    odim = global_model.party_output_dim
     steps = [0] * cfg.q
     rec.log(0, 0.0, w0, w)
     for t, (now, pid, k) in zip(range(1, cfg.T + 1), _activations(cfg)):
         if rec.stopped:
             break
         m = pid - 1
+        cols = party_columns(pid, odim)
         i = int(samples.at(pid, k).integers(data.n))
         u = sample_direction(scheme, w[m].size, directions.at(pid, k))
         x = data.blocks[m][i]
@@ -545,8 +552,8 @@ def run_nonfederated(cfg: RunConfig, data: PartitionedDataset, local_model: Loca
         c_hat = local_forward(local_model, w[m] + cfg.mu * u.u, x)
         g0 = nonconvex_reg(w[m])
         g1 = nonconvex_reg(w[m] + cfg.mu * u.u)
-        row = list(cache[i])
-        row[m] = c
+        row = cache[i].copy()
+        row[cols] = c
         # the server addresses head directions by the count of uploads answered
         u0 = head_direction(scheme, w0.size, head_directions, t - 1)
         h, h_bar, v0 = two_point_head(global_model, w0, row, pid, c_hat, data.labels[i],
@@ -554,7 +561,7 @@ def run_nonfederated(cfg: RunConfig, data: PartitionedDataset, local_model: Loca
         if v0 is not None:
             w0 = w0 - cfg.eta0 * v0
             rec.note_update(0, v0)
-        cache[i][m] = c
+        cache[i, cols] = c
         v_hat = client_block_zoe(h, h_bar, g0, g1, w[m].size, cfg.mu, cfg.lam_eff, u)
         w[m] = w[m] - cfg.eta * v_hat
         rec.note_update(pid, v_hat)
@@ -564,11 +571,11 @@ def run_nonfederated(cfg: RunConfig, data: PartitionedDataset, local_model: Loca
     return rec.finish(w0, w, steps)
 
 
-def _head_gradients(global_model: GlobalModel, w0, row, label, m):
-    """Gradients of the head at one sample: w.r.t. party m's output vector,
-    and w.r.t. the head parameters w0 (None for the parameter-free head)."""
-    feats = np.concatenate(row)
-    odim = row[m - 1].size
+def _head_gradients(global_model: GlobalModel, w0, feats, label, m):
+    """Gradients of the head at one sample's flat head input feats: w.r.t.
+    party m's output vector, and w.r.t. the head parameters w0 (None for the
+    parameter-free head)."""
+    odim = global_model.party_output_dim
     if global_model.kind == "logistic":
         y = int(label)
         sig = 1.0 / (1.0 + np.exp(y * float(np.sum(feats))))
@@ -579,8 +586,7 @@ def _head_gradients(global_model: GlobalModel, w0, row, label, m):
     z = logits - np.max(logits)
     probs = np.exp(z) / np.sum(np.exp(z))
     probs[int(label)] -= 1.0
-    lo = (m - 1) * odim
-    return (W @ probs)[lo:lo + odim], np.outer(feats, probs).ravel()
+    return (W @ probs)[party_columns(m, odim)], np.outer(feats, probs).ravel()
 
 
 def _local_param_gradient(local_model: LocalModel, w_m, x, upstream):
@@ -623,9 +629,11 @@ def run_tig_baseline(cfg: RunConfig, data: PartitionedDataset, local_model: Loca
     transcript = Transcript()
     w0, w, cache = _centralized_start(cfg, data, local_model, global_model)
     rec = _Recorder(cfg, data, test_data, local_model, global_model, transcript)
+    odim = global_model.party_output_dim
     for i in range(data.n):
         for m in range(cfg.q):
-            transcript.record_raw(0.0, "up", "tig_output", m + 1, i, -1, cache[i][m])
+            transcript.record_raw(0.0, "up", "tig_output", m + 1, i, -1,
+                                  cache[i, party_columns(m + 1, odim)].copy())
     samples = streams.Stream(cfg.seed, streams.SAMPLE)
     steps = [0] * cfg.q
     rec.log(0, 0.0, w0, w)
@@ -633,12 +641,13 @@ def run_tig_baseline(cfg: RunConfig, data: PartitionedDataset, local_model: Loca
         if rec.stopped:
             break
         m = pid - 1
+        cols = party_columns(pid, odim)
         i = int(samples.at(pid, k).integers(data.n))
         x = data.blocks[m][i]
         c = local_forward(local_model, w[m], x)
         transcript.record_raw(now, "up", "tig_output", pid, i, k, c)
-        row = list(cache[i])
-        row[m] = c
+        row = cache[i].copy()
+        row[cols] = c
         upstream, g0 = _head_gradients(global_model, w0, row, data.labels[i], pid)
         transcript.record_raw(now, "down", "tig_grad", pid, i, k, upstream)
         grad = _local_param_gradient(local_model, w[m], x, upstream)
@@ -648,7 +657,7 @@ def run_tig_baseline(cfg: RunConfig, data: PartitionedDataset, local_model: Loca
         if g0 is not None:
             w0 = w0 - cfg.eta0 * g0
             rec.note_update(0, g0)
-        cache[i][m] = c
+        cache[i, cols] = c
         steps[m] = k + 1
         if rec.due(t):
             rec.log(t, now, w0, w)

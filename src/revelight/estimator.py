@@ -25,7 +25,7 @@ import numpy as np
 
 from . import streams
 from .errors import DomainError
-from .models import GlobalModel, global_value
+from .models import GlobalModel, global_value, party_columns
 
 GAUSSIAN = "gaussian"
 SPHERE = "sphere"
@@ -127,17 +127,19 @@ def head_direction(scheme: str, d0: int, directions: streams.Stream, k: int) -> 
     return sample_direction(scheme, d0, directions.at(0, k))
 
 
-def two_point_head(head: GlobalModel, w0: np.ndarray, row: list[np.ndarray], m: int,
+def two_point_head(head: GlobalModel, w0: np.ndarray, row: np.ndarray, m: int,
                    c_hat: np.ndarray, label, mu: float, u0: Direction | None):
     """The server's half of one two-point step for party m (1-based).
 
-    row holds the q party outputs, party m's current one in place.  Returns
-    the head value h at row, h_bar with party m's perturbed output c_hat
-    substituted, and the head estimate v0 along u0 (None when u0 is None).
+    row is the flat head input (see global_value), party m's current output
+    in place at its party_columns.  Returns the head value h
+    at row, h_bar at a copy of row with party m's columns replaced by its
+    perturbed output c_hat, and the head estimate v0 along u0 (None when u0
+    is None).
     """
     h = global_value(head, w0, row, label)
-    row_bar = list(row)
-    row_bar[m - 1] = c_hat
+    row_bar = row.copy()
+    row_bar[party_columns(m, head.party_output_dim)] = c_hat
     h_bar = global_value(head, w0, row_bar, label)
     v0 = None
     if u0 is not None:

@@ -14,6 +14,7 @@ length, c followed by c_hat; Reply carries the pair h, h_bar).
 
 from __future__ import annotations
 
+import heapq
 import json
 import struct
 from dataclasses import dataclass, field
@@ -23,7 +24,7 @@ import numpy as np
 from . import streams
 from .errors import DecodeError, DomainError, ProtocolError, ShapeError
 from .estimator import client_block_zoe, head_direction, sample_direction, two_point_head
-from .models import GlobalModel, LocalModel, local_forward, nonconvex_reg
+from .models import GlobalModel, LocalModel, local_forward, nonconvex_reg, party_columns
 
 _HEAD = struct.Struct("<IBiiiH")
 HEADER_BYTES = _HEAD.size  # 19
@@ -219,29 +220,55 @@ class Transcript:
 
 
 class ServerCache:
-    """Latest local output per (sample, party) with receipt stamps."""
+    """Latest local output per (sample, party) with receipt stamps.
 
-    def __init__(self, n: int, q: int) -> None:
+    The outputs live in one contiguous (n, q*k) float64 matrix `values`, k
+    the head's party_output_dim: party m's output for sample i sits at
+    values[i, party_columns(m, k)], so row i is the head's flat input.
+    stamp[i, m-1] is the event that last wrote the cell, -1 while it is not
+    warmed.
+    """
+
+    def __init__(self, n: int, q: int, k: int = 1) -> None:
         self.n = n
         self.q = q
-        self.latest: list[list[np.ndarray | None]] = [[None] * q for _ in range(n)]
+        self.k = k
+        self.values = np.zeros((n, q * k))
         self.stamp = -np.ones((n, q), dtype=np.int64)
 
+    def cols(self, sample: int, party: int) -> slice:
+        """Party's columns of the flat row; rejects an unknown sample or party."""
+        if not 0 <= sample < self.n:
+            raise ProtocolError(f"unknown sample id {sample}")
+        if not 1 <= party <= self.q:
+            raise ProtocolError(f"unknown party id {party}")
+        return party_columns(party, self.k)
+
     def put(self, sample: int, party: int, c: np.ndarray, stamp: int) -> None:
-        prev = self.stamp[sample, party - 1]
-        if stamp < prev:
+        cols = self.cols(sample, party)
+        c = np.asarray(c)
+        if c.size != self.k:
+            raise ProtocolError(f"party {party} output has {c.size} values, the head takes {self.k}")
+        if stamp < self.stamp[sample, party - 1]:
             raise ProtocolError(f"cache stamp would decrease for sample {sample}, party {party}")
-        self.latest[sample][party - 1] = np.asarray(c, dtype=np.float64)
+        self.values[sample, cols] = c
         self.stamp[sample, party - 1] = stamp
 
     def get(self, sample: int, party: int) -> np.ndarray:
-        v = self.latest[sample][party - 1]
-        if v is None:
+        cols = self.cols(sample, party)
+        if self.stamp[sample, party - 1] < 0:
             raise ProtocolError(f"cache cell ({sample}, {party}) not warmed")
-        return v
+        return self.values[sample, cols].copy()
 
-    def row(self, sample: int) -> list[np.ndarray]:
-        return [self.get(sample, p) for p in range(1, self.q + 1)]
+    def row(self, sample: int) -> np.ndarray:
+        """A copy of row `sample`: the flat head input of q*k values."""
+        if not 0 <= sample < self.n:
+            raise ProtocolError(f"unknown sample id {sample}")
+        stamps = self.stamp[sample]
+        if stamps.min() < 0:
+            party = int(np.argmax(stamps < 0)) + 1
+            raise ProtocolError(f"cache cell ({sample}, {party}) not warmed")
+        return self.values[sample].copy()
 
 
 @dataclass
@@ -291,28 +318,50 @@ class StalenessQueue:
     nothing) while the oldest message is still in flight.  With at most q - 1
     concurrent competitors per message this keeps staleness <= tau whenever
     tau >= q - 1, and degenerates to strict send order at tau = 0.
+
+    Serials increase and send counts never decrease from one send to the
+    next, so `sends`, which keeps every unprocessed message in serial order,
+    is sorted oldest-first: the deadline check scans it without a sort, and
+    its first entry is the oldest message.  Delivery order comes from a heap
+    keyed (delivery, send_count, serial) whose processed entries are dropped
+    when they reach the top.
     """
 
     def __init__(self, tau: int) -> None:
         self.tau = tau
-        self.pending: list[tuple[float, int, int, object]] = []  # (delivery, send_count, serial, msg)
-        self.in_flight: dict[int, tuple[float, int]] = {}  # serial -> (delivery, send_count)
+        self.sends: dict[int, int] = {}        # serial -> send_count, unprocessed, serial order
+        self.in_flight: dict[int, float] = {}  # serial -> delivery time, not yet delivered
+        self.pending: dict[int, object] = {}   # serial -> msg, delivered, not yet processed
+        self._by_delivery: list[tuple[float, int, int]] = []
+        self._last: tuple[int, int] | None = None  # serial and send count of the latest send
 
     def send(self, serial: int, delivery_time: float, send_count: int) -> None:
-        self.in_flight[serial] = (delivery_time, send_count)
+        if self._last is not None:
+            last_serial, last_count = self._last
+            if serial <= last_serial:
+                raise ProtocolError(f"serial {serial} does not follow serial {last_serial}")
+            if send_count < last_count:
+                raise ProtocolError(f"send count {send_count} is below the previous {last_count}")
+        self._last = (serial, send_count)
+        self.sends[serial] = send_count
+        self.in_flight[serial] = delivery_time
 
     def deliver(self, serial: int, msg) -> None:
-        delivery, send_count = self.in_flight.pop(serial)
-        self.pending.append((delivery, send_count, serial, msg))
+        delivery = self.in_flight.pop(serial, None)
+        if delivery is None:
+            raise ProtocolError(f"delivery of serial {serial}, which is not in flight")
+        self.pending[serial] = msg
+        heapq.heappush(self._by_delivery, (delivery, self.sends[serial], serial))
 
     def _deadline_pressure(self, processed_count: int) -> bool:
-        # Unprocessed messages sorted oldest-first; slot i is the earliest
-        # count at which the i-th could run.  Pressure when some slot would
+        # Slot i of the oldest-first order is the earliest count at which the
+        # i-th unprocessed message could run.  Pressure when some slot would
         # pass a deadline, i.e. processed_count + i >= send_count_i + tau.
-        sends = sorted(
-            [p[1] for p in self.pending] + [s for _, s in self.in_flight.values()]
-        )
-        return any(processed_count + i >= s + self.tau for i, s in enumerate(sends))
+        limit = processed_count - self.tau
+        for i, s in enumerate(self.sends.values()):
+            if s - i <= limit:
+                return True
+        return False
 
     def pop_next(self, processed_count: int):
         """Next message to process, or None to stall / when empty.
@@ -320,29 +369,18 @@ class StalenessQueue:
         Returns (msg, send_count, serial).  Stalls when the deadline rule
         demands the oldest unprocessed message but it is still in flight.
         """
-        if not self.pending and not self.in_flight:
-            return None
         if self._deadline_pressure(processed_count):
-            oldest_pending = min(
-                ((p[1], p[2]) for p in self.pending), default=None
-            )
-            oldest_flying = min(
-                ((s, ser) for ser, (_, s) in self.in_flight.items()), default=None
-            )
-            if oldest_pending is None or (
-                oldest_flying is not None and oldest_flying < oldest_pending
-            ):
+            serial = next(iter(self.sends))
+            if serial not in self.pending:
                 return None  # stall for the in-flight oldest
-            choice = next(
-                p for p in self.pending if (p[1], p[2]) == oldest_pending
-            )
         elif self.pending:
-            choice = min(self.pending, key=lambda p: (p[0], p[1], p[2]))
+            heap = self._by_delivery
+            while heap[0][2] not in self.pending:
+                heapq.heappop(heap)  # processed out of delivery order
+            serial = heapq.heappop(heap)[2]
         else:
             return None
-        self.pending.remove(choice)
-        delivery, send_count, serial, msg = choice
-        return msg, send_count, serial
+        return self.pending.pop(serial), self.sends.pop(serial), serial
 
 
 class PartyNode:
@@ -421,7 +459,7 @@ class ServerNode:
         self.model = global_model
         self.w0 = np.asarray(w0, dtype=np.float64)
         self.labels = labels
-        self.cache = ServerCache(n, q)
+        self.cache = ServerCache(n, q, global_model.party_output_dim)
         self.mu = mu
         self.eta0 = eta0
         self.scheme = scheme
@@ -443,29 +481,36 @@ class ServerNode:
         self.last_v0 = v0
         return reply
 
-    def answer_round(self, upload: Upload, fresh: list[np.ndarray], w0_base: np.ndarray,
+    def answer_round(self, upload: Upload, fresh: np.ndarray, w0_base: np.ndarray,
                      event: int):
         """Synchronous-round reply against the same-round outputs `fresh` of
-        every party (staleness zero), estimates taken at w0_base.  Returns
+        every party (staleness zero), given as the flat head input (a list of
+        the q outputs is flattened), estimates taken at w0_base.  Returns
         (reply, head_estimate or None); the caller applies it after the barrier."""
         return self._step(upload, w0_base, event, fresh)
 
     def _step(self, upload: Upload, w0: np.ndarray, event: int, fresh=None):
         """Two-point step at head parameters w0 against the cached outputs,
-        or `fresh` when given; rejects an unknown sample and a non-finite head
-        estimate, counts the upload and caches its output."""
+        or `fresh` when given; rejects an unknown sample or party, outputs
+        that are not k values wide and a non-finite head estimate, counts the
+        upload and caches its output."""
         i, m = upload.sample, upload.party
-        if not 0 <= i < self.cache.n:
-            raise ProtocolError(f"unknown sample id {i}")
-        row = self.cache.row(i) if fresh is None else list(fresh)
-        row[m - 1] = upload.c
+        cache = self.cache
+        cols = cache.cols(i, m)
+        if np.size(upload.c) != cache.k or np.size(upload.c_hat) != cache.k:
+            raise ProtocolError(
+                f"party {m} sent outputs of {np.size(upload.c)} and {np.size(upload.c_hat)} "
+                f"values, the head takes {cache.k}"
+            )
+        row = cache.row(i) if fresh is None else np.array(fresh, dtype=np.float64).reshape(-1)
+        row[cols] = upload.c
         u0 = head_direction(self.scheme, w0.size, self.directions, self.uploads_seen)
         h, h_bar, v0 = two_point_head(self.model, w0, row, m, upload.c_hat, self.labels[i],
                                       self.mu, u0)
         if v0 is not None and not np.isfinite(v0).all():
             raise ProtocolError("server: non-finite head update rejected")
         self.uploads_seen += 1
-        self.cache.put(i, m, upload.c, stamp=event)
+        cache.put(i, m, upload.c, stamp=event)
         return Reply(party=m, sample=i, h=h, h_bar=h_bar, seq=upload.seq), v0
 
 

@@ -213,12 +213,21 @@ def _softplus(z: float) -> float:
     return float(max(z, 0.0) + np.log1p(np.exp(-abs(z))))
 
 
-def global_value(model: GlobalModel, w0: np.ndarray, c: list[np.ndarray], label) -> float:
-    """Server head value for one sample given the q party outputs (the
-    protocol's per-call head; head_losses evaluates a batch)."""
-    if len(c) != model.q:
-        raise ShapeError(f"expected {model.q} party outputs, got {len(c)}")
-    feats = np.concatenate(c)
+def party_columns(m: int, k: int) -> slice:
+    """Party m's (1-based) columns of a flat head input whose parties give k
+    outputs each: the q outputs sit side by side, party 1's first."""
+    return slice((m - 1) * k, m * k)
+
+
+def global_value(model: GlobalModel, w0: np.ndarray, feats: np.ndarray, label) -> float:
+    """Server head value for one sample given its flat head input: a float64
+    vector of the q party outputs side by side, party m's party_output_dim
+    values at party_columns(m, party_output_dim) (the protocol's per-call
+    head; head_losses evaluates a batch)."""
+    width = model.q * model.party_output_dim
+    if feats.size != width:
+        raise ShapeError(f"expected {width} head inputs ({model.q} parties x "
+                         f"{model.party_output_dim}), got {feats.size}")
     y = int(label)
     if model.kind == "logistic":
         if y not in (-1, 1):

@@ -2,6 +2,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    initialize,
+    invariant,
+    precondition,
+    rule,
+)
 
 from revelight import streams
 from revelight.errors import DecodeError, DomainError, ProtocolError, ShapeError
@@ -10,6 +17,7 @@ from revelight.fedproto import (
     DelayModel,
     PartyNode,
     Reply,
+    ServerCache,
     ServerNode,
     StalenessQueue,
     Transcript,
@@ -20,7 +28,13 @@ from revelight.fedproto import (
     frame_bytes,
     warmup_cache,
 )
-from revelight.models import GlobalModel, LocalModel, PartitionedDataset, local_forward
+from revelight.models import (
+    GlobalModel,
+    LocalModel,
+    PartitionedDataset,
+    global_value,
+    local_forward,
+)
 
 
 finite_floats = st.floats(allow_nan=False, allow_infinity=False, width=64)
@@ -103,6 +117,30 @@ class TestCodec:
         msg = Reply(2**31 - 1, -2**31, 0.1, 0.2, seq=-2**31)
         assert decode_message(encode_message(msg)) == msg
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(["upload1", "upload3", "reply"]),
+           st.integers(-2**31, 2**31 - 1), st.integers(-2**31, 2**31 - 1),
+           st.integers(-2**31, 2**31 - 1), st.lists(st.floats(width=64), min_size=6, max_size=6))
+    def test_every_truncation_and_bit_flip_decodes_or_raises_decode_error(
+            self, kind, party, sample, seq, values):
+        if kind == "reply":
+            msg = Reply(party, sample, values[0], values[1], seq)
+        else:
+            width = int(kind[-1])
+            msg = Upload(party, sample, np.array(values[:width]), np.array(values[3:3 + width]), seq)
+        frame = encode_message(msg)
+        mutants = [frame[:n] for n in range(len(frame))]
+        for bit in range(8 * len(frame)):
+            flipped = bytearray(frame)
+            flipped[bit // 8] ^= 1 << (bit % 8)
+            mutants.append(bytes(flipped))
+        for mutant in mutants:
+            try:
+                out = decode_message(mutant)
+            except DecodeError:
+                continue
+            assert isinstance(out, (Upload, Reply))
+
 
 def _tiny_setup(n=6, d=8, q=2, seed=5, scheme=SPHERE, mu=0.05, eta=0.1, lam=1e-3):
     rng = np.random.default_rng(seed)
@@ -143,6 +181,62 @@ class TestWarmup:
         warmup_cache(parties, server)
         assert len(transcript) == data.n * len(parties)
         assert all(e.variant == "upload" and e.seq == -1 for e in transcript)
+
+
+class TestServerCache:
+    def test_layout_is_one_flat_row_per_sample(self):
+        cache = ServerCache(3, 2, 2)
+        cache.put(2, 2, np.array([1.5, -1.0]), stamp=0)
+        cache.put(2, 1, np.array([0.25, 4.0]), stamp=0)
+        assert cache.values.shape == (3, 4) and cache.values.flags.c_contiguous
+        row = cache.row(2)
+        assert np.array_equal(row, [0.25, 4.0, 1.5, -1.0])
+        assert np.array_equal(cache.get(2, 2), [1.5, -1.0])
+        row[:] = 0.0  # row and get return copies
+        cache.get(2, 1)[:] = 0.0
+        assert np.array_equal(cache.row(2), [0.25, 4.0, 1.5, -1.0])
+
+    @pytest.mark.parametrize("sample", [-1, 3])
+    def test_unknown_sample(self, sample):
+        cache = ServerCache(3, 2)
+        with pytest.raises(ProtocolError, match=f"unknown sample id {sample}"):
+            cache.put(sample, 1, np.array([1.0]), stamp=0)
+        with pytest.raises(ProtocolError, match=f"unknown sample id {sample}"):
+            cache.get(sample, 1)
+        with pytest.raises(ProtocolError, match=f"unknown sample id {sample}"):
+            cache.row(sample)
+        assert np.all(cache.stamp == -1) and not cache.values.any()
+
+    @pytest.mark.parametrize("party", [0, -1, 3])
+    def test_unknown_party(self, party):
+        cache = ServerCache(3, 2)
+        with pytest.raises(ProtocolError, match=f"unknown party id {party}"):
+            cache.put(0, party, np.array([1.0]), stamp=0)
+        with pytest.raises(ProtocolError, match=f"unknown party id {party}"):
+            cache.get(0, party)
+        assert np.all(cache.stamp == -1) and not cache.values.any()
+
+    @pytest.mark.parametrize("width", [0, 1, 3])
+    def test_put_width_must_be_k(self, width):
+        cache = ServerCache(3, 2, 2)
+        with pytest.raises(ProtocolError, match="the head takes 2"):
+            cache.put(0, 1, np.ones(width), stamp=0)
+        assert np.all(cache.stamp == -1)
+
+    def test_unwarmed_cell(self):
+        cache = ServerCache(3, 2)
+        cache.put(1, 1, np.array([1.0]), stamp=0)
+        with pytest.raises(ProtocolError, match=r"cache cell \(1, 2\) not warmed"):
+            cache.row(1)
+        with pytest.raises(ProtocolError, match=r"cache cell \(1, 2\) not warmed"):
+            cache.get(1, 2)
+
+    def test_stamp_may_not_decrease(self):
+        cache = ServerCache(3, 2)
+        cache.put(1, 2, np.array([1.0]), stamp=5)
+        with pytest.raises(ProtocolError, match="stamp would decrease"):
+            cache.put(1, 2, np.array([2.0]), stamp=4)
+        assert np.array_equal(cache.get(1, 2), [1.0])
 
 
 class TestServerHandleUpload:
@@ -207,6 +301,53 @@ class TestServerHandleUpload:
                 server.answer_round(up, [up.c, np.array([0.5])], server.w0, event=1)
         assert np.array_equal(server.w0, w0)
         assert server.uploads_seen == 0 and server.cache.stamp[2, 0] == 0
+
+    @staticmethod
+    def _answer(server, entry, up):
+        if entry == "handle_upload":
+            return server.handle_upload(up, event=1)
+        return server.answer_round(up, np.full(server.cache.q, 0.5), server.w0, event=1)
+
+    @pytest.mark.parametrize("entry", ["handle_upload", "answer_round"])
+    @pytest.mark.parametrize("party", [0, -1, 3])
+    def test_unknown_party_id(self, entry, party):
+        _, _, _, parties, server, _ = _tiny_setup()
+        warmup_cache(parties, server)
+        cached = server.cache.values.copy()
+        up = Upload(party, 1, np.array([0.3]), np.array([0.4]), 0)
+        with pytest.raises(ProtocolError, match=f"unknown party id {party}"):
+            self._answer(server, entry, up)
+        assert np.array_equal(server.cache.values, cached) and server.uploads_seen == 0
+
+    @pytest.mark.parametrize("entry", ["handle_upload", "answer_round"])
+    @pytest.mark.parametrize("c, c_hat", [
+        ([0.3, 0.1], [0.4, 0.2]), ([0.3], [0.4, 0.2]), ([0.3, 0.1], [0.4]), ([], []),
+    ], ids=["both_two", "c_hat_two", "c_two", "empty"])
+    def test_output_width_must_match_head(self, entry, c, c_hat):
+        _, _, _, parties, server, _ = _tiny_setup()
+        warmup_cache(parties, server)
+        cached = server.cache.values.copy()
+        up = Upload(1, 1, np.array(c), np.array(c_hat), 0)
+        with pytest.raises(ProtocolError, match="the head takes 1"):
+            self._answer(server, entry, up)
+        assert np.array_equal(server.cache.values, cached) and server.uploads_seen == 0
+
+    def test_party_slices_of_a_wider_head(self):
+        # k = 2: party m's output sits at columns 2(m-1), 2m - 1 of the flat row
+        gm = GlobalModel(kind="softmax_fcn", q=3, party_output_dim=2, classes=2)
+        w0 = np.random.default_rng(1).standard_normal(gm.d0)
+        server = ServerNode(gm, w0, np.array([0, 1]), 2, 3, mu=0.1, eta0=0.0,
+                            scheme=SPHERE, seed=3)
+        outs = {m: np.array([m, -m / 2.0]) for m in (1, 2, 3)}
+        for m, c in outs.items():
+            server.cache.put(1, m, c, stamp=0)
+        up = Upload(2, 1, np.array([5.0, 6.0]), np.array([7.0, 8.0]), 0)
+        reply = server.handle_upload(up, event=1)
+        row = np.concatenate([outs[1], up.c, outs[3]])
+        row_bar = np.concatenate([outs[1], up.c_hat, outs[3]])
+        assert reply.h == global_value(gm, w0, row, 1)
+        assert reply.h_bar == global_value(gm, w0, row_bar, 1)
+        assert np.array_equal(server.cache.values[1], row)
 
     def test_cache_overwritten_after_reply(self):
         _, _, _, parties, server, _ = _tiny_setup()
@@ -348,6 +489,166 @@ class TestStalenessQueue:
             processed += 1
         assert max(stals) <= tau
         assert "m1" in order
+
+    def test_send_count_may_not_decrease(self):
+        q = StalenessQueue(tau=2)
+        q.send(1, 1.0, 3)
+        with pytest.raises(ProtocolError, match="send count 2 is below the previous 3"):
+            q.send(2, 1.0, 2)
+        q.send(2, 1.0, 3)
+
+    def test_serial_must_increase(self):
+        q = StalenessQueue(tau=2)
+        q.send(5, 1.0, 0)
+        with pytest.raises(ProtocolError, match="serial 5 does not follow serial 5"):
+            q.send(5, 1.0, 0)
+
+    def test_deliver_of_unknown_serial(self):
+        q = StalenessQueue(tau=2)
+        q.send(1, 1.0, 0)
+        q.deliver(1, "a")
+        for serial in (1, 2):
+            with pytest.raises(ProtocolError, match=f"serial {serial}, which is not in flight"):
+                q.deliver(serial, "b")
+
+
+class ListStalenessQueue:
+    """Reference: the staleness queue as it was before the sort-free
+    rewrite, kept verbatim (it sorts every unprocessed send count per pop)."""
+
+    def __init__(self, tau: int) -> None:
+        self.tau = tau
+        self.pending: list[tuple[float, int, int, object]] = []  # (delivery, send_count, serial, msg)
+        self.in_flight: dict[int, tuple[float, int]] = {}  # serial -> (delivery, send_count)
+
+    def send(self, serial: int, delivery_time: float, send_count: int) -> None:
+        self.in_flight[serial] = (delivery_time, send_count)
+
+    def deliver(self, serial: int, msg) -> None:
+        delivery, send_count = self.in_flight.pop(serial)
+        self.pending.append((delivery, send_count, serial, msg))
+
+    def _deadline_pressure(self, processed_count: int) -> bool:
+        # Unprocessed messages sorted oldest-first; slot i is the earliest
+        # count at which the i-th could run.  Pressure when some slot would
+        # pass a deadline, i.e. processed_count + i >= send_count_i + tau.
+        sends = sorted(
+            [p[1] for p in self.pending] + [s for _, s in self.in_flight.values()]
+        )
+        return any(processed_count + i >= s + self.tau for i, s in enumerate(sends))
+
+    def pop_next(self, processed_count: int):
+        """Next message to process, or None to stall / when empty.
+
+        Returns (msg, send_count, serial).  Stalls when the deadline rule
+        demands the oldest unprocessed message but it is still in flight.
+        """
+        if not self.pending and not self.in_flight:
+            return None
+        if self._deadline_pressure(processed_count):
+            oldest_pending = min(
+                ((p[1], p[2]) for p in self.pending), default=None
+            )
+            oldest_flying = min(
+                ((s, ser) for ser, (_, s) in self.in_flight.items()), default=None
+            )
+            if oldest_pending is None or (
+                oldest_flying is not None and oldest_flying < oldest_pending
+            ):
+                return None  # stall for the in-flight oldest
+            choice = next(
+                p for p in self.pending if (p[1], p[2]) == oldest_pending
+            )
+        elif self.pending:
+            choice = min(self.pending, key=lambda p: (p[0], p[1], p[2]))
+        else:
+            return None
+        self.pending.remove(choice)
+        delivery, send_count, serial, msg = choice
+        return msg, send_count, serial
+
+
+class QueueMachine(RuleBasedStateMachine):
+    """Random send / deliver / pop sequences against StalenessQueue and the
+    reference.  Send counts are the processed count at send, as in the
+    asynchronous driver, and at most `cap` messages are outstanding."""
+
+    @initialize(tau=st.integers(0, 5), cap=st.integers(1, 6))
+    def start(self, tau, cap):
+        self.tau, self.cap = tau, cap
+        self.queue = StalenessQueue(tau)
+        self.ref = ListStalenessQueue(tau)
+        self.serial = 0
+        self.processed = 0
+        self.flying: list[int] = []
+        self.sent: dict[int, int] = {}  # serial -> send count
+        self.popped: list[int] = []
+        self.most_outstanding = 0
+
+    def _outstanding(self) -> int:
+        return len(self.sent) - len(self.popped)
+
+    @precondition(lambda self: self._outstanding() < self.cap)
+    @rule(delay=st.integers(0, 8))
+    def send(self, delay):
+        self.serial += 1
+        # integer delivery times give ties, which the send count and serial break
+        self.queue.send(self.serial, float(delay), self.processed)
+        self.ref.send(self.serial, float(delay), self.processed)
+        self.sent[self.serial] = self.processed
+        self.flying.append(self.serial)
+        self.most_outstanding = max(self.most_outstanding, self._outstanding())
+
+    @precondition(lambda self: self.flying)
+    @rule(data=st.data())
+    def deliver(self, data):
+        serial = data.draw(st.sampled_from(self.flying))
+        self.flying.remove(serial)
+        self.queue.deliver(serial, f"m{serial}")
+        self.ref.deliver(serial, f"m{serial}")
+
+    @rule()
+    def pop(self):
+        out = self.queue.pop_next(self.processed)
+        assert out == self.ref.pop_next(self.processed)
+        if out is None:
+            return
+        msg, send_count, serial = out
+        assert msg == f"m{serial}" and send_count == self.sent[serial]
+        assert serial not in self.popped
+        if self.tau >= self.most_outstanding - 1:
+            assert self.processed - send_count <= self.tau
+        if self.tau == 0 and self.popped:
+            assert serial > self.popped[-1]
+        self.popped.append(serial)
+        self.processed += 1
+
+    @rule()
+    def drain(self):
+        for serial in self.flying:
+            self.queue.deliver(serial, f"m{serial}")
+            self.ref.deliver(serial, f"m{serial}")
+        self.flying = []
+        while self._outstanding():
+            self.pop()
+        assert self.queue.pop_next(self.processed) is None
+        assert self.ref.pop_next(self.processed) is None
+
+    @invariant()
+    def nothing_lost_or_duplicated(self):
+        if not hasattr(self, "queue"):
+            return
+        assert len(set(self.popped)) == len(self.popped)
+        unprocessed = set(self.queue.sends)
+        assert unprocessed.isdisjoint(self.popped)
+        assert unprocessed | set(self.popped) == set(self.sent)
+        assert set(self.queue.in_flight) == set(self.flying)
+        assert len(self.queue.pending) == len(self.ref.pending)
+
+
+QueueMachine.TestCase.settings = settings(max_examples=200, stateful_step_count=40,
+                                          deadline=None)
+TestQueueMachine = QueueMachine.TestCase
 
 
 class TestAudit:

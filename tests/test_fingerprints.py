@@ -8,7 +8,9 @@ must leave these hashes alone.
 
 The linear+logistic head has no parameters (d0 = 0), so only the mlp +
 softmax_fcn set-ups draw server directions; only the exponential set-up
-draws compute times.
+draws compute times; only the mlp_odim2 set-up gives each party two outputs,
+so only it checks that party m's values sit at columns (m-1)k..mk-1 of the
+server's flat head input.
 """
 
 import hashlib
@@ -27,6 +29,7 @@ SETUPS = {
     "linear_logistic": ("linear", {}),
     "mlp_softmax": ("mlp", {}),
     "mlp_softmax_exp_straggler": ("mlp", dict(compute_dist="exponential", straggler=(2, 1.5))),
+    "mlp_odim2": ("mlp_odim2", {}),
 }
 
 # computed before the streams were re-addressed in place
@@ -46,6 +49,12 @@ PINNED = {
     ("mlp_softmax_exp_straggler", "synrevel"): "e209821c6235b2614d42db93f54dfd1f6d4b6f40ffc8c8606eb91909e1f55c45",
     ("mlp_softmax_exp_straggler", "nonfed"): "4ec76c4a547ab4fcf45128646959aaf15637e5e5d09a9897fd4bbadf8ebfd83c",
     ("mlp_softmax_exp_straggler", "tig"): "21e01956c6de1a74f536a576e90698839fe4554fdbb32b4030291e937b57d1c7",
+    # computed before the server cache became one contiguous matrix
+    ("mlp_odim2", "asyrevel_gau"): "37d2c29e9fcb74c6f3ea2e94fa02767f12c6cbb1e7ee78e33c113227f10e7879",
+    ("mlp_odim2", "asyrevel_uni"): "5fe1134f6c2da16f5c5ff5a69028f3d1f141f079b311ee8d75963279e8e52d50",
+    ("mlp_odim2", "synrevel"): "b4bc8dda9d982f3d3c4b9cb8d7fb452e988bc1c56c0ba40f14cf6ac947415bbb",
+    ("mlp_odim2", "nonfed"): "9bf011fb19020a164345fab10d6c60a8d802219a1799868f964219725a326a7f",
+    ("mlp_odim2", "tig"): "340a9b6d96102743a789ba9bd22cd4c702959ea287f4a6b389a004fece515942",
 }
 
 
@@ -55,8 +64,9 @@ def _problem(kind: str):
         data = PartitionedDataset.from_matrix(X, y, [4, 4, 4, 4])
         return data, LocalModel(), GlobalModel(kind="logistic", q=4)
     data = PartitionedDataset.from_matrix(X, ((y + 1) // 2).astype(int), [4, 4, 4, 4])
-    return (data, LocalModel(kind="mlp", layer_sizes=(8, 1)),
-            GlobalModel(kind="softmax_fcn", q=4, party_output_dim=1, classes=2))
+    sizes = (8, 1) if kind == "mlp" else (5, 2)
+    return (data, LocalModel(kind="mlp", layer_sizes=sizes),
+            GlobalModel(kind="softmax_fcn", q=4, party_output_dim=sizes[-1], classes=2))
 
 
 def fingerprint(setup: str, algorithm: str, workdir) -> str:

@@ -60,37 +60,37 @@ class TestLocalForward:
 class TestGlobalValue:
     def test_symmetry_point(self):
         g = GlobalModel(kind="logistic", q=2)
-        v = global_value(g, np.zeros(0), [np.array([1.0]), np.array([-1.0])], 1)
+        v = global_value(g, np.zeros(0), np.concatenate([np.array([1.0]), np.array([-1.0])]), 1)
         assert v == pytest.approx(np.log(2.0), abs=1e-15)
 
     def test_saturated_margin(self):
         g = GlobalModel(kind="logistic", q=1)
-        v = global_value(g, np.zeros(0), [np.array([50.0])], 1)
+        v = global_value(g, np.zeros(0), np.concatenate([np.array([50.0])]), 1)
         assert 0.0 <= v < 1e-20
 
     def test_sign_symmetry(self):
         g = GlobalModel(kind="logistic", q=1)
-        a = global_value(g, np.zeros(0), [np.array([1.3])], -1)
-        b = global_value(g, np.zeros(0), [np.array([-1.3])], 1)
+        a = global_value(g, np.zeros(0), np.concatenate([np.array([1.3])]), -1)
+        b = global_value(g, np.zeros(0), np.concatenate([np.array([-1.3])]), 1)
         assert a == b
 
     def test_unknown_label(self):
         g = GlobalModel(kind="logistic", q=1)
         with pytest.raises(DomainError):
-            global_value(g, np.zeros(0), [np.array([0.0])], 2)
+            global_value(g, np.zeros(0), np.concatenate([np.array([0.0])]), 2)
         with pytest.raises(DomainError):
             head_losses(g, np.zeros(0), [np.zeros((2, 1))], np.array([1, 2]))
 
     def test_softmax_head_uniform_logits(self):
         g = GlobalModel(kind="softmax_fcn", q=2, party_output_dim=1, classes=4)
         w0 = np.zeros(g.d0)
-        v = global_value(g, w0, [np.array([0.3]), np.array([-0.2])], 3)
+        v = global_value(g, w0, np.concatenate([np.array([0.3]), np.array([-0.2])]), 3)
         assert v == pytest.approx(np.log(4.0), abs=1e-12)
 
     def test_softmax_label_out_of_range(self):
         g = GlobalModel(kind="softmax_fcn", q=1, party_output_dim=1, classes=3)
         with pytest.raises(DomainError):
-            global_value(g, np.zeros(g.d0), [np.array([0.0])], 3)
+            global_value(g, np.zeros(g.d0), np.concatenate([np.array([0.0])]), 3)
         with pytest.raises(DomainError):
             head_losses(g, np.zeros(g.d0), [np.zeros((2, 1))], np.array([0, 3]))
 
@@ -156,7 +156,7 @@ class TestCompositeObjective:
         lam = 0.37
         lm, gm = LocalModel(), GlobalModel(kind="logistic", q=3)
         c = [local_forward(lm, state.w[m], data.blocks[m][0]) for m in range(3)]
-        expect = global_value(gm, state.w0, c, data.labels[0]) + lam * sum(
+        expect = global_value(gm, state.w0, np.concatenate(c), data.labels[0]) + lam * sum(
             nonconvex_reg(wm) for wm in state.w
         )
         got = evaluate_loss(state.w0, state.w, data, lam, lm, gm)
@@ -214,7 +214,7 @@ def _per_sample_oracle(w0, w, data, lm, gm):
     losses, preds = [], []
     for i in range(data.n):
         c = [local_forward(lm, w[m], data.blocks[m][i]) for m in range(data.q)]
-        losses.append(global_value(gm, w0, c, data.labels[i]))
+        losses.append(global_value(gm, w0, np.concatenate(c), data.labels[i]))
         feats = np.concatenate(c)
         if gm.kind == "logistic":
             preds.append(1 if np.sum(feats) >= 0 else -1)
@@ -230,7 +230,8 @@ class TestBatchedEvaluation:
     def _check(self, w0, w, data, lm, gm, lam, exact_rows):
         C = [local_forward(lm, w[m], data.blocks[m]) for m in range(data.q)]
         assert all(Cm.shape == (data.n, lm.output_dim) for Cm in C)
-        rows = [global_value(gm, w0, [Cm[i] for Cm in C], data.labels[i]) for i in range(data.n)]
+        rows = [global_value(gm, w0, np.concatenate([Cm[i] for Cm in C]), data.labels[i])
+                for i in range(data.n)]
         batched = head_losses(gm, w0, C, data.labels)
         if exact_rows:
             assert np.array_equal(batched, rows)
