@@ -455,8 +455,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, DomainError, UsageError, ParseError, FormatError,
-            FileNotFoundError) as exc:
+    except (ConfigError, DomainError, UsageError, ParseError, FormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -548,10 +548,11 @@ def run_nonfederated(cfg: RunConfig, data: PartitionedDataset, local_model: Loca
         i = int(samples.at(pid, k).integers(data.n))
         u = sample_direction(scheme, w[m].size, directions.at(pid, k))
         x = data.blocks[m][i]
+        w_hat = w[m] + cfg.mu * u.u
         c = local_forward(local_model, w[m], x)
-        c_hat = local_forward(local_model, w[m] + cfg.mu * u.u, x)
+        c_hat = local_forward(local_model, w_hat, x)
         g0 = nonconvex_reg(w[m])
-        g1 = nonconvex_reg(w[m] + cfg.mu * u.u)
+        g1 = nonconvex_reg(w_hat)
         row = cache[i].copy()
         row[cols] = c
         # the server addresses head directions by the count of uploads answered
@@ -633,7 +634,7 @@ def run_tig_baseline(cfg: RunConfig, data: PartitionedDataset, local_model: Loca
     for i in range(data.n):
         for m in range(cfg.q):
             transcript.record_raw(0.0, "up", "tig_output", m + 1, i, -1,
-                                  cache[i, party_columns(m + 1, odim)].copy())
+                                  cache[i, party_columns(m + 1, odim)])
     samples = streams.Stream(cfg.seed, streams.SAMPLE)
     steps = [0] * cfg.q
     rec.log(0, 0.0, w0, w)
@@ -688,18 +689,23 @@ class CommRow:
     cost_ratio: float
 
 
+def _training_traffic(metrics: RunMetrics) -> tuple[int, int]:
+    """Bytes and messages on the wire excluding warm-up traffic (the seq >= 0
+    rows), read from the transcript's columns."""
+    if metrics.transcript is None:
+        return 0, 0
+    training = metrics.transcript.column("seq") >= 0
+    return int(metrics.transcript.column("nbytes")[training].sum()), int(training.sum())
+
+
 def training_bytes(metrics: RunMetrics) -> int:
     """Wire bytes excluding warm-up traffic (seq >= 0 entries only)."""
-    if metrics.transcript is None:
-        return 0
-    return sum(e.nbytes for e in metrics.transcript if e.seq >= 0)
+    return _training_traffic(metrics)[0]
 
 
 def _link_cost(metrics: RunMetrics, per_message_overhead: float) -> float:
-    if metrics.transcript is None:
-        return 0.0
-    entries = [e for e in metrics.transcript if e.seq >= 0]
-    return sum(e.nbytes for e in entries) + per_message_overhead * len(entries)
+    nbytes, messages = _training_traffic(metrics)
+    return nbytes + per_message_overhead * messages
 
 
 def measure_comm(pairs, per_message_overhead: float = 128.0) -> list[CommRow]:

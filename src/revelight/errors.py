@@ -30,7 +30,7 @@ class UnsupportedModelError(RuntimeError):
 
 
 class ParseError(ValueError):
-    """Dataset file failed to parse; the message names the line."""
+    """Dataset or transcript file failed to parse; the message names the line."""
 
 
 class FormatError(ValueError):

@@ -15,14 +15,18 @@ length, c followed by c_hat; Reply carries the pair h, h_bar).
 from __future__ import annotations
 
 import heapq
+import itertools
 import json
+import operator
 import struct
+from array import array
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import streams
-from .errors import DecodeError, DomainError, ProtocolError, ShapeError
+from .errors import DecodeError, DomainError, ParseError, ProtocolError, ShapeError
 from .estimator import client_block_zoe, head_direction, sample_direction, two_point_head
 from .models import GlobalModel, LocalModel, local_forward, nonconvex_reg, party_columns
 
@@ -129,61 +133,96 @@ class TranscriptEntry:
     payload: np.ndarray
     nbytes: int
 
-    def vector_lengths(self) -> list[int]:
-        """Semantic payload vector lengths used by the audit.
 
-        Protocol uploads carry two equal vectors; protocol replies carry two
-        scalars; baseline traffic (tig_* variants) carries one vector.
-        """
-        n = int(self.payload.size)
-        if self.variant == "upload":
-            return [n // 2, n - n // 2] if n else [0]
-        if self.variant == "reply" and n == 2:
-            return [1, 1]
-        return [n]
+# The JSONL keys, in the order every line writes them.
+_KEYS = ("time", "dir", "variant", "party", "sample", "seq", "payload", "bytes")
+_ROW = operator.itemgetter(*_KEYS)
+_READ_CHUNK = 1 << 20  # characters of lines per json.loads call
+_WRITE_ROWS = 1024      # rows per formatted block in to_jsonl
 
 
 class Transcript:
-    """Append-only record of everything that crossed the wire."""
+    """Append-only record of everything that crossed the wire, kept as columns.
+
+    One row per message: time (float64), direction and variant (str), party,
+    sample, seq and nbytes (int64), and the payload, whose values sit in one
+    flat float64 buffer at values[offsets[i]:offsets[i + 1]].  No object is
+    kept per message: iteration builds each TranscriptEntry on demand, its
+    payload a float64 copy, and `column` hands out copies of whole columns.
+    """
 
     def __init__(self) -> None:
-        self.entries: list[TranscriptEntry] = []
+        self._time = array("d")
+        self._direction: list[str] = []
+        self._variant: list[str] = []
+        self._party = array("q")
+        self._sample = array("q")
+        self._seq = array("q")
+        self._nbytes = array("q")
+        self._values = array("d")
+        self._offsets = array("q", [0])
         self._bytes = {"up": 0, "down": 0}
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self._direction)
 
     def __iter__(self):
-        return iter(self.entries)
+        return map(self._entry, range(len(self)))
 
-    def record(self, time: float, direction: str, msg) -> TranscriptEntry:
+    def _entry(self, i: int) -> TranscriptEntry:
+        payload = np.array(self._values[self._offsets[i]:self._offsets[i + 1]], dtype=np.float64)
+        return TranscriptEntry(self._time[i], self._direction[i], self._variant[i],
+                               self._party[i], self._sample[i], self._seq[i], payload,
+                               self._nbytes[i])
+
+    def column(self, name: str) -> np.ndarray:
+        """A copy of one column: float64 for time and values, int64 for party,
+        sample, seq, nbytes and offsets (n + 1 of them), an object array of
+        str for direction and variant."""
+        col = getattr(self, "_" + name)
+        return np.array(col, dtype=object if isinstance(col, list) else None)
+
+    def _append(self, time, direction, variant, party, sample, seq, values: list) -> None:
+        n = len(self._direction)
+        nbytes = frame_bytes(len(values))
+        try:
+            self._time.append(time)
+            self._direction.append(direction)
+            self._variant.append(variant)
+            self._party.append(party)
+            self._sample.append(sample)
+            self._seq.append(seq)
+            self._nbytes.append(nbytes)
+            self._values.fromlist(values)
+            self._offsets.append(len(self._values))
+            self._bytes[direction] += nbytes
+        except Exception:
+            # a value a column cannot hold, or an unknown direction: drop the partial row
+            del self._values[self._offsets[n]:]
+            del self._offsets[n + 1:]
+            for col in (self._time, self._direction, self._variant, self._party,
+                        self._sample, self._seq, self._nbytes):
+                del col[n:]
+            raise
+
+    def record(self, time: float, direction: str, msg) -> None:
         """Log one message with the size of its frame, which `frame_bytes`
         gives without encoding it."""
         if isinstance(msg, Upload):
             if np.shape(msg.c) != np.shape(msg.c_hat):
                 raise ShapeError("upload vectors c and c_hat must have equal length")
-            variant, payload = "upload", np.concatenate([msg.c, msg.c_hat])
+            values = msg.c.tolist() + msg.c_hat.tolist()
+            self._append(time, direction, "upload", msg.party, msg.sample, msg.seq, values)
         elif isinstance(msg, Reply):
-            variant, payload = "reply", np.array([msg.h, msg.h_bar])
+            self._append(time, direction, "reply", msg.party, msg.sample, msg.seq,
+                         [msg.h, msg.h_bar])
         else:
             raise DomainError(f"cannot record {type(msg).__name__}")
-        entry = TranscriptEntry(
-            time, direction, variant, msg.party, msg.sample, msg.seq,
-            payload, frame_bytes(payload.size),
-        )
-        self.entries.append(entry)
-        self._bytes[direction] += entry.nbytes
-        return entry
 
-    def record_raw(self, time, direction, variant, party, sample, seq, payload) -> TranscriptEntry:
-        payload = np.asarray(payload, dtype=np.float64)
-        entry = TranscriptEntry(
-            time, direction, variant, party, sample, seq, payload,
-            frame_bytes(payload.size),
-        )
-        self.entries.append(entry)
-        self._bytes[direction] += entry.nbytes
-        return entry
+    def record_raw(self, time, direction, variant, party, sample, seq, payload) -> None:
+        """Log baseline traffic: the payload is flattened to float64."""
+        values = np.asarray(payload, dtype=np.float64).reshape(-1).tolist()
+        self._append(time, direction, variant, party, sample, seq, values)
 
     def total_bytes(self, direction: str | None = None) -> int:
         if direction is None:
@@ -191,32 +230,150 @@ class Transcript:
         return self._bytes[direction]
 
     def to_jsonl(self, path) -> None:
+        """One JSON object per message, formatted straight from the columns.
+
+        Each line is laid out exactly as json.dumps lays out the object with
+        the keys time, dir, variant, party, sample, seq, payload and bytes:
+        the ": " and ", " separators, strings escaped by json.dumps, floats by
+        float.__repr__.  A row holding a non-finite value goes through
+        json.dumps itself, which writes NaN and Infinity.  Rows are formatted
+        and written in blocks of _WRITE_ROWS, which bounds the text held at
+        once.
+        """
+        quoted = {s: json.dumps(s) for s in {*self._direction, *self._variant}}
+        non_finite = self._non_finite_rows()
+        offsets = self._offsets
         with open(path, "w") as fh:
-            for e in self.entries:
-                fh.write(json.dumps({
-                    "time": e.time,
-                    "dir": e.direction,
-                    "variant": e.variant,
-                    "party": e.party,
-                    "sample": e.sample,
-                    "seq": e.seq,
-                    "payload": [float(v) for v in e.payload],
-                    "bytes": e.nbytes,
-                }) + "\n")
+            for r0 in range(0, len(self), _WRITE_ROWS):
+                r1 = min(r0 + _WRITE_ROWS, len(self))
+                base = offsets[r0]
+                vals = list(map(float.__repr__, self._values[base:offsets[r1]]))
+                lines = [
+                    f'{{"time": {t}, "dir": {quoted[d]}, "variant": {quoted[v]}, '
+                    f'"party": {p}, "sample": {s}, "seq": {q}, '
+                    f'"payload": [{", ".join(vals[a - base:b - base])}], "bytes": {nb}}}\n'
+                    for t, d, v, p, s, q, a, b, nb in zip(
+                        self._time[r0:r1], self._direction[r0:r1], self._variant[r0:r1],
+                        self._party[r0:r1], self._sample[r0:r1], self._seq[r0:r1],
+                        offsets[r0:r1], offsets[r0 + 1:r1 + 1], self._nbytes[r0:r1])
+                ]
+                for i in non_finite[bisect_left(non_finite, r0):bisect_left(non_finite, r1)]:
+                    e = self._entry(i)
+                    lines[i - r0] = json.dumps({
+                        "time": e.time, "dir": e.direction, "variant": e.variant,
+                        "party": e.party, "sample": e.sample, "seq": e.seq,
+                        "payload": e.payload.tolist(), "bytes": e.nbytes,
+                    }) + "\n"
+                fh.write("".join(lines))
+
+    def _non_finite_rows(self) -> list[int]:
+        at = np.flatnonzero(~np.isfinite(self.column("values")))
+        in_payload = np.searchsorted(self.column("offsets"), at, side="right") - 1
+        return np.union1d(np.flatnonzero(~np.isfinite(self.column("time"))), in_payload).tolist()
 
     @classmethod
     def from_jsonl(cls, path) -> "Transcript":
+        """Read a transcript back, one json.loads call per chunk of about
+        1 MiB of lines, so no whole-file list of objects is ever held.
+
+        Every line must be an object with exactly the eight keys `to_jsonl`
+        writes: dir "up" or "down", variant a string, time a number, party,
+        sample, seq and bytes integers, payload a flat list of numbers.
+        Raises ParseError("<path>:<line>: ...") for the first line that is not.
+        """
         t = cls()
-        with open(path) as fh:
-            for line in fh:
-                obj = json.loads(line)
-                entry = TranscriptEntry(
-                    obj["time"], obj["dir"], obj["variant"], obj["party"],
-                    obj["sample"], obj["seq"], np.array(obj["payload"]), obj["bytes"],
-                )
-                t.entries.append(entry)
-                t._bytes[entry.direction] += entry.nbytes
-        return t
+        first = 1
+        with open(path, encoding="utf-8") as fh:
+            while True:
+                try:
+                    lines = fh.readlines(_READ_CHUNK)
+                except UnicodeDecodeError as exc:
+                    raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
+                if not lines:
+                    return t
+                if not lines[-1].endswith("\n"):
+                    lines[-1] += "\n"
+                t._extend(*_parse_chunk(path, lines, first))
+                first += len(lines)
+
+    def _extend(self, time, dirs, variants, party, sample, seq, nbytes, sizes, values) -> None:
+        up = sum(itertools.compress(nbytes, map("up".__eq__, dirs)))
+        self._bytes["up"] += up
+        self._bytes["down"] += sum(nbytes) - up
+        self._time.extend(time)
+        self._direction.extend(dirs)
+        self._variant.extend(variants)
+        self._party.extend(party)
+        self._sample.extend(sample)
+        self._seq.extend(seq)
+        self._nbytes.extend(nbytes)
+        ends = itertools.accumulate(sizes, initial=self._offsets[-1])
+        next(ends)  # the current end is already there
+        self._offsets.extend(ends)
+        self._values.extend(values)
+
+
+def _parse_chunk(path, lines: list[str], first: int):
+    """Columns of one chunk of JSONL lines, `first` the number of its first line.
+
+    One json.loads call parses the chunk as a JSON array.  Lines and objects
+    line up when there are as many objects as lines and every line ends in
+    "}" (a JSON string cannot hold a raw newline, and no object nests
+    another).  When they do not, or a row breaks a rule, each line is parsed
+    on its own to name the first bad one.
+    """
+    body = ",".join(lines)
+    try:
+        objs = json.loads(f"[{body}]")
+        if len(objs) == len(lines) and body.count("}\n") == len(lines):
+            return _columns(objs)
+    except (ValueError, RecursionError):
+        pass
+    objs = []
+    for number, line in enumerate(lines, first):
+        try:
+            obj = json.loads(line)
+            _columns([obj])
+        except (ValueError, RecursionError) as exc:
+            raise ParseError(f"{path}:{number}: {exc}") from None
+        objs.append(obj)
+    return _columns(objs)
+
+
+def _only(col, types: set) -> bool:
+    return set(map(type, col)) <= types
+
+
+def _columns(objs: list):
+    """Transcript columns of parsed JSONL objects; raises ParseError for the
+    first rule some object breaks."""
+    if not _only(objs, {dict}) or not set(map(len, objs)) <= {len(_KEYS)}:
+        raise ParseError(f"not an object with exactly the keys {', '.join(_KEYS)}")
+    try:
+        rows = list(map(_ROW, objs))
+    except KeyError as exc:
+        raise ParseError(f"missing key {exc}") from None
+    time, dirs, variants, party, sample, seq, payload, nbytes = zip(*rows)
+    if not _only(dirs, {str}) or not set(dirs) <= {"up", "down"}:
+        raise ParseError('"dir" is not "up" or "down"')
+    if not _only(variants, {str}):
+        raise ParseError('"variant" is not a string')
+    if not _only(time, {int, float}):
+        raise ParseError('"time" is not a number')
+    for key, col in (("party", party), ("sample", sample), ("seq", seq), ("bytes", nbytes)):
+        if not _only(col, {int}):
+            raise ParseError(f'"{key}" is not an integer')
+    if not _only(payload, {list}):
+        raise ParseError('"payload" is not a list')
+    values = list(itertools.chain.from_iterable(payload))
+    if not _only(values, {int, float}):
+        raise ParseError('"payload" is not a flat list of numbers')
+    try:
+        return (array("d", time), list(dirs), list(variants), array("q", party),
+                array("q", sample), array("q", seq), array("q", nbytes),
+                list(map(len, payload)), array("d", values))
+    except OverflowError as exc:
+        raise ParseError(f"a number is out of range ({exc})") from None
 
 
 class ServerCache:
@@ -420,10 +577,11 @@ class PartyNode:
             i = int(sample)
         u = sample_direction(self.scheme, self.dim, self.directions.at(self.id, k))
         x = self.X[i]
+        w_hat = self.w + self.mu * u.u
         c = local_forward(self.model, self.w, x)
-        c_hat = local_forward(self.model, self.w + self.mu * u.u, x)
+        c_hat = local_forward(self.model, w_hat, x)
         g0 = nonconvex_reg(self.w)
-        g1 = nonconvex_reg(self.w + self.mu * u.u)
+        g1 = nonconvex_reg(w_hat)
         self.pending = (i, u, g0, g1)
         return Upload(party=self.id, sample=i, c=c, c_hat=c_hat, seq=k)
 
@@ -549,26 +707,44 @@ def audit_transcript(transcript: Transcript, dims: list[int], d0: int = 0,
     dimension 1 (the linear model at q = d) does not flag clean traffic,
     while tig_* entries carry no function values and are always checked.
     Reports the first offending entry otherwise.
+
+    An entry's vectors are the two halves of an upload (one empty vector
+    when the upload is empty), the two scalars of a two-value reply, and
+    otherwise its whole payload.  The check runs over the transcript's
+    columns, every entry at once: the payload sizes come from the offsets.
     """
     blocked = {int(d) for d in dims}
     if d0 > 0:
         blocked.add(int(d0))
-    legal = {"upload": max_output_dim, "reply": 1}
-    checked = 0
-    for idx, entry in enumerate(transcript):
-        own = legal.get(entry.variant)
-        for length in entry.vector_lengths():
-            checked += 1
-            if length > max_output_dim:
-                return AuditReport(
-                    False, checked, idx,
-                    f"entry {idx} ({entry.variant}, party {entry.party}): payload vector "
-                    f"length {length} exceeds max local output dim {max_output_dim}",
-                )
-            if length in blocked and length != own:
-                return AuditReport(
-                    False, checked, idx,
-                    f"entry {idx} ({entry.variant}, party {entry.party}): payload vector "
-                    f"length {length} matches a parameter block dimension",
-                )
-    return AuditReport(True, checked)
+    # vector lengths are non-negative int64, so other dims can never match
+    blocked = np.array([b for b in blocked if 0 <= b < 2**63], dtype=np.int64)
+    variants = transcript.column("variant")
+    upload = variants == "upload"
+    reply = variants == "reply"
+    size = np.diff(transcript.column("offsets"))
+    two = (upload & (size > 0)) | (reply & (size == 2))
+    first = np.where(upload, size // 2, np.where(two, 1, size))
+    second = np.where(upload, size - size // 2, 1)  # read only where `two`
+
+    def too_long(length):
+        return length > max_output_dim
+
+    def parameter_shaped(length):
+        own = (upload & (length == max_output_dim)) | (reply & (length == 1))
+        return np.isin(length, blocked) & ~own
+
+    bad_first = too_long(first) | parameter_shaped(first)
+    bad_second = two & (too_long(second) | parameter_shaped(second))
+    hits = np.flatnonzero(bad_first | bad_second)
+    vectors = 1 + two
+    if not hits.size:
+        return AuditReport(True, int(vectors.sum()))
+    idx = int(hits[0])
+    length = int(first[idx] if bad_first[idx] else second[idx])
+    checked = int(vectors[:idx].sum()) + (1 if bad_first[idx] else 2)
+    where = f"entry {idx} ({variants[idx]}, party {transcript.column('party')[idx]})"
+    if length > max_output_dim:
+        return AuditReport(False, checked, idx, f"{where}: payload vector length {length} "
+                                                f"exceeds max local output dim {max_output_dim}")
+    return AuditReport(False, checked, idx, f"{where}: payload vector length {length} "
+                                            f"matches a parameter block dimension")

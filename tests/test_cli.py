@@ -269,6 +269,31 @@ class TestMainCli:
         assert rc == 0
         assert "audit pass" in capsys.readouterr().out
 
+    UPLOAD = {"time": 0.0, "dir": "up", "variant": "upload", "party": 1, "sample": 0,
+              "seq": -1, "payload": [0.5, 0.5], "bytes": 35}
+    HIDDEN = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0]
+
+    @pytest.mark.parametrize("bad_line", [
+        json.dumps(dict(UPLOAD, seq=9, payload={"w": HIDDEN}, bytes=83)),
+        json.dumps(dict(UPLOAD, seq=9, payload=json.dumps(HIDDEN), bytes=83)),
+        json.dumps(UPLOAD)[:40],
+        json.dumps({k: v for k, v in UPLOAD.items() if k != "dir"}),
+        json.dumps(dict(UPLOAD, dir="sideways")),
+    ], ids=["payload_in_object", "payload_in_string", "truncated", "missing_key", "bad_dir"])
+    def test_malformed_transcript_is_one_error_line(self, tmp_path, capsys, bad_line):
+        path = tmp_path / "t.jsonl"
+        path.write_text(json.dumps(self.UPLOAD) + "\n" + bad_line + "\n")
+        rc = main(["audit", "--transcript", str(path), "--dims", "8,8"])
+        out, err = capsys.readouterr()
+        assert rc == 2 and "audit pass" not in out
+        err = err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {path}:2: ")
+
+    def test_audit_of_a_directory_is_one_error_line(self, tmp_path, capsys):
+        rc = main(["audit", "--transcript", str(tmp_path), "--dims", "8,8"])
+        err = capsys.readouterr().err.splitlines()
+        assert rc == 2 and len(err) == 1 and err[0].startswith("error:")
+
     def test_verify_command(self, tmp_path, capsys):
         rc = main(["verify", "--trials", "1", "--out", str(tmp_path)])
         assert rc == 0

@@ -359,6 +359,16 @@ class TestMeasureComm:
         rows = measure_comm([("d16", 16, asy, tig)], per_message_overhead=128.0)
         assert 1.0 <= rows[0].cost_ratio <= 2.0
 
+    def test_bench_comm_numbers_are_pinned(self):
+        """`bench-comm --blocks 16,64 --events 64 --seed 0`, to the last bit;
+        the values were computed before the byte counts came from columns."""
+        from revelight.cli import _bench_pair
+
+        pairs = [(f"d{d}", d, *_bench_pair(d, 0, 64)) for d in (16, 64)]
+        got = [(r.asy_bytes, r.tig_bytes, r.byte_ratio, r.cost_ratio) for r in measure_comm(pairs)]
+        assert got == [(4480, 12864, 2.8714285714285714, 1.794478527607362),
+                       (4480, 37440, 8.357142857142858, 2.9723926380368098)]
+
     def test_unpaired_runs_rejected(self):
         asy, tig = self._pair(8, events=128)
         asy2, _ = self._pair(8, events=64)

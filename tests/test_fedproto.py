@@ -671,7 +671,7 @@ class TestAudit:
         transcript.record_raw(1.0, "up", "upload", 1, 0, 99, np.zeros(8))
         report = audit_transcript(transcript, dims=[4, 4], max_output_dim=1)
         assert not report.ok
-        assert "length 4" in report.reason and report.violation_index == len(transcript.entries) - 1
+        assert "length 4" in report.reason and report.violation_index == len(transcript) - 1
 
     def test_empty_transcript_passes(self):
         assert audit_transcript(Transcript(), dims=[4, 4], max_output_dim=1).ok
@@ -728,7 +728,8 @@ class TestTranscript:
     ], ids=["upload_dim1", "upload_dim3", "reply"])
     def test_record_bytes_equal_encoded_frame(self, msg):
         transcript = Transcript()
-        assert transcript.record(0.0, "up", msg).nbytes == len(encode_message(msg))
+        transcript.record(0.0, "up", msg)
+        assert next(iter(transcript)).nbytes == len(encode_message(msg))
 
     def test_record_rejects_unequal_upload_halves(self):
         with pytest.raises(ShapeError):
