@@ -22,7 +22,7 @@ import numpy as np
 
 from . import streams
 from .engine import RunConfig, run_algorithm, run_asyrevel, run_tig_baseline, measure_comm
-from .errors import ConfigError, DomainError, FormatError, ParseError, UsageError
+from .errors import ConfigError, DomainError, FormatError, ParseError, ProtocolError, UsageError
 from .fedproto import Transcript, audit_transcript
 from .models import GlobalModel, LocalModel, PartitionedDataset, partition_features
 from .verify import (
@@ -210,10 +210,19 @@ def split_tenfold(data: PartitionedDataset, seed: int, fold: int = 0):
 
 _RUN_KEYS = {
     "algorithm": str, "q": int, "T": int, "eta": float, "eta_server": float,
-    "mu": float, "lam_eff": float, "tau": int, "seed": int, "clock": str,
-    "scheme": str, "compute_dist": str, "latency": float, "latency_dist": str,
+    "mu": float, "lam_eff": float, "tau": int, "seed": int, "scheme": str,
+    "compute_dist": str, "latency": float, "latency_dist": str,
     "base_compute": float, "eval_every": int, "stop_loss": float,
 }
+
+
+def _floats(text: str) -> list[float]:
+    return [float(tok) for tok in text.split(",")]
+
+
+def _straggler(text: str) -> tuple[int, float]:
+    party, factor = text.split(":")
+    return int(party), float(factor)
 
 
 @dataclass
@@ -230,15 +239,17 @@ class ExperimentSpec:
     def from_config(cls, path, seed_override: int | None = None,
                     out_override=None) -> "ExperimentSpec":
         kv = parse_config(path)
-        run_kwargs = {}
-        for key, cast in _RUN_KEYS.items():
-            if key in kv:
-                run_kwargs[key] = cast(kv.pop(key))
-        if "p" in kv:
-            run_kwargs["p"] = [float(tok) for tok in kv.pop("p").split(",")]
-        if "straggler" in kv:
-            party_s, factor_s = kv.pop("straggler").split(":")
-            run_kwargs["straggler"] = (int(party_s), float(factor_s))
+
+        def take(key, cast):
+            """Pop and cast one value; a failed cast names the key and the value."""
+            value = kv.pop(key)
+            try:
+                return cast(value)
+            except ValueError as exc:
+                raise ConfigError(f"{key} = {value}: {exc}") from None
+
+        casts = {**_RUN_KEYS, "p": _floats, "straggler": _straggler}
+        run_kwargs = {key: take(key, cast) for key, cast in casts.items() if key in kv}
         if "algorithm" not in run_kwargs or "q" not in run_kwargs or "T" not in run_kwargs:
             raise ConfigError("config must set algorithm, q, and T")
         cfg = RunConfig(**run_kwargs)
@@ -249,9 +260,11 @@ class ExperimentSpec:
             spec.dataset = kv.pop("dataset")
         if "format" in kv:
             spec.fmt = kv.pop("format")
-        for key in ("n", "d", "n_test"):
+        for key, least in (("n", 1), ("d", 1), ("n_test", 0)):
             if key in kv:
-                setattr(spec, key, int(kv.pop(key)))
+                setattr(spec, key, take(key, int))
+            if getattr(spec, key) < least:
+                raise ConfigError(f"{key} must be at least {least}")
         if "out" in kv:
             spec.out_dir = Path(kv.pop("out"))
         if out_override is not None:
@@ -358,8 +371,15 @@ def _bench_pair(block_dim: int, seed: int, events: int):
     return asy, tig
 
 
+def _ints(flag: str, text: str) -> list[int]:
+    try:
+        return [int(tok) for tok in text.split(",")]
+    except ValueError:
+        raise UsageError(f"{flag} {text}: expected comma-separated integers") from None
+
+
 def _cmd_bench_comm(args) -> int:
-    blocks = [int(tok) for tok in args.blocks.split(",")]
+    blocks = _ints("--blocks", args.blocks)
     pairs = []
     for bd in blocks:
         asy, tig = _bench_pair(bd, args.seed, args.events)
@@ -378,7 +398,7 @@ def _cmd_bench_comm(args) -> int:
 
 
 def _cmd_speedup(args) -> int:
-    qs = [int(tok) for tok in args.parties.split(",")]
+    qs = _ints("--parties", args.parties)
     if 1 not in qs:
         qs = [1] + qs
     times = {}
@@ -397,8 +417,8 @@ def _cmd_speedup(args) -> int:
 
 
 def _cmd_audit(args) -> int:
+    dims = _ints("--dims", args.dims)
     transcript = Transcript.from_jsonl(args.transcript)
-    dims = [int(tok) for tok in args.dims.split(",")]
     report = audit_transcript(transcript, dims, d0=args.d0, max_output_dim=args.max_output_dim)
     if report.ok:
         print(f"audit pass: {len(transcript)} entries, {report.checked} payload vectors")
@@ -455,7 +475,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, DomainError, UsageError, ParseError, FormatError, OSError) as exc:
+    except (ConfigError, DomainError, UsageError, ParseError, FormatError, ProtocolError,
+            OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -13,7 +13,7 @@ stay pure protocol traffic.
 from __future__ import annotations
 
 import heapq
-import time as _time
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,6 +27,7 @@ from .estimator import (
     client_block_zoe,
     head_direction,
     sample_direction,
+    two_point_client,
     two_point_head,
 )
 from .fedproto import (
@@ -59,8 +60,8 @@ _REPLY, _DELIVER, _FINISH = 0, 1, 2
 
 @dataclass
 class RunConfig:
-    """Everything that determines a run; two runs with equal configs and the
-    virtual clock produce byte-identical trajectories and transcripts."""
+    """Everything that determines a run: two runs with equal configs produce
+    byte-identical trajectories and transcripts."""
 
     algorithm: str
     q: int
@@ -73,7 +74,6 @@ class RunConfig:
     p: list[float] | None = None
     seed: int = 0
     straggler: tuple[int, float] | None = None
-    clock: str = "virtual"
     scheme: str = GAUSSIAN          # used by synrevel/nonfed; asyrevel_* pin it
     compute_dist: str = "constant"
     latency: float = 0.0
@@ -84,32 +84,44 @@ class RunConfig:
     record_snapshots: bool = False
 
     def validate(self) -> None:
-        for key, allowed in (("algorithm", ALGORITHMS), ("clock", ("virtual", "wall")),
-                             ("scheme", SCHEMES), ("compute_dist", COMPUTE_DISTS),
-                             ("latency_dist", LATENCY_DISTS)):
+        for key, allowed in (("algorithm", ALGORITHMS), ("scheme", SCHEMES),
+                             ("compute_dist", COMPUTE_DISTS), ("latency_dist", LATENCY_DISTS)):
             if getattr(self, key) not in allowed:
                 raise ConfigError(f"unknown {key} {getattr(self, key)!r}; expected one of {allowed}")
+        for key in ("eta", "eta_server", "mu", "lam_eff", "latency", "base_compute",
+                    "stop_loss"):
+            value = getattr(self, key)
+            if value is not None and not math.isfinite(value):
+                raise ConfigError(f"{key} must be finite, got {value}")
         if self.q < 1:
             raise ConfigError("need at least one party")
         if self.T < 0:
             raise ConfigError("event budget must be nonnegative")
         if self.eta <= 0 or self.mu <= 0:
             raise ConfigError("step size and smoothing radius must be positive")
+        if self.eta_server is not None and self.eta_server <= 0:
+            raise ConfigError("head step size must be positive")
+        if self.base_compute <= 0:
+            raise ConfigError("base compute time must be positive")
+        if self.lam_eff < 0 or self.latency < 0:
+            raise ConfigError("regularizer weight and latency must be nonnegative")
+        if self.seed < 0:
+            raise ConfigError("seed must be nonnegative")
         if self.tau < 0:
             raise ConfigError("delay bound must be nonnegative")
         if self.p is not None:
             if len(self.p) != self.q:
                 raise ConfigError(f"p has {len(self.p)} entries for q={self.q}")
-            if any(pm <= 0 for pm in self.p):
-                raise ConfigError("activation probabilities must be positive")
+            if not all(0 < pm < math.inf for pm in self.p):
+                raise ConfigError("activation probabilities must be positive and finite")
             if abs(sum(self.p) - 1.0) > 1e-9:
                 raise ConfigError("activation probabilities must sum to 1")
         if self.straggler is not None:
             party, factor = self.straggler
             if not 1 <= party <= self.q:
                 raise ConfigError(f"straggler party {party} outside 1..{self.q}")
-            if factor < 1.0:
-                raise ConfigError("slowdown factor must be >= 1")
+            if not 1.0 <= factor < math.inf:
+                raise ConfigError("slowdown factor must be finite and >= 1")
         if self.eval_every is not None and self.eval_every < 1:
             raise ConfigError("eval_every must be at least 1")
         if self.latency > 0 and self.tau < self.q - 1:
@@ -131,13 +143,10 @@ class RunConfig:
         """Head step size: eta_server, or eta / q when it is unset."""
         return self.eta_server if self.eta_server is not None else self.eta / self.q
 
-    def activation_p(self) -> list[float]:
-        return list(self.p) if self.p is not None else [1.0 / self.q] * self.q
-
     def party_means(self) -> list[float]:
         """Mean compute time per party: slowdown / (q p_m) in base units, so
         activation rates realize the configured probabilities."""
-        p = self.activation_p()
+        p = self.p if self.p is not None else [1.0 / self.q] * self.q
         means = [self.base_compute / (self.q * p[m]) for m in range(self.q)]
         if self.straggler is not None:
             party, factor = self.straggler
@@ -149,7 +158,6 @@ class RunConfig:
 class MetricsRow:
     t: int
     vtime: float
-    wtime: float
     loss: float
     acc: float
     bytes_up: int
@@ -189,11 +197,12 @@ class RunMetrics:
         return self.rows[-1].vtime if self.rows else 0.0
 
     def to_csv(self, path) -> None:
+        # wtime is always 0; the column stays so the layout does not change
         with open(path, "w") as fh:
             fh.write("t,vtime,wtime,loss,acc,bytes_up,bytes_down,staleness,gnorm2\n")
             for r in self.rows:
                 fh.write(
-                    f"{r.t},{r.vtime:.12g},{r.wtime:.12g},{r.loss:.12g},{r.acc:.12g},"
+                    f"{r.t},{r.vtime:.12g},0,{r.loss:.12g},{r.acc:.12g},"
                     f"{r.bytes_up},{r.bytes_down},{r.staleness},{r.gnorm2:.12g}\n"
                 )
 
@@ -215,7 +224,7 @@ def evaluate_loss(w0, w, data: PartitionedDataset, lam_eff,
 def evaluate_accuracy(w0, w, data: PartitionedDataset | None,
                       local_model: LocalModel, global_model: GlobalModel) -> float:
     """Fraction of `data` the model labels correctly (nan without data)."""
-    if data is None:
+    if data is None or data.n == 0:
         return float("nan")
     pred = head_predictions(global_model, w0, _party_outputs(w, data, local_model))
     return float(np.mean(pred == data.labels))
@@ -236,13 +245,6 @@ class _Recorder:
         self.last_v = [0.0] * (cfg.q + 1)
         self.max_stal = 0
         self.stopped = False
-        # wall time is only meaningful (and only reproducible to record) in
-        # wall-clock mode; the virtual clock writes 0 so metrics files are
-        # byte-identical across invocations
-        self._wall0 = _time.perf_counter() if cfg.clock == "wall" else None
-
-    def gnorm2(self) -> float:
-        return float(sum(self.last_v))
 
     def note_update(self, party: int, v_hat: np.ndarray) -> None:
         self.last_v[party] = float(np.dot(v_hat, v_hat))
@@ -256,10 +258,8 @@ class _Recorder:
         acc = evaluate_accuracy(w0, w, self.test, self.lm, self.gm)
         bu = self.transcript.total_bytes("up") if self.transcript else 0
         bd = self.transcript.total_bytes("down") if self.transcript else 0
-        wtime = _time.perf_counter() - self._wall0 if self._wall0 is not None else 0.0
         self.metrics.rows.append(MetricsRow(
-            t, vtime, wtime, loss, acc,
-            bu, bd, self.max_stal, self.gnorm2(),
+            t, vtime, loss, acc, bu, bd, self.max_stal, float(sum(self.last_v)),
         ))
         if self.cfg.record_snapshots:
             self.metrics.snapshots.append(
@@ -312,17 +312,12 @@ def run_asyrevel(cfg: RunConfig, data: PartitionedDataset, local_model: LocalMod
     cfg.validate()
     if cfg.algorithm not in ("asyrevel_gau", "asyrevel_uni"):
         raise ConfigError(f"run_asyrevel got algorithm {cfg.algorithm!r}")
-    if cfg.clock == "wall":
-        from .wallclock import run_asyrevel_wall
-
-        return run_asyrevel_wall(cfg, data, local_model, global_model, test_data)
     parties, server, rec = _start_protocol(cfg, data, local_model, global_model, test_data)
     if schedule is not None:
         return _run_serialized(cfg, parties, server, rec, schedule)
     transcript = rec.transcript
 
-    delay = DelayModel(compute=cfg.compute_dist, latency=cfg.latency,
-                       latency_dist=cfg.latency_dist)
+    delay = DelayModel(cfg.seed, cfg.compute_dist, cfg.latency, cfg.latency_dist)
     means = cfg.party_means()
     queue = StalenessQueue(cfg.tau)
     heap: list = []
@@ -332,13 +327,10 @@ def run_asyrevel(cfg: RunConfig, data: PartitionedDataset, local_model: LocalMod
     processed = 0  # uploads the server has answered
     applied = 0    # client update events completed; the run's event counter
 
-    def current_w():
-        return server.w0, [p.w for p in parties]
-
-    rec.log(0, 0.0, *current_w())
+    rec.log(0, 0.0, server.w0, [p.w for p in parties])
 
     for p in parties:
-        heapq.heappush(heap, (delay.compute_time(cfg.seed, p.id, 0, means[p.id - 1]),
+        heapq.heappush(heap, (delay.compute_time(p.id, 0, means[p.id - 1]),
                               _FINISH, p.id, None))
 
     def drain(now: float) -> None:
@@ -367,7 +359,7 @@ def run_asyrevel(cfg: RunConfig, data: PartitionedDataset, local_model: LocalMod
             transcript.record(now, "up", upload)
             serial += 1
             sent += 1
-            lat = delay.latency_time(cfg.seed, idx, upload.seq)
+            lat = delay.latency_time(idx, upload.seq)
             queue.send(serial, now + lat, processed)
             inflight_msgs[serial] = (upload, lat)
             heapq.heappush(heap, (now + lat, _DELIVER, serial, None))
@@ -380,9 +372,9 @@ def run_asyrevel(cfg: RunConfig, data: PartitionedDataset, local_model: LocalMod
             rec.note_update(idx, v_hat)
             applied += 1
             if rec.due(applied):
-                rec.log(applied, now, *current_w())
+                rec.log(applied, now, server.w0, [p.w for p in parties])
             if applied < cfg.T and not rec.stopped:
-                nxt_t = now + delay.compute_time(cfg.seed, idx, party.steps, means[idx - 1])
+                nxt_t = now + delay.compute_time(idx, party.steps, means[idx - 1])
                 heapq.heappush(heap, (nxt_t, _FINISH, idx, None))
 
     return rec.finish(server.w0, [p.w for p in parties], [p.steps for p in parties])
@@ -446,7 +438,7 @@ def run_synrevel(cfg: RunConfig, data: PartitionedDataset, local_model: LocalMod
     cfg.validate()
     parties, server, rec = _start_protocol(cfg, data, local_model, global_model, test_data)
     transcript = rec.transcript
-    delay = DelayModel(compute=cfg.compute_dist)
+    delay = DelayModel(cfg.seed, cfg.compute_dist)
     means = cfg.party_means()
     samples = streams.Stream(cfg.seed, streams.SAMPLE)
 
@@ -458,7 +450,7 @@ def run_synrevel(cfg: RunConfig, data: PartitionedDataset, local_model: LocalMod
         i = round_sample(samples, r, data.n)
         uploads = [party.start_step(sample=i) for party in parties]
         round_time = max(
-            delay.compute_time(cfg.seed, m + 1, r, means[m]) for m in range(cfg.q)
+            delay.compute_time(m + 1, r, means[m]) for m in range(cfg.q)
         ) + 2 * cfg.latency
         vtime += round_time
         for up in uploads:
@@ -509,9 +501,9 @@ def _activations(cfg: RunConfig):
     Yields (time, party, step) without end: each party's next activation
     follows its previous one by a compute time drawn at (party, step).
     """
-    delay = DelayModel(compute=cfg.compute_dist)
+    delay = DelayModel(cfg.seed, cfg.compute_dist)
     means = cfg.party_means()
-    heap = [(delay.compute_time(cfg.seed, m + 1, 0, means[m]), m + 1) for m in range(cfg.q)]
+    heap = [(delay.compute_time(m + 1, 0, means[m]), m + 1) for m in range(cfg.q)]
     heapq.heapify(heap)
     steps = [0] * cfg.q
     while True:
@@ -519,7 +511,7 @@ def _activations(cfg: RunConfig):
         k = steps[pid - 1]
         yield now, pid, k
         steps[pid - 1] = k + 1
-        heapq.heappush(heap, (now + delay.compute_time(cfg.seed, pid, k + 1, means[pid - 1]), pid))
+        heapq.heappush(heap, (now + delay.compute_time(pid, k + 1, means[pid - 1]), pid))
 
 
 def run_nonfederated(cfg: RunConfig, data: PartitionedDataset, local_model: LocalModel,
@@ -547,12 +539,7 @@ def run_nonfederated(cfg: RunConfig, data: PartitionedDataset, local_model: Loca
         cols = party_columns(pid, odim)
         i = int(samples.at(pid, k).integers(data.n))
         u = sample_direction(scheme, w[m].size, directions.at(pid, k))
-        x = data.blocks[m][i]
-        w_hat = w[m] + cfg.mu * u.u
-        c = local_forward(local_model, w[m], x)
-        c_hat = local_forward(local_model, w_hat, x)
-        g0 = nonconvex_reg(w[m])
-        g1 = nonconvex_reg(w_hat)
+        c, c_hat, g0, g1 = two_point_client(local_model, w[m], data.blocks[m][i], u, cfg.mu)
         row = cache[i].copy()
         row[cols] = c
         # the server addresses head directions by the count of uploads answered

@@ -1,4 +1,4 @@
-"""Two-point zeroth-order gradient estimation and smoothing oracles.
+"""Two-point zeroth-order gradient estimation.
 
 A block estimate is formed from two function values at a parameter block and
 its perturbation along a random direction:
@@ -11,10 +11,11 @@ for gaussian) so that the estimator is unbiased for the correspondingly
 smoothed objective; see the verification module for the numerical checks of
 the bias bounds.
 
-The client side assembles its two function values from the server replies
-plus its local regularizer terms; the server side perturbs only the global
-head.  Monte-Carlo oracles for the smoothed value and gradient live here too,
-as do the step-size and radius prescriptions used by the theory-driven runs.
+Each side of a step has one home here: `two_point_client` gives a party's
+outputs and regularizer at w and at w + mu*u, `two_point_head` the server's
+two head values, and `client_block_zoe` combines the replies into the block
+estimate; the server side perturbs only the global head.  The vectorized
+Monte-Carlo kernels for a quadratic serve the verification checks.
 """
 
 from __future__ import annotations
@@ -25,7 +26,8 @@ import numpy as np
 
 from . import streams
 from .errors import DomainError
-from .models import GlobalModel, global_value, party_columns
+from .models import (GlobalModel, LocalModel, global_value, local_forward, nonconvex_reg,
+                     party_columns)
 
 GAUSSIAN = "gaussian"
 SPHERE = "sphere"
@@ -39,25 +41,6 @@ class Direction:
     u: np.ndarray
     scheme: str
     dim: int
-
-
-@dataclass
-class HyperParams:
-    """Step sizes, horizon, delay bound, and their generating constants."""
-
-    eta: float
-    eta_server: float
-    T: int
-    tau: int
-    m0: float
-    L_est: float
-    mu: list[float]
-
-    def __post_init__(self) -> None:
-        if self.eta <= 0:
-            raise DomainError("step size must be positive")
-        if self.tau < 0:
-            raise DomainError("delay bound must be a nonnegative integer")
 
 
 def sample_direction(scheme: str, dim: int, rng: np.random.Generator) -> Direction:
@@ -127,6 +110,20 @@ def head_direction(scheme: str, d0: int, directions: streams.Stream, k: int) -> 
     return sample_direction(scheme, d0, directions.at(0, k))
 
 
+def two_point_client(model: LocalModel, w: np.ndarray, x: np.ndarray, u: Direction, mu: float):
+    """A party's half of one two-point step on feature row x.
+
+    Returns its local output c at w, c_hat at the perturbed point w + mu*u,
+    and the regularizer g0 at w and g1 at the perturbed point.
+    """
+    w_hat = w + mu * u.u
+    c = local_forward(model, w, x)
+    c_hat = local_forward(model, w_hat, x)
+    g0 = nonconvex_reg(w)
+    g1 = nonconvex_reg(w_hat)
+    return c, c_hat, g0, g1
+
+
 def two_point_head(head: GlobalModel, w0: np.ndarray, row: np.ndarray, m: int,
                    c_hat: np.ndarray, label, mu: float, u0: Direction | None):
     """The server's half of one two-point step for party m (1-based).
@@ -155,41 +152,9 @@ def _direction_matrix(scheme: str, dim: int, draws: int, rng: np.random.Generato
     return U
 
 
-def smoothed_value_mc(f, w, mu, scheme, draws, rng: np.random.Generator):
-    """Monte-Carlo mean and standard error of f(w + mu*u) over fresh directions."""
-    if draws < 1:
-        raise DomainError("need at least one draw")
-    w = np.asarray(w, dtype=np.float64)
-    if mu == 0:
-        return float(f(w)), 0.0
-    U = _direction_matrix(scheme, w.size, draws, rng)
-    vals = np.array([f(w + mu * U[k]) for k in range(draws)])
-    mean = float(np.mean(vals))
-    stderr = float(np.std(vals, ddof=1) / np.sqrt(draws)) if draws > 1 else 0.0
-    return mean, stderr
-
-
-def smoothed_grad_mc(f, w, mu, scheme, dim, draws, rng: np.random.Generator):
-    """Monte-Carlo mean and standard error of the two-point block estimate.
-
-    Per draw: (factor/mu) [f(w + mu*u) - f(w)] u, i.e. the empirical
-    expectation of the training estimator.
-    """
-    if draws < 1:
-        raise DomainError("need at least one draw")
-    w = np.asarray(w, dtype=np.float64)
-    factor = dim_factor(scheme, dim)
-    f0 = f(w)
-    U = _direction_matrix(scheme, dim, draws, rng)
-    deltas = np.array([f(w + mu * U[k]) - f0 for k in range(draws)])
-    est = (factor / mu) * deltas[:, None] * U
-    mean = est.mean(axis=0)
-    stderr = est.std(axis=0, ddof=1) / np.sqrt(draws) if draws > 1 else np.zeros(dim)
-    return mean, stderr
-
-
 def smoothed_value_mc_quadratic(H, b, w, mu, scheme, draws, rng: np.random.Generator):
-    """Vectorized variant of smoothed_value_mc for f(w) = 0.5 w'Hw + b'w."""
+    """Monte-Carlo mean and standard error of f(w + mu*u) over fresh
+    directions, for f(w) = 0.5 w'Hw + b'w."""
     dim = w.size
     U = _direction_matrix(scheme, dim, draws, rng)
     f0 = 0.5 * float(w @ H @ w) + float(b @ w)
@@ -199,7 +164,8 @@ def smoothed_value_mc_quadratic(H, b, w, mu, scheme, draws, rng: np.random.Gener
 
 
 def smoothed_grad_mc_quadratic(H, b, w, mu, scheme, draws, rng: np.random.Generator):
-    """Vectorized variant of smoothed_grad_mc for f(w) = 0.5 w'Hw + b'w.
+    """Monte-Carlo mean and standard error of the two-point block estimate
+    (factor/mu) [f(w + mu*u) - f(w)] u, for f(w) = 0.5 w'Hw + b'w.
 
     The per-draw function-value difference has the closed form
     mu*(Hw + b)'u + 0.5*mu^2*u'Hu, which lets verification sweeps run with
@@ -214,73 +180,3 @@ def smoothed_grad_mc_quadratic(H, b, w, mu, scheme, draws, rng: np.random.Genera
     mean = est.mean(axis=0)
     stderr = est.std(axis=0, ddof=1) / np.sqrt(draws)
     return mean, stderr
-
-
-def prescribe_hyperparams(
-    T: int,
-    tau: int,
-    L_est: float,
-    m0: float,
-    dims: list[int],
-    scheme: str,
-    q: int | None = None,
-) -> HyperParams:
-    """Step size and smoothing radii realizing the O(1/sqrt(T)) guarantee.
-
-    eta = min{1/(4(tau+1)L), m0/sqrt(T)}; the radius uses the scheme's
-    effective dimension d* (max block dim plus 3 for gaussian, max block dim
-    for the sphere): mu = 1/(sqrt(T) L d*^{3/2}) gaussian, 1/(sqrt(T) L d*)
-    sphere.  The server step defaults to eta/q.
-    """
-    if T < 1:
-        raise DomainError("horizon must be >= 1")
-    if L_est <= 0:
-        raise DomainError("smoothness estimate must be positive")
-    if scheme not in SCHEMES:
-        raise DomainError(f"unknown scheme {scheme!r}")
-    d_max = max(int(d) for d in dims if d > 0)
-    eta = min(1.0 / (4.0 * (tau + 1) * L_est), m0 / np.sqrt(T))
-    if scheme == GAUSSIAN:
-        d_star = d_max + 3
-        mu = 1.0 / (np.sqrt(T) * L_est * d_star**1.5)
-    else:
-        d_star = d_max
-        mu = 1.0 / (np.sqrt(T) * L_est * d_star)
-    nparties = q if q is not None else len(dims)
-    return HyperParams(
-        eta=float(eta),
-        eta_server=float(eta / max(nparties, 1)),
-        T=T,
-        tau=tau,
-        m0=m0,
-        L_est=L_est,
-        mu=[float(mu)] * len(dims),
-    )
-
-
-def estimate_smoothness(f, dim: int, rng: np.random.Generator, pairs: int = 64,
-                        delta: float = 1e-5, radius: float = 1.0) -> float:
-    """Gradient-Lipschitz estimate from function values only.
-
-    Max ratio of central-difference gradient change to point distance over
-    random point pairs; used when no smoothness constant is supplied.
-    """
-    def cd_grad(x):
-        g = np.empty(dim)
-        for j in range(dim):
-            e = np.zeros(dim)
-            e[j] = delta
-            g[j] = (f(x + e) - f(x - e)) / (2 * delta)
-        return g
-
-    best = 0.0
-    for _ in range(pairs):
-        x = rng.uniform(-radius, radius, size=dim)
-        y = rng.uniform(-radius, radius, size=dim)
-        dist = np.linalg.norm(x - y)
-        if dist < 1e-12:
-            continue
-        best = max(best, float(np.linalg.norm(cd_grad(x) - cd_grad(y)) / dist))
-    if best <= 0:
-        raise DomainError("could not estimate a positive smoothness constant")
-    return best

@@ -21,14 +21,15 @@ import operator
 import struct
 from array import array
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import streams
 from .errors import DecodeError, DomainError, ParseError, ProtocolError, ShapeError
-from .estimator import client_block_zoe, head_direction, sample_direction, two_point_head
-from .models import GlobalModel, LocalModel, local_forward, nonconvex_reg, party_columns
+from .estimator import (client_block_zoe, head_direction, sample_direction, two_point_client,
+                        two_point_head)
+from .models import GlobalModel, LocalModel, local_forward, party_columns
 
 _HEAD = struct.Struct("<IBiiiH")
 HEADER_BYTES = _HEAD.size  # 19
@@ -122,18 +123,6 @@ def decode_message(data: bytes):
     return Reply(party, sample, float(floats[0]), float(floats[1]), seq)
 
 
-@dataclass
-class TranscriptEntry:
-    time: float
-    direction: str  # 'up' or 'down'
-    variant: str
-    party: int
-    sample: int
-    seq: int
-    payload: np.ndarray
-    nbytes: int
-
-
 # The JSONL keys, in the order every line writes them.
 _KEYS = ("time", "dir", "variant", "party", "sample", "seq", "payload", "bytes")
 _ROW = operator.itemgetter(*_KEYS)
@@ -147,8 +136,8 @@ class Transcript:
     One row per message: time (float64), direction and variant (str), party,
     sample, seq and nbytes (int64), and the payload, whose values sit in one
     flat float64 buffer at values[offsets[i]:offsets[i + 1]].  No object is
-    kept per message: iteration builds each TranscriptEntry on demand, its
-    payload a float64 copy, and `column` hands out copies of whole columns.
+    kept per message, and `column` is the only way to read the rows back: it
+    hands out copies of whole columns.
     """
 
     def __init__(self) -> None:
@@ -165,15 +154,6 @@ class Transcript:
 
     def __len__(self) -> int:
         return len(self._direction)
-
-    def __iter__(self):
-        return map(self._entry, range(len(self)))
-
-    def _entry(self, i: int) -> TranscriptEntry:
-        payload = np.array(self._values[self._offsets[i]:self._offsets[i + 1]], dtype=np.float64)
-        return TranscriptEntry(self._time[i], self._direction[i], self._variant[i],
-                               self._party[i], self._sample[i], self._seq[i], payload,
-                               self._nbytes[i])
 
     def column(self, name: str) -> np.ndarray:
         """A copy of one column: float64 for time and values, int64 for party,
@@ -258,11 +238,12 @@ class Transcript:
                         offsets[r0:r1], offsets[r0 + 1:r1 + 1], self._nbytes[r0:r1])
                 ]
                 for i in non_finite[bisect_left(non_finite, r0):bisect_left(non_finite, r1)]:
-                    e = self._entry(i)
                     lines[i - r0] = json.dumps({
-                        "time": e.time, "dir": e.direction, "variant": e.variant,
-                        "party": e.party, "sample": e.sample, "seq": e.seq,
-                        "payload": e.payload.tolist(), "bytes": e.nbytes,
+                        "time": self._time[i], "dir": self._direction[i],
+                        "variant": self._variant[i], "party": self._party[i],
+                        "sample": self._sample[i], "seq": self._seq[i],
+                        "payload": self._values[offsets[i]:offsets[i + 1]].tolist(),
+                        "bytes": self._nbytes[i],
                     }) + "\n"
                 fh.write("".join(lines))
 
@@ -432,36 +413,33 @@ class ServerCache:
 class DelayModel:
     """Compute-time and latency model for the simulated protocol; both are
     drawn from the counter-based streams so timings replay exactly.  The
-    model owns its COMPUTE and LATENCY streams."""
+    model owns its run's seed and the COMPUTE and LATENCY streams built from
+    it, and addresses a draw by (party, step)."""
 
+    seed: int
     compute: str = "constant"     # one of COMPUTE_DISTS
     latency: float = 0.0          # mean one-way latency, virtual units
     latency_dist: str = "constant"  # one of LATENCY_DISTS
-    _streams: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.compute not in COMPUTE_DISTS:
             raise DomainError(f"unknown compute-time model {self.compute!r}")
         if self.latency_dist not in LATENCY_DISTS:
             raise DomainError(f"unknown latency model {self.latency_dist!r}")
+        self._compute = streams.Stream(self.seed, streams.COMPUTE)
+        self._latency = streams.Stream(self.seed, streams.LATENCY)
 
-    def _at(self, seed: int, purpose: int, party: int, step: int) -> np.random.Generator:
-        owned = self._streams.get(purpose)
-        if owned is None or owned.seed != seed:
-            owned = self._streams[purpose] = streams.Stream(seed, purpose)
-        return owned.at(party, step)
-
-    def compute_time(self, seed: int, party: int, step: int, mean: float) -> float:
+    def compute_time(self, party: int, step: int, mean: float) -> float:
         if self.compute == "constant":
             return mean
-        return float(self._at(seed, streams.COMPUTE, party, step).exponential(mean))
+        return float(self._compute.at(party, step).exponential(mean))
 
-    def latency_time(self, seed: int, party: int, step: int) -> float:
+    def latency_time(self, party: int, step: int) -> float:
         if self.latency <= 0:
             return 0.0
         if self.latency_dist == "constant":
             return self.latency
-        return float(self._at(seed, streams.LATENCY, party, step).uniform(0.0, 2.0 * self.latency))
+        return float(self._latency.at(party, step).uniform(0.0, 2.0 * self.latency))
 
 
 class StalenessQueue:
@@ -576,12 +554,7 @@ class PartyNode:
         else:
             i = int(sample)
         u = sample_direction(self.scheme, self.dim, self.directions.at(self.id, k))
-        x = self.X[i]
-        w_hat = self.w + self.mu * u.u
-        c = local_forward(self.model, self.w, x)
-        c_hat = local_forward(self.model, w_hat, x)
-        g0 = nonconvex_reg(self.w)
-        g1 = nonconvex_reg(w_hat)
+        c, c_hat, g0, g1 = two_point_client(self.model, self.w, self.X[i], u, self.mu)
         self.pending = (i, u, g0, g1)
         return Upload(party=self.id, sample=i, c=c, c_hat=c_hat, seq=k)
 

@@ -3,8 +3,8 @@
 Every random draw in a run is taken from a stream identified by a small
 address tuple rather than from one shared sequential generator.  Two runs
 with the same seed therefore replay identical draws regardless of event
-interleaving, which is what makes the simulated and concurrent execution
-modes (and the centralized replay oracles) bit-for-bit comparable.
+interleaving, which is what makes the asynchronous, synchronous and
+centralized drivers (and the replay oracles) bit-for-bit comparable.
 
 The backing generator is Philox, whose 256-bit counter we partition as
 (0, step, party, purpose); the free-running low word leaves each address
@@ -16,10 +16,9 @@ Two ways in, one sequence of draws per address:
 
 - `Stream` keeps one generator for a (seed, purpose) pair and moves it to
   each (party, step) by resetting its counter.  The per-event draws use it,
-  one instance per owner so that each generator stays on one thread:
-  `PartyNode` owns SAMPLE and DIRECTION, `ServerNode` SERVER_DIRECTION,
-  `DelayModel` COMPUTE and LATENCY, and the centralized and synchronous
-  driver loops their own.
+  one instance per owner: `PartyNode` owns SAMPLE and DIRECTION,
+  `ServerNode` SERVER_DIRECTION, `DelayModel` COMPUTE and LATENCY, and the
+  centralized and synchronous driver loops their own.
 - `stream()` builds an independent generator for one address.  It serves
   the cold sites (INIT, DATA, SPLIT, TRIAL) and any caller that keeps a
   generator across calls.
@@ -67,8 +66,7 @@ class Stream:
     returns it; its draws are exactly those of `stream(seed, purpose, party,
     step)`.  The reset also drops any buffered output, including the half
     32-bit word `integers` can leave behind.  A re-address invalidates the
-    position of the previous one, and an instance must not be shared between
-    threads.
+    position of the previous one, so each instance has one owner.
     """
 
     __slots__ = ("seed", "purpose", "_bits", "_gen", "_state", "_counter")

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from revelight.cli import synthetic_pair
+from revelight.errors import DomainError
+from revelight.estimator import _direction_matrix, dim_factor
 from revelight.models import GlobalModel, LocalModel
 
 
@@ -41,3 +43,40 @@ def logistic_grad_sq(data, lam_eff):
         return float(np.dot(grad, grad))
 
     return grad_sq
+
+
+# Generic Monte-Carlo smoothing oracles: one Python call of f per draw.  They
+# are the references the vectorized `_quadratic` kernels are checked against.
+
+
+def smoothed_value_mc(f, w, mu, scheme, draws, rng: np.random.Generator):
+    """Monte-Carlo mean and standard error of f(w + mu*u) over fresh directions."""
+    if draws < 1:
+        raise DomainError("need at least one draw")
+    w = np.asarray(w, dtype=np.float64)
+    if mu == 0:
+        return float(f(w)), 0.0
+    U = _direction_matrix(scheme, w.size, draws, rng)
+    vals = np.array([f(w + mu * U[k]) for k in range(draws)])
+    mean = float(np.mean(vals))
+    stderr = float(np.std(vals, ddof=1) / np.sqrt(draws)) if draws > 1 else 0.0
+    return mean, stderr
+
+
+def smoothed_grad_mc(f, w, mu, scheme, dim, draws, rng: np.random.Generator):
+    """Monte-Carlo mean and standard error of the two-point block estimate.
+
+    Per draw: (factor/mu) [f(w + mu*u) - f(w)] u, i.e. the empirical
+    expectation of the training estimator.
+    """
+    if draws < 1:
+        raise DomainError("need at least one draw")
+    w = np.asarray(w, dtype=np.float64)
+    factor = dim_factor(scheme, dim)
+    f0 = f(w)
+    U = _direction_matrix(scheme, dim, draws, rng)
+    deltas = np.array([f(w + mu * U[k]) - f0 for k in range(draws)])
+    est = (factor / mu) * deltas[:, None] * U
+    mean = est.mean(axis=0)
+    stderr = est.std(axis=0, ddof=1) / np.sqrt(draws) if draws > 1 else np.zeros(dim)
+    return mean, stderr

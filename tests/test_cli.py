@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from revelight.cli import (
+    _RUN_KEYS,
     ExperimentSpec,
     load_csv,
     load_dataset,
@@ -236,6 +237,40 @@ class TestMainCli:
         assert rc == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:")
+
+    EDGE_CONFIG = ("algorithm = asyrevel_gau\nq = 4\nT = 64\nseed = 7\n"
+                   "dataset = synthetic:noisy\nn = 64\nd = 16\nn_test = 64\n")
+    EDGE_ACCEPTED = {"T = 0", "lam_eff = 0", "tau = 0", "seed = 0", "latency = 0",
+                     "stop_loss = -1", "stop_loss = 0", "n_test = 0"}
+
+    @pytest.mark.parametrize("line", [
+        f"{key} = {value}"
+        for key in [*_RUN_KEYS, "p", "straggler", "n", "d", "n_test"]
+        for value in ("abc", "nan", "inf", "-1", "0")
+    ] + ["clock = wall", "eta = 1e300", "T = 1e3", "tau = 1.5", "p = 0.5,0.5,a,b"])
+    def test_config_edge_runs_or_is_one_error_line(self, tmp_path, capsys, line):
+        """Each value either trains (the few in EDGE_ACCEPTED) or ends in one
+        error line with exit 2: a failed cast, a value `validate` rejects, an
+        unknown key, or a run that diverges (eta = 1e300)."""
+        cfgp = tmp_path / "run.cfg"
+        cfgp.write_text(self.EDGE_CONFIG + line + "\n")
+        rc = main(["train", "--config", str(cfgp), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err.splitlines()
+        if line in self.EDGE_ACCEPTED:
+            assert rc == 0 and not any(e.startswith("error:") for e in err)
+        else:
+            assert rc == 2
+            assert len(err) == 1 and err[0].startswith("error:")
+
+    @pytest.mark.parametrize("argv", [
+        ["audit", "--transcript", "t.jsonl", "--dims", "a,b"],
+        ["bench-comm", "--blocks", "16,x"],
+        ["speedup", "--parties", "1,two"],
+    ], ids=["audit_dims", "bench_comm_blocks", "speedup_parties"])
+    def test_bad_integer_list_is_one_error_line(self, capsys, argv):
+        assert main(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {argv[-2]} ")
 
     def test_train_missing_config(self, tmp_path, capsys):
         rc = main(["train", "--config", str(tmp_path / "nope.cfg")])

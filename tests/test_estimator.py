@@ -8,17 +8,14 @@ from revelight.estimator import (
     GAUSSIAN,
     SPHERE,
     Direction,
-    HyperParams,
     client_block_zoe,
     dim_factor,
-    estimate_smoothness,
-    prescribe_hyperparams,
     sample_direction,
     server_block_zoe,
-    smoothed_grad_mc,
     smoothed_grad_mc_quadratic,
-    smoothed_value_mc,
 )
+
+from conftest import smoothed_grad_mc, smoothed_value_mc
 
 
 def _rng(tag=0):
@@ -226,45 +223,3 @@ class TestSmoothedGradMC:
         m2, s2 = smoothed_value_mc_quadratic(H, b, w, 0.2, GAUSSIAN, 400, _rng(10))
         assert m1 == pytest.approx(m2, abs=1e-10)
         assert s1 == pytest.approx(s2, abs=1e-10)
-
-
-class TestPrescribe:
-    def test_worked_step_size(self):
-        hp = prescribe_hyperparams(10**6, 3, 1.0, 1.0, [8, 8], GAUSSIAN)
-        assert hp.eta == pytest.approx(1e-3, rel=1e-12)
-
-    def test_gaussian_effective_dimension(self):
-        T = 10**4
-        hp = prescribe_hyperparams(T, 0, 1.0, 1.0, [13, 5], GAUSSIAN)
-        assert hp.mu[0] == pytest.approx(1.0 / (np.sqrt(T) * 64.0), rel=1e-12)
-
-    def test_sphere_effective_dimension(self):
-        T = 10**4
-        hp = prescribe_hyperparams(T, 0, 2.0, 1.0, [13, 5], SPHERE)
-        assert hp.mu[0] == pytest.approx(1.0 / (np.sqrt(T) * 2.0 * 13.0), rel=1e-12)
-
-    def test_quadrupling_horizon_halves_both(self):
-        a = prescribe_hyperparams(10**4, 2, 1.0, 0.5, [6], GAUSSIAN)
-        b = prescribe_hyperparams(4 * 10**4, 2, 1.0, 0.5, [6], GAUSSIAN)
-        assert b.mu[0] == pytest.approx(a.mu[0] / 2, rel=1e-12)
-        assert b.eta == pytest.approx(a.eta / 2, rel=1e-12)
-
-    def test_server_step_default(self):
-        hp = prescribe_hyperparams(100, 0, 1.0, 1.0, [4, 4, 4, 4], GAUSSIAN)
-        assert hp.eta_server == pytest.approx(hp.eta / 4)
-
-    def test_bad_inputs(self):
-        with pytest.raises(DomainError):
-            prescribe_hyperparams(100, 0, 0.0, 1.0, [4], GAUSSIAN)
-        with pytest.raises(DomainError):
-            prescribe_hyperparams(0, 0, 1.0, 1.0, [4], GAUSSIAN)
-        with pytest.raises(DomainError):
-            HyperParams(eta=0.1, eta_server=0.1, T=10, tau=-1, m0=1, L_est=1, mu=[0.1])
-
-
-class TestEstimateSmoothness:
-    def test_quadratic_recovers_spectral_norm(self):
-        H = np.diag([0.5, 1.0, 2.0, 4.0])
-        f = lambda v: 0.5 * float(v @ H @ v)
-        L = estimate_smoothness(f, 4, _rng(12), pairs=64)
-        assert 0.3 * 4.0 <= L <= 4.0 + 1e-3

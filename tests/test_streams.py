@@ -53,15 +53,16 @@ class TestStream:
             streams.Stream(-1, streams.SAMPLE)
 
 
-def test_wall_clock_uploads_follow_party_streams(bench_data, glm_models, monkeypatch):
-    """Party threads draw concurrently; each upload's sample is still the one
-    its own party's SAMPLE stream gives at that party's step."""
-    monkeypatch.setenv("REVELIGHT_THREADS", "4")
+def test_uploads_follow_party_streams(bench_data, glm_models):
+    """However the parties interleave, each upload's sample is the one its own
+    party's SAMPLE stream gives at that party's step."""
     train, _ = bench_data(4)
     lm, gm = glm_models(4)
-    cfg = RunConfig(algorithm="asyrevel_gau", q=4, T=512, seed=11, clock="wall")
-    m = run_asyrevel(cfg, train, lm, gm)
-    uploads = [e for e in m.transcript if e.variant == "upload" and e.seq >= 0]
-    assert len(uploads) == 512
-    for e in uploads:
-        assert e.sample == streams.stream(11, streams.SAMPLE, e.party, e.seq).integers(train.n)
+    cfg = RunConfig(algorithm="asyrevel_gau", q=4, T=512, seed=11, tau=3, latency=0.6,
+                    latency_dist="uniform", compute_dist="exponential")
+    t = run_asyrevel(cfg, train, lm, gm).transcript
+    uploads = (t.column("variant") == "upload") & (t.column("seq") >= 0)
+    assert uploads.sum() == 512
+    for party, sample, seq in zip(t.column("party")[uploads], t.column("sample")[uploads],
+                                  t.column("seq")[uploads]):
+        assert sample == streams.stream(11, streams.SAMPLE, int(party), int(seq)).integers(train.n)

@@ -1,11 +1,12 @@
 """The columnar transcript against copies of the per-entry code it replaced:
-the JSONL writer (one json.dumps per entry) and the audit loop over
-TranscriptEntry.vector_lengths (here a function of the entry).  With both
-references kept here, any byte of output or field of a report that moves is
-caught."""
+the JSONL writer (one json.dumps per entry) and the audit loop over each
+entry's vector lengths.  Both references take rows that `rows` rebuilds from
+the transcript's columns.  With both kept here, any byte of output or field
+of a report that moves is caught."""
 
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -27,6 +28,15 @@ from revelight.fedproto import (
 from revelight.models import GlobalModel, LocalModel, PartitionedDataset
 
 
+def rows(transcript) -> list:
+    """One object per transcript row, rebuilt from `column` reads."""
+    names = ("time", "direction", "variant", "party", "sample", "seq", "nbytes")
+    cols = [transcript.column(name).tolist() for name in names]
+    values, offsets = transcript.column("values"), transcript.column("offsets")
+    return [SimpleNamespace(**dict(zip(names, fields)), payload=values[offsets[i]:offsets[i + 1]])
+            for i, fields in enumerate(zip(*cols))]
+
+
 def reference_to_jsonl(entries, path) -> None:
     """The writer the columns replaced, one json.dumps per entry."""
     with open(path, "w") as fh:
@@ -44,7 +54,7 @@ def reference_to_jsonl(entries, path) -> None:
 
 
 def reference_vector_lengths(entry) -> list[int]:
-    """TranscriptEntry.vector_lengths as it was before the columns."""
+    """An entry's vector lengths as the per-entry audit computed them."""
     n = int(entry.payload.size)
     if entry.variant == "upload":
         return [n // 2, n - n // 2] if n else [0]
@@ -60,7 +70,7 @@ def reference_audit(transcript, dims, d0=0, max_output_dim=1) -> AuditReport:
         blocked.add(int(d0))
     legal = {"upload": max_output_dim, "reply": 1}
     checked = 0
-    for idx, entry in enumerate(transcript):
+    for idx, entry in enumerate(rows(transcript)):
         own = legal.get(entry.variant)
         for length in reference_vector_lengths(entry):
             checked += 1
@@ -148,7 +158,7 @@ class TestJsonlBytes:
         assert ours.read_bytes() == ref.read_bytes()
 
         back = Transcript.from_jsonl(ours)
-        _equal_entries(list(back), want)
+        _equal_entries(rows(back), want)
         assert back.total_bytes("up") == transcript.total_bytes("up")
         assert back.total_bytes("down") == transcript.total_bytes("down")
         back.to_jsonl(again)
@@ -163,13 +173,13 @@ class TestJsonlBytes:
                                    GlobalModel(kind="logistic", q=4)).transcript
         first, second = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
         transcript.to_jsonl(first)
-        reference_to_jsonl(transcript, second)
+        reference_to_jsonl(rows(transcript), second)
         assert first.read_bytes() == second.read_bytes()
         back = Transcript.from_jsonl(first)
         back.to_jsonl(second)
         assert first.read_bytes() == second.read_bytes()
         assert len(back) == len(transcript) == 64 * 4 + 2 * 200
-        _equal_entries(list(back), list(transcript))
+        _equal_entries(rows(back), rows(transcript))
 
     def test_integer_time_is_written_as_float(self, tmp_path):
         transcript = Transcript()
@@ -190,7 +200,7 @@ class TestRecord:
             transcript.record_raw(0.0, "down", "tig_grad", 2**63, 0, 0, [3.0])
         transcript.record(1.0, "down", Reply(1, 0, 0.5, 0.25, 0))
         assert len(transcript) == 2
-        assert [e.payload.tolist() for e in transcript] == [[1.0, 2.0], [0.5, 0.25]]
+        assert [e.payload.tolist() for e in rows(transcript)] == [[1.0, 2.0], [0.5, 0.25]]
         assert transcript.column("offsets").tolist() == [0, 2, 4]
         assert transcript.total_bytes() == frame_bytes(2) * 2
 

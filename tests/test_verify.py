@@ -3,7 +3,7 @@ import pytest
 
 from revelight import streams
 from revelight.errors import UsageError
-from revelight.estimator import GAUSSIAN, SPHERE, smoothed_grad_mc, smoothed_value_mc
+from revelight.estimator import GAUSSIAN, SPHERE
 from revelight.verify import (
     BoundReport,
     check_smoothing_bounds,
@@ -16,6 +16,8 @@ from revelight.verify import (
     reports_to_csv,
     value_bias_bound,
 )
+
+from conftest import smoothed_grad_mc, smoothed_value_mc
 
 
 class TestBoundReport:
