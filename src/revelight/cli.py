@@ -474,7 +474,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        # a diverging run ends in its one error line below, not in numpy
+        # overflow warnings first
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return args.fn(args)
     except (ConfigError, DomainError, UsageError, ParseError, FormatError, ProtocolError,
             OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -19,13 +19,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import streams
-from .errors import ConfigError, ShapeError, UsageError, UnsupportedModelError
+from .errors import ConfigError, ProtocolError, ShapeError, UsageError, UnsupportedModelError
 from .estimator import (
     GAUSSIAN,
     SCHEMES,
     SPHERE,
     client_block_zoe,
     head_direction,
+    reject_nonfinite,
     sample_direction,
     two_point_client,
     two_point_head,
@@ -255,6 +256,10 @@ class _Recorder:
     def log(self, t: int, vtime: float, w0, w) -> bool:
         """Append one row; returns True when the stop criterion is hit."""
         loss = evaluate_loss(w0, w, self.data, self.cfg.lam_eff, self.lm, self.gm)
+        if not math.isfinite(loss):
+            # updates can stay finite while the parameters grow past where the
+            # objective overflows: the baseline's logistic gradients are bounded
+            raise ProtocolError(f"non-finite training loss at event {t}")
         acc = evaluate_accuracy(w0, w, self.test, self.lm, self.gm)
         bu = self.transcript.total_bytes("up") if self.transcript else 0
         bd = self.transcript.total_bytes("down") if self.transcript else 0
@@ -547,10 +552,12 @@ def run_nonfederated(cfg: RunConfig, data: PartitionedDataset, local_model: Loca
         h, h_bar, v0 = two_point_head(global_model, w0, row, pid, c_hat, data.labels[i],
                                       cfg.mu, u0)
         if v0 is not None:
+            reject_nonfinite(v0, 0, t - 1)
             w0 = w0 - cfg.eta0 * v0
             rec.note_update(0, v0)
         cache[i, cols] = c
         v_hat = client_block_zoe(h, h_bar, g0, g1, w[m].size, cfg.mu, cfg.lam_eff, u)
+        reject_nonfinite(v_hat, pid, k)
         w[m] = w[m] - cfg.eta * v_hat
         rec.note_update(pid, v_hat)
         steps[m] = k + 1
@@ -640,9 +647,11 @@ def run_tig_baseline(cfg: RunConfig, data: PartitionedDataset, local_model: Loca
         transcript.record_raw(now, "down", "tig_grad", pid, i, k, upstream)
         grad = _local_param_gradient(local_model, w[m], x, upstream)
         transcript.record_raw(now, "down", "tig_chain", pid, i, k, grad)
+        reject_nonfinite(grad, pid, k)
         w[m] = w[m] - cfg.eta * grad
         rec.note_update(pid, grad)
         if g0 is not None:
+            reject_nonfinite(g0, 0, t - 1)
             w0 = w0 - cfg.eta0 * g0
             rec.note_update(0, g0)
         cache[i, cols] = c

@@ -14,7 +14,8 @@ class DecodeError(ValueError):
 
 
 class ProtocolError(RuntimeError):
-    """Message sequencing violated the client/server contract."""
+    """Message sequencing violated the client/server contract, or a run
+    diverged: an update or the training loss went non-finite."""
 
 
 class ConfigError(ValueError):

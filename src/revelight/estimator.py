@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import streams
-from .errors import DomainError
+from .errors import DomainError, ProtocolError, UsageError
 from .models import (GlobalModel, LocalModel, global_value, local_forward, nonconvex_reg,
                      party_columns)
 
@@ -145,6 +145,20 @@ def two_point_head(head: GlobalModel, w0: np.ndarray, row: np.ndarray, m: int,
     return h, h_bar, v0
 
 
+def reject_nonfinite(v: np.ndarray, party: int, step: int) -> None:
+    """Raise ProtocolError when update v of party (0 for the server's head)
+    holds a non-finite value; the message names the party and its step."""
+    if not np.isfinite(v).all():
+        who = f"party {party}: non-finite update" if party else "server: non-finite head update"
+        raise ProtocolError(f"{who} rejected at step {step}")
+
+
+# Rows of directions drawn and reduced at once by the Monte-Carlo kernels: a
+# (CHUNK_ROWS, 16) block is 1 MiB, so a kernel holds a few MiB whatever its
+# number of draws.
+CHUNK_ROWS = 8192
+
+
 def _direction_matrix(scheme: str, dim: int, draws: int, rng: np.random.Generator) -> np.ndarray:
     U = rng.standard_normal((draws, dim))
     if scheme == SPHERE:
@@ -152,15 +166,57 @@ def _direction_matrix(scheme: str, dim: int, draws: int, rng: np.random.Generato
     return U
 
 
+def _direction_chunks(scheme: str, dim: int, draws: int, rng: np.random.Generator):
+    """The rows of _direction_matrix(scheme, dim, draws, rng) in blocks of at
+    most CHUNK_ROWS.  The generator fills rows in order and each row is
+    normalized on its own, so the blocks stack to that matrix bit for bit."""
+    for start in range(0, draws, CHUNK_ROWS):
+        yield _direction_matrix(scheme, dim, min(CHUNK_ROWS, draws - start), rng)
+
+
+def _mean_stderr(blocks):
+    """Mean and standard error (ddof 1) over the rows of the blocks, merged
+    block by block with the pairwise update of Chan, Golub and LeVeque
+    (1979), so no more than one block is held."""
+    n, mean, m2 = 0, 0.0, 0.0
+    for x in blocks:
+        k = x.shape[0]
+        bmean = x.mean(axis=0)
+        bm2 = ((x - bmean) ** 2).sum(axis=0)
+        if n == 0:
+            mean, m2 = bmean, bm2
+        else:
+            delta = bmean - mean
+            mean = mean + delta * (k / (n + k))
+            m2 = m2 + bm2 + delta * delta * (n * k / (n + k))
+        n += k
+    return mean, np.sqrt(m2 / (n - 1)) / np.sqrt(n)
+
+
+def _value_changes(H, b, w, mu, scheme, draws, rng: np.random.Generator):
+    """For each block U of directions, yield U and f(w + mu*u) - f(w) =
+    mu*g'u + 0.5*mu^2*u'Hu per row u, with g = Hw + b and f(w) = 0.5 w'Hw + b'w."""
+    G = np.column_stack([H @ w + b, H])  # one product gives g'u and Hu
+    for U in _direction_chunks(scheme, w.size, draws, rng):
+        P = U @ G
+        yield U, mu * P[:, 0] + 0.5 * mu * mu * np.einsum("kd,kd->k", P[:, 1:], U)
+
+
+def require_draws(draws: int) -> None:
+    """The Monte-Carlo kernels' standard error needs at least two draws."""
+    if draws < 2:
+        raise UsageError(f"need at least 2 draws for a standard error, got {draws}")
+
+
 def smoothed_value_mc_quadratic(H, b, w, mu, scheme, draws, rng: np.random.Generator):
     """Monte-Carlo mean and standard error of f(w + mu*u) over fresh
-    directions, for f(w) = 0.5 w'Hw + b'w."""
-    dim = w.size
-    U = _direction_matrix(scheme, dim, draws, rng)
+    directions, for f(w) = 0.5 w'Hw + b'w.  Directions are drawn and reduced
+    CHUNK_ROWS at a time."""
+    require_draws(draws)
     f0 = 0.5 * float(w @ H @ w) + float(b @ w)
-    g = H @ w + b
-    vals = f0 + mu * (U @ g) + 0.5 * mu * mu * np.einsum("kd,kd->k", U @ H, U)
-    return float(np.mean(vals)), float(np.std(vals, ddof=1) / np.sqrt(draws))
+    changes = _value_changes(H, b, w, mu, scheme, draws, rng)
+    mean, stderr = _mean_stderr(f0 + delta for _, delta in changes)
+    return float(mean), float(stderr)
 
 
 def smoothed_grad_mc_quadratic(H, b, w, mu, scheme, draws, rng: np.random.Generator):
@@ -169,14 +225,10 @@ def smoothed_grad_mc_quadratic(H, b, w, mu, scheme, draws, rng: np.random.Genera
 
     The per-draw function-value difference has the closed form
     mu*(Hw + b)'u + 0.5*mu^2*u'Hu, which lets verification sweeps run with
-    matrix products instead of a Python loop over draws.
+    matrix products instead of a Python loop over draws; directions are
+    drawn and reduced CHUNK_ROWS at a time.
     """
-    dim = w.size
-    factor = dim_factor(scheme, dim)
-    U = _direction_matrix(scheme, dim, draws, rng)
-    g = H @ w + b
-    deltas = mu * (U @ g) + 0.5 * mu * mu * np.einsum("kd,kd->k", U @ H, U)
-    est = (factor / mu) * deltas[:, None] * U
-    mean = est.mean(axis=0)
-    stderr = est.std(axis=0, ddof=1) / np.sqrt(draws)
-    return mean, stderr
+    require_draws(draws)
+    factor = dim_factor(scheme, w.size)
+    changes = _value_changes(H, b, w, mu, scheme, draws, rng)
+    return _mean_stderr((factor / mu) * delta[:, None] * U for U, delta in changes)

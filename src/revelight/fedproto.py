@@ -27,8 +27,8 @@ import numpy as np
 
 from . import streams
 from .errors import DecodeError, DomainError, ParseError, ProtocolError, ShapeError
-from .estimator import (client_block_zoe, head_direction, sample_direction, two_point_client,
-                        two_point_head)
+from .estimator import (client_block_zoe, head_direction, reject_nonfinite, sample_direction,
+                        two_point_client, two_point_head)
 from .models import GlobalModel, LocalModel, local_forward, party_columns
 
 _HEAD = struct.Struct("<IBiiiH")
@@ -574,8 +574,7 @@ class PartyNode:
             )
         v_hat = client_block_zoe(reply.h, reply.h_bar, g0, g1, self.dim,
                                  self.mu, self.lam_eff, u)
-        if not np.isfinite(v_hat).all():
-            raise ProtocolError(f"party {self.id}: non-finite update rejected")
+        reject_nonfinite(v_hat, self.id, self.steps)
         self.w = self.w - self.eta * v_hat
         self.pending = None
         self.steps += 1
@@ -638,8 +637,8 @@ class ServerNode:
         u0 = head_direction(self.scheme, w0.size, self.directions, self.uploads_seen)
         h, h_bar, v0 = two_point_head(self.model, w0, row, m, upload.c_hat, self.labels[i],
                                       self.mu, u0)
-        if v0 is not None and not np.isfinite(v0).all():
-            raise ProtocolError("server: non-finite head update rejected")
+        if v0 is not None:
+            reject_nonfinite(v0, 0, self.uploads_seen)
         self.uploads_seen += 1
         cache.put(i, m, upload.c, stamp=event)
         return Reply(party=m, sample=i, h=h, h_bar=h_bar, seq=upload.seq), v0

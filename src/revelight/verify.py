@@ -6,17 +6,31 @@ schemes leave their gradients exact (the smoothed gradient of a quadratic is
 the analytic gradient), turning every bias-bound check into an exact-oracle
 comparison with only Monte-Carlo error, absorbed by a 3-standard-error
 slack.
+
+The smoothing-bound cases run on up to min(CPUs, 8) threads.  Each case
+draws from its own stream, so the reports and their order do not depend on
+the number of workers.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import streams
 from .errors import UsageError
-from .estimator import GAUSSIAN, smoothed_grad_mc_quadratic, smoothed_value_mc_quadratic
+from .estimator import (GAUSSIAN, require_draws, smoothed_grad_mc_quadratic,
+                        smoothed_value_mc_quadratic)
+
+# Cap on the threads of check_smoothing_bounds.  Its cases are independent
+# and numpy releases the interpreter lock in the generator fill, the BLAS
+# products and the ufunc loops, so they run in parallel.
+MAX_WORKERS = 8
 
 
 @dataclass
@@ -61,6 +75,43 @@ def value_bias_bound(mu: float, L: float, dim: int) -> float:
     return L * dim * mu * mu / 2.0
 
 
+def _cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _smoothing_case(scheme: str, seed: int, draws: int, salt: int,
+                    case: tuple[int, float, int]) -> tuple[BoundReport, BoundReport]:
+    """Value- and gradient-bias reports of one (dim, mu, trial) case: a
+    random quadratic drawn from its own stream at (dim, salt)."""
+    dim, mu, trial = case
+    rng = streams.stream(seed, streams.TRIAL, party=dim, step=salt)
+    H, b, w, L = _random_quadratic(dim, rng)
+    f_w = 0.5 * float(w @ H @ w) + float(b @ w)
+
+    mean, se = smoothed_value_mc_quadratic(H, b, w, mu, scheme, draws, rng)
+    value = BoundReport.make(
+        f"value_bias[{scheme},d={dim},mu={mu},#{trial}]",
+        abs(mean - f_w), value_bias_bound(mu, L, dim), 3.0 * se,
+    )
+
+    gmean, gse = smoothed_grad_mc_quadratic(H, b, w, mu, scheme, draws, rng)
+    grad = H @ w + b
+    measured = float(np.sum((gmean - grad) ** 2))
+    # the squared-norm estimate carries an MC bias of sum(se^2)
+    # and a standard deviation of ~sqrt(2 sum se^4); slack is the
+    # bias plus three of those deviations
+    se2 = float(np.sum(gse**2))
+    se4 = float(np.sum(gse**4))
+    slack = se2 + 3.0 * np.sqrt(2.0 * se4)
+    return value, BoundReport.make(
+        f"grad_bias[{scheme},d={dim},mu={mu},#{trial}]",
+        measured, grad_bias_bound(scheme, mu, L, dim), slack,
+    )
+
+
 def check_smoothing_bounds(
     scheme: str,
     trials: int,
@@ -70,39 +121,22 @@ def check_smoothing_bounds(
     draws: int = 20000,
 ) -> list[BoundReport]:
     """Monte-Carlo checks of the value- and gradient-bias bounds on random
-    quadratics with known spectral norm."""
+    quadratics with known spectral norm.
+
+    The (dim, mu, trial) cases run on up to min(CPUs, MAX_WORKERS) threads;
+    each owns its stream, so the reports and their order do not depend on
+    the number of workers.
+    """
     if trials < 1:
         raise UsageError("need at least one trial")
-    reports = []
-    salt = 0
-    for dim in dims:
-        for mu in mus:
-            for trial in range(trials):
-                rng = streams.stream(seed, streams.TRIAL, party=dim, step=salt)
-                salt += 1
-                H, b, w, L = _random_quadratic(dim, rng)
-                f_w = 0.5 * float(w @ H @ w) + float(b @ w)
-
-                mean, se = smoothed_value_mc_quadratic(H, b, w, mu, scheme, draws, rng)
-                reports.append(BoundReport.make(
-                    f"value_bias[{scheme},d={dim},mu={mu},#{trial}]",
-                    abs(mean - f_w), value_bias_bound(mu, L, dim), 3.0 * se,
-                ))
-
-                gmean, gse = smoothed_grad_mc_quadratic(H, b, w, mu, scheme, draws, rng)
-                grad = H @ w + b
-                measured = float(np.sum((gmean - grad) ** 2))
-                # the squared-norm estimate carries an MC bias of sum(se^2)
-                # and a standard deviation of ~sqrt(2 sum se^4); slack is the
-                # bias plus three of those deviations
-                se2 = float(np.sum(gse**2))
-                se4 = float(np.sum(gse**4))
-                slack = se2 + 3.0 * np.sqrt(2.0 * se4)
-                reports.append(BoundReport.make(
-                    f"grad_bias[{scheme},d={dim},mu={mu},#{trial}]",
-                    measured, grad_bias_bound(scheme, mu, L, dim), slack,
-                ))
-    return reports
+    require_draws(draws)
+    cases = list(itertools.product(dims, mus, range(trials)))
+    if not cases:
+        return []
+    run_case = functools.partial(_smoothing_case, scheme, seed, draws)
+    with ThreadPoolExecutor(min(len(cases), _cpus(), MAX_WORKERS)) as pool:
+        pairs = list(pool.map(run_case, range(len(cases)), cases))
+    return [report for pair in pairs for report in pair]
 
 
 def check_unbiasedness(scheme: str, M: int, seed: int = 0, dim: int = 8) -> BoundReport:

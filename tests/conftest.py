@@ -80,3 +80,25 @@ def smoothed_grad_mc(f, w, mu, scheme, dim, draws, rng: np.random.Generator):
     mean = est.mean(axis=0)
     stderr = est.std(axis=0, ddof=1) / np.sqrt(draws) if draws > 1 else np.zeros(dim)
     return mean, stderr
+
+
+# One-shot Monte-Carlo kernels for a quadratic: every direction drawn into one
+# (draws, d) matrix and reduced at once.  They are the references the chunked
+# `_quadratic` kernels are checked against.
+
+
+def smoothed_value_mc_quadratic_oneshot(H, b, w, mu, scheme, draws, rng: np.random.Generator):
+    U = _direction_matrix(scheme, w.size, draws, rng)
+    f0 = 0.5 * float(w @ H @ w) + float(b @ w)
+    g = H @ w + b
+    vals = f0 + mu * (U @ g) + 0.5 * mu * mu * np.einsum("kd,kd->k", U @ H, U)
+    return float(np.mean(vals)), float(np.std(vals, ddof=1) / np.sqrt(draws))
+
+
+def smoothed_grad_mc_quadratic_oneshot(H, b, w, mu, scheme, draws, rng: np.random.Generator):
+    factor = dim_factor(scheme, w.size)
+    U = _direction_matrix(scheme, w.size, draws, rng)
+    g = H @ w + b
+    deltas = mu * (U @ g) + 0.5 * mu * mu * np.einsum("kd,kd->k", U @ H, U)
+    est = (factor / mu) * deltas[:, None] * U
+    return est.mean(axis=0), est.std(axis=0, ddof=1) / np.sqrt(draws)

@@ -1,9 +1,14 @@
 import json
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import revelight
 from revelight.cli import (
     _RUN_KEYS,
     ExperimentSpec,
@@ -261,6 +266,28 @@ class TestMainCli:
         else:
             assert rc == 2
             assert len(err) == 1 and err[0].startswith("error:")
+
+    @pytest.mark.parametrize("algorithm,error", [
+        ("asyrevel_gau", "party 1: non-finite update rejected at step 1"),
+        ("asyrevel_uni", "party 1: non-finite update rejected at step 1"),
+        ("synrevel", "party 1: non-finite update rejected at step 1"),
+        ("nonfed", "party 1: non-finite update rejected at step 1"),
+        # its updates stay finite; the parameters outgrow the objective
+        ("tig", "non-finite training loss at event 64"),
+    ])
+    def test_diverging_run_writes_one_stderr_line(self, tmp_path, algorithm, error):
+        """The whole of stderr, numpy warnings included, is the one error line."""
+        cfgp = tmp_path / "run.cfg"
+        cfgp.write_text(self.EDGE_CONFIG.replace("asyrevel_gau", algorithm) + "eta = 1e300\n")
+        src = str(Path(revelight.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        proc = subprocess.run(
+            [sys.executable, "-m", "revelight.cli", "train", "--config", str(cfgp),
+             "--out", str(tmp_path / "out")],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines() == [f"error: {error}"]
 
     @pytest.mark.parametrize("argv", [
         ["audit", "--transcript", "t.jsonl", "--dims", "a,b"],

@@ -2,8 +2,11 @@ import numpy as np
 import pytest
 
 from revelight import streams
-from revelight.errors import DomainError
+from revelight.errors import DomainError, UsageError
 from revelight.estimator import (
+    CHUNK_ROWS,
+    _direction_chunks,
+    _direction_matrix,
     smoothed_value_mc_quadratic,
     GAUSSIAN,
     SPHERE,
@@ -15,7 +18,8 @@ from revelight.estimator import (
     smoothed_grad_mc_quadratic,
 )
 
-from conftest import smoothed_grad_mc, smoothed_value_mc
+from conftest import (smoothed_grad_mc, smoothed_grad_mc_quadratic_oneshot, smoothed_value_mc,
+                      smoothed_value_mc_quadratic_oneshot)
 
 
 def _rng(tag=0):
@@ -223,3 +227,40 @@ class TestSmoothedGradMC:
         m2, s2 = smoothed_value_mc_quadratic(H, b, w, 0.2, GAUSSIAN, 400, _rng(10))
         assert m1 == pytest.approx(m2, abs=1e-10)
         assert s1 == pytest.approx(s2, abs=1e-10)
+
+
+def _quadratic(d, seed):
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((d, d))
+    return (A + A.T) / 2, rng.standard_normal(d), rng.standard_normal(d)
+
+
+class TestChunkedQuadraticKernels:
+    @pytest.mark.parametrize("scheme", [GAUSSIAN, SPHERE])
+    def test_chunks_stack_to_the_one_shot_matrix(self, scheme):
+        draws = 2 * CHUNK_ROWS + 5
+        chunked, whole = _rng(40), _rng(40)
+        blocks = list(_direction_chunks(scheme, 3, draws, chunked))
+        assert [len(U) for U in blocks] == [CHUNK_ROWS, CHUNK_ROWS, 5]
+        assert np.array_equal(np.concatenate(blocks), _direction_matrix(scheme, 3, draws, whole))
+        # both generators are left at the same point for the next draw
+        assert chunked.random() == whole.random()
+
+    @pytest.mark.parametrize("draws", [2, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1, 20000])
+    @pytest.mark.parametrize("scheme", [GAUSSIAN, SPHERE])
+    def test_match_one_shot_oracle(self, scheme, draws):
+        H, b, w = _quadratic(6, 41)
+        got = smoothed_value_mc_quadratic(H, b, w, 0.1, scheme, draws, _rng(42))
+        want = smoothed_value_mc_quadratic_oneshot(H, b, w, 0.1, scheme, draws, _rng(42))
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+        gmean, gse = smoothed_grad_mc_quadratic(H, b, w, 0.1, scheme, draws, _rng(43))
+        wmean, wse = smoothed_grad_mc_quadratic_oneshot(H, b, w, 0.1, scheme, draws, _rng(43))
+        np.testing.assert_allclose(gmean, wmean, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(gse, wse, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("draws", [0, 1])
+    def test_fewer_than_two_draws_rejected(self, draws):
+        H, b, w = _quadratic(3, 44)
+        for kernel in (smoothed_value_mc_quadratic, smoothed_grad_mc_quadratic):
+            with pytest.raises(UsageError, match="at least 2 draws"):
+                kernel(H, b, w, 0.1, GAUSSIAN, draws, _rng())

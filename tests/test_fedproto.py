@@ -295,7 +295,8 @@ class TestServerHandleUpload:
             for m in (1, 2):
                 server.cache.put(i, m, np.array([0.5]), stamp=0)
         up = Upload(1, 2, np.array([np.inf]), np.array([0.4]), 0)
-        with np.errstate(invalid="ignore"), pytest.raises(ProtocolError, match="non-finite head"):
+        rejected = "server: non-finite head update rejected at step 0"
+        with np.errstate(invalid="ignore"), pytest.raises(ProtocolError, match=rejected):
             if entry == "handle_upload":
                 server.handle_upload(up, event=1)
             else:
@@ -387,7 +388,7 @@ class TestClientStep:
         up = parties[0].start_step()
         reply = server.handle_upload(up, event=1)
         bad = Reply(reply.party, reply.sample, float("inf"), reply.h_bar, reply.seq)
-        with pytest.raises(ProtocolError, match="non-finite"):
+        with pytest.raises(ProtocolError, match="party 1: non-finite update rejected at step 0"):
             parties[0].apply_reply(bad)
         assert np.isfinite(parties[0].w).all()
 

@@ -1,7 +1,9 @@
+import sys
+
 import numpy as np
 import pytest
 
-from revelight import streams
+from revelight import streams, verify
 from revelight.errors import UsageError
 from revelight.estimator import GAUSSIAN, SPHERE
 from revelight.verify import (
@@ -63,6 +65,45 @@ class TestSmoothingBounds:
     def test_trials_required(self):
         with pytest.raises(UsageError):
             check_smoothing_bounds(GAUSSIAN, trials=0)
+
+    @pytest.mark.parametrize("draws", [0, 1])
+    def test_fewer_than_two_draws_rejected(self, draws):
+        with pytest.raises(UsageError, match="at least 2 draws"):
+            check_smoothing_bounds(GAUSSIAN, trials=1, draws=draws)
+
+    def test_no_cases_no_reports(self):
+        assert check_smoothing_bounds(GAUSSIAN, trials=1, dims=()) == []
+        assert check_smoothing_bounds(GAUSSIAN, trials=1, mus=()) == []
+
+    def test_reports_do_not_depend_on_worker_count(self, monkeypatch):
+        """One worker, two, and the cap on more threads than cores, with a
+        short switch interval: the same reports in the same order."""
+        pools = []
+
+        class Pool(verify.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(verify, "ThreadPoolExecutor", Pool)
+        monkeypatch.setattr(verify, "_cpus", lambda: 64)
+        caps = (1, 2, verify.MAX_WORKERS)
+        runs = []
+        for cap in caps:
+            monkeypatch.setattr(verify, "MAX_WORKERS", cap)
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                runs.append(check_smoothing_bounds(SPHERE, trials=2, seed=5, draws=300))
+            finally:
+                sys.setswitchinterval(interval)
+        assert pools == list(caps)
+        assert runs[0] == runs[1] == runs[2]
+        # case s of the nested dim, mu, trial loops draws at salt s
+        cases = [(d, mu, t) for d in (2, 4, 8, 16) for mu in (1e-1, 1e-2) for t in range(2)]
+        serial = [r for salt, case in enumerate(cases)
+                  for r in verify._smoothing_case(SPHERE, 5, 300, salt, case)]
+        assert runs[0] == serial
 
 
 class TestUnbiasedness:
