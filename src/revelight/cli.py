@@ -144,9 +144,9 @@ def load_idx(images_path, labels_path=None) -> PartitionedDataset:
     return PartitionedDataset.from_matrix(X, labels.astype(int), [X.shape[1]])
 
 
-def load_dataset(path, fmt: str, n_features: int | None = None) -> PartitionedDataset:
+def load_dataset(path, fmt: str) -> PartitionedDataset:
     if fmt == "libsvm":
-        return load_libsvm(path, n_features)
+        return load_libsvm(path)
     if fmt == "csv":
         return load_csv(path)
     if fmt == "idx":
@@ -159,12 +159,12 @@ def load_dataset(path, fmt: str, n_features: int | None = None) -> PartitionedDa
 
 
 def make_synthetic(kind: str, n: int, d: int, seed: int, *,
-                   margin: float = 0.5, scale: float = 2.0) -> tuple[np.ndarray, np.ndarray]:
-    """Seeded synthetic binary data.
+                   margin: float = 0.5) -> tuple[np.ndarray, np.ndarray]:
+    """Seeded synthetic binary data around a unit planted direction.
 
-    'separable': unit planted direction, every margin at least `margin`.
-    'noisy': labels drawn from the logistic model at temperature 1/scale,
-    so the Bayes accuracy is controlled by `scale`.
+    'separable': every margin at least `margin`.
+    'noisy': labels drawn from the logistic model at temperature 1/2 on the
+    planted margin.
     """
     rng = streams.stream(seed, streams.DATA)
     w_star = rng.standard_normal(d)
@@ -175,7 +175,7 @@ def make_synthetic(kind: str, n: int, d: int, seed: int, *,
         y = np.where(raw >= 0, 1, -1)
         X = X + margin * y[:, None] * w_star[None, :]
     elif kind == "noisy":
-        prob = 1.0 / (1.0 + np.exp(-scale * raw))
+        prob = 1.0 / (1.0 + np.exp(-2.0 * raw))
         y = np.where(rng.random(n) < prob, 1, -1)
     else:
         raise UsageError(f"unknown synthetic family {kind!r}")
@@ -192,11 +192,10 @@ def synthetic_pair(kind: str, n_train: int, n_test: int, d: int, q: int, seed: i
     return train, test
 
 
-def split_tenfold(data: PartitionedDataset, seed: int, fold: int = 0):
-    """Hold out one of ten shuffled folds for testing (fold 0 by default)."""
+def split_tenfold(data: PartitionedDataset, seed: int):
+    """Hold out the first of ten shuffled folds for testing."""
     order = streams.stream(seed, streams.SPLIT).permutation(data.n)
-    fold_size = data.n // 10
-    test_idx = order[fold * fold_size:(fold + 1) * fold_size]
+    test_idx = order[:data.n // 10]
     train_idx = np.setdiff1d(order, test_idx)
     X = data.concatenated()
     train = PartitionedDataset.from_matrix(X[train_idx], data.labels[train_idx], data.block_dims)
@@ -212,7 +211,7 @@ _RUN_KEYS = {
     "algorithm": str, "q": int, "T": int, "eta": float, "eta_server": float,
     "mu": float, "lam_eff": float, "tau": int, "seed": int, "scheme": str,
     "compute_dist": str, "latency": float, "latency_dist": str,
-    "base_compute": float, "eval_every": int, "stop_loss": float,
+    "eval_every": int, "stop_loss": float,
 }
 
 
@@ -335,10 +334,7 @@ def run_experiment(spec: ExperimentSpec) -> dict:
 
 
 def _cmd_train(args) -> int:
-    spec = ExperimentSpec.from_config(args.config, args.seed, args.out)
-    if args.format:
-        spec.fmt = args.format
-    run_experiment(spec)
+    run_experiment(ExperimentSpec.from_config(args.config, args.seed, args.out))
     return 0
 
 
@@ -438,7 +434,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--config", required=True)
     p_train.add_argument("--seed", type=int, default=None, help="override the config seed")
     p_train.add_argument("--out", default=None, help="output directory")
-    p_train.add_argument("--format", choices=["libsvm", "csv", "idx"], default=None)
     p_train.set_defaults(fn=_cmd_train)
 
     p_verify = sub.add_parser("verify", help="run the smoothing/unbiasedness bound checks")

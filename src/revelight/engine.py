@@ -79,7 +79,6 @@ class RunConfig:
     compute_dist: str = "constant"
     latency: float = 0.0
     latency_dist: str = "constant"
-    base_compute: float = 1.0
     eval_every: int | None = None
     stop_loss: float | None = None
     record_snapshots: bool = False
@@ -89,8 +88,7 @@ class RunConfig:
                              ("compute_dist", COMPUTE_DISTS), ("latency_dist", LATENCY_DISTS)):
             if getattr(self, key) not in allowed:
                 raise ConfigError(f"unknown {key} {getattr(self, key)!r}; expected one of {allowed}")
-        for key in ("eta", "eta_server", "mu", "lam_eff", "latency", "base_compute",
-                    "stop_loss"):
+        for key in ("eta", "eta_server", "mu", "lam_eff", "latency", "stop_loss"):
             value = getattr(self, key)
             if value is not None and not math.isfinite(value):
                 raise ConfigError(f"{key} must be finite, got {value}")
@@ -102,8 +100,6 @@ class RunConfig:
             raise ConfigError("step size and smoothing radius must be positive")
         if self.eta_server is not None and self.eta_server <= 0:
             raise ConfigError("head step size must be positive")
-        if self.base_compute <= 0:
-            raise ConfigError("base compute time must be positive")
         if self.lam_eff < 0 or self.latency < 0:
             raise ConfigError("regularizer weight and latency must be nonnegative")
         if self.seed < 0:
@@ -145,10 +141,10 @@ class RunConfig:
         return self.eta_server if self.eta_server is not None else self.eta / self.q
 
     def party_means(self) -> list[float]:
-        """Mean compute time per party: slowdown / (q p_m) in base units, so
-        activation rates realize the configured probabilities."""
+        """Mean compute time per party: slowdown / (q p_m), so activation
+        rates realize the configured probabilities."""
         p = self.p if self.p is not None else [1.0 / self.q] * self.q
-        means = [self.base_compute / (self.q * p[m]) for m in range(self.q)]
+        means = [1.0 / (self.q * p[m]) for m in range(self.q)]
         if self.straggler is not None:
             party, factor = self.straggler
             means[party - 1] *= factor
@@ -218,6 +214,8 @@ def evaluate_loss(w0, w, data: PartitionedDataset, lam_eff,
     the samples plus the regularizer."""
     if len(w) != data.q:
         raise ShapeError(f"{len(w)} parameter blocks for {data.q} parties")
+    if data.n == 0:
+        raise UsageError("the training set has no samples")
     losses = head_losses(global_model, w0, _party_outputs(w, data, local_model), data.labels)
     return float(np.mean(losses)) + lam_eff * sum(nonconvex_reg(wm) for wm in w)
 
@@ -289,15 +287,15 @@ def _start_protocol(cfg: RunConfig, data: PartitionedDataset, local_model: Local
     """Party and server nodes after the cache warm-up, and a recorder on the
     transcript that holds the warm-up uploads."""
     transcript = Transcript()
-    state = init_state(data, local_model, global_model, cfg.seed)
+    w0, w = init_state(data, local_model, global_model, cfg.seed)
     scheme = cfg.direction_scheme
     parties = [
-        PartyNode(m + 1, data.blocks[m], local_model, state.w[m],
+        PartyNode(m + 1, data.blocks[m], local_model, w[m],
                   mu=cfg.mu, eta=cfg.eta, lam_eff=cfg.lam_eff,
                   scheme=scheme, seed=cfg.seed)
         for m in range(cfg.q)
     ]
-    server = ServerNode(global_model, state.w0, data.labels, data.n, cfg.q,
+    server = ServerNode(global_model, w0, data.labels, data.n, cfg.q,
                         mu=cfg.mu, eta0=cfg.eta0, scheme=scheme, seed=cfg.seed,
                         transcript=transcript)
     warmup_cache(parties, server)
@@ -322,25 +320,22 @@ def run_asyrevel(cfg: RunConfig, data: PartitionedDataset, local_model: LocalMod
         return _run_serialized(cfg, parties, server, rec, schedule)
     transcript = rec.transcript
 
-    delay = DelayModel(cfg.seed, cfg.compute_dist, cfg.latency, cfg.latency_dist)
-    means = cfg.party_means()
+    delay = DelayModel(cfg.seed, cfg.party_means(), cfg.compute_dist, cfg.latency,
+                       cfg.latency_dist)
     queue = StalenessQueue(cfg.tau)
     heap: list = []
-    serial = 0
-    sent = 0
-    inflight_msgs: dict[int, tuple] = {}  # serial -> (upload, its latency)
+    sent = 0       # uploads sent; the latest upload's serial
     processed = 0  # uploads the server has answered
     applied = 0    # client update events completed; the run's event counter
 
     rec.log(0, 0.0, server.w0, [p.w for p in parties])
 
     for p in parties:
-        heapq.heappush(heap, (delay.compute_time(p.id, 0, means[p.id - 1]),
-                              _FINISH, p.id, None))
+        heapq.heappush(heap, (delay.compute_time(p.id, 0), _FINISH, p.id, None))
 
     def drain(now: float) -> None:
         nonlocal processed
-        while not rec.stopped:
+        while True:
             nxt = queue.pop_next(processed)
             if nxt is None:
                 return
@@ -362,14 +357,13 @@ def run_asyrevel(cfg: RunConfig, data: PartitionedDataset, local_model: LocalMod
             party = parties[idx - 1]
             upload = party.start_step()
             transcript.record(now, "up", upload)
-            serial += 1
             sent += 1
             lat = delay.latency_time(idx, upload.seq)
-            queue.send(serial, now + lat, processed)
-            inflight_msgs[serial] = (upload, lat)
-            heapq.heappush(heap, (now + lat, _DELIVER, serial, None))
+            queue.send(sent, now + lat, processed)
+            # serials are unique, so the heap never compares the payloads
+            heapq.heappush(heap, (now + lat, _DELIVER, sent, (upload, lat)))
         elif kind == _DELIVER:
-            queue.deliver(idx, inflight_msgs.pop(idx))
+            queue.deliver(idx, payload)
             drain(now)
         else:  # _REPLY
             party = parties[idx - 1]
@@ -379,7 +373,7 @@ def run_asyrevel(cfg: RunConfig, data: PartitionedDataset, local_model: LocalMod
             if rec.due(applied):
                 rec.log(applied, now, server.w0, [p.w for p in parties])
             if applied < cfg.T and not rec.stopped:
-                nxt_t = now + delay.compute_time(idx, party.steps, means[idx - 1])
+                nxt_t = now + delay.compute_time(idx, party.steps)
                 heapq.heappush(heap, (nxt_t, _FINISH, idx, None))
 
     return rec.finish(server.w0, [p.w for p in parties], [p.steps for p in parties])
@@ -416,23 +410,22 @@ def round_sample(samples: streams.Stream, r: int, n: int) -> int:
     return int(samples.at(0, r).integers(n))
 
 
-def matched_schedule(cfg: RunConfig, n: int, events: int | None = None):
-    """Round-robin schedule using the synchronous rounds' shared sample draws.
+def matched_schedule(cfg: RunConfig, n: int):
+    """Round-robin schedule of cfg.T events on the synchronous rounds' draws.
 
     Feeding this to run_asyrevel serializes the protocol against the same
     indices the synchronous driver will use; with a single party the two
     trajectories coincide exactly (a barrier over one worker is a no-op).
     """
-    events = events if events is not None else cfg.T
     samples = streams.Stream(cfg.seed, streams.SAMPLE)
     sched = []
     r = 0
-    while len(sched) < events:
+    while len(sched) < cfg.T:
         i = round_sample(samples, r, n)
         for m in range(1, cfg.q + 1):
             sched.append((m, i))
         r += 1
-    return sched[:events]
+    return sched[:cfg.T]
 
 
 def run_synrevel(cfg: RunConfig, data: PartitionedDataset, local_model: LocalModel,
@@ -443,8 +436,7 @@ def run_synrevel(cfg: RunConfig, data: PartitionedDataset, local_model: LocalMod
     cfg.validate()
     parties, server, rec = _start_protocol(cfg, data, local_model, global_model, test_data)
     transcript = rec.transcript
-    delay = DelayModel(cfg.seed, cfg.compute_dist)
-    means = cfg.party_means()
+    delay = DelayModel(cfg.seed, cfg.party_means(), cfg.compute_dist)
     samples = streams.Stream(cfg.seed, streams.SAMPLE)
 
     vtime = 0.0
@@ -454,25 +446,14 @@ def run_synrevel(cfg: RunConfig, data: PartitionedDataset, local_model: LocalMod
     while t < cfg.T and not stopped:
         i = round_sample(samples, r, data.n)
         uploads = [party.start_step(sample=i) for party in parties]
-        round_time = max(
-            delay.compute_time(m + 1, r, means[m]) for m in range(cfg.q)
-        ) + 2 * cfg.latency
-        vtime += round_time
+        vtime += max(delay.compute_time(m, r) for m in range(1, cfg.q + 1)) + 2 * cfg.latency
         for up in uploads:
             transcript.record(vtime, "up", up)
-        fresh = np.concatenate([up.c for up in uploads])
-        replies = []
-        v0_total = None
-        w0_round = server.w0.copy()
-        for up in uploads:
-            reply, v0 = server.answer_round(up, fresh, w0_round, event=t + up.party)
-            replies.append(reply)
+        replies = server.answer_round(uploads, event=t)
+        for reply in replies:
             transcript.record(vtime, "down", reply)
-            if v0 is not None:
-                v0_total = v0 if v0_total is None else v0_total + v0
-        if v0_total is not None:
-            server.w0 = w0_round - server.eta0 * v0_total
-            rec.note_update(0, v0_total)
+        if server.last_v0 is not None:
+            rec.note_update(0, server.last_v0)
         for party, reply in zip(parties, replies):
             v_hat = party.apply_reply(reply)
             rec.note_update(party.id, v_hat)
@@ -490,13 +471,13 @@ def _centralized_start(cfg: RunConfig, data: PartitionedDataset, local_model: Lo
     """Initial w0 and blocks w of a run without parties, and the warm
     (n, q*k) output cache that mirrors the protocol's warm-up: row i is
     sample i's flat head input, built from the same per-row forward passes."""
-    state = init_state(data, local_model, global_model, cfg.seed)
+    w0, w = init_state(data, local_model, global_model, cfg.seed)
     cache = np.array([
-        np.concatenate([local_forward(local_model, state.w[m], data.blocks[m][i])
+        np.concatenate([local_forward(local_model, w[m], data.blocks[m][i])
                         for m in range(cfg.q)])
         for i in range(data.n)
     ])
-    return np.array(state.w0), [np.array(x) for x in state.w], cache
+    return w0, w, cache
 
 
 def _activations(cfg: RunConfig):
@@ -506,9 +487,8 @@ def _activations(cfg: RunConfig):
     Yields (time, party, step) without end: each party's next activation
     follows its previous one by a compute time drawn at (party, step).
     """
-    delay = DelayModel(cfg.seed, cfg.compute_dist)
-    means = cfg.party_means()
-    heap = [(delay.compute_time(m + 1, 0, means[m]), m + 1) for m in range(cfg.q)]
+    delay = DelayModel(cfg.seed, cfg.party_means(), cfg.compute_dist)
+    heap = [(delay.compute_time(m, 0), m) for m in range(1, cfg.q + 1)]
     heapq.heapify(heap)
     steps = [0] * cfg.q
     while True:
@@ -516,7 +496,7 @@ def _activations(cfg: RunConfig):
         k = steps[pid - 1]
         yield now, pid, k
         steps[pid - 1] = k + 1
-        heapq.heappush(heap, (now + delay.compute_time(pid, k + 1, means[pid - 1]), pid))
+        heapq.heappush(heap, (now + delay.compute_time(pid, k + 1), pid))
 
 
 def run_nonfederated(cfg: RunConfig, data: PartitionedDataset, local_model: LocalModel,
@@ -556,7 +536,7 @@ def run_nonfederated(cfg: RunConfig, data: PartitionedDataset, local_model: Loca
             w0 = w0 - cfg.eta0 * v0
             rec.note_update(0, v0)
         cache[i, cols] = c
-        v_hat = client_block_zoe(h, h_bar, g0, g1, w[m].size, cfg.mu, cfg.lam_eff, u)
+        v_hat = client_block_zoe(h, h_bar, g0, g1, cfg.mu, cfg.lam_eff, u)
         reject_nonfinite(v_hat, pid, k)
         w[m] = w[m] - cfg.eta * v_hat
         rec.note_update(pid, v_hat)
@@ -699,11 +679,6 @@ def training_bytes(metrics: RunMetrics) -> int:
     return _training_traffic(metrics)[0]
 
 
-def _link_cost(metrics: RunMetrics, per_message_overhead: float) -> float:
-    nbytes, messages = _training_traffic(metrics)
-    return nbytes + per_message_overhead * messages
-
-
 def measure_comm(pairs, per_message_overhead: float = 128.0) -> list[CommRow]:
     """Byte and link-cost ratios of TIG to function-value traffic.
 
@@ -712,11 +687,14 @@ def measure_comm(pairs, per_message_overhead: float = 128.0) -> list[CommRow]:
     per-message overhead on top of payload bytes, modeling per-message
     latency at a configured bandwidth.
     """
+    if not 0 <= per_message_overhead < math.inf:
+        raise UsageError(f"per-message overhead must be finite and nonnegative, "
+                         f"got {per_message_overhead}")
     rows = []
     for label, block_dim, asy, tig in pairs:
         if not asy.rows or not tig.rows or asy.rows[-1].t != tig.rows[-1].t:
             raise UsageError(f"pair {label!r}: runs are not schedule-paired")
-        ab, tb = training_bytes(asy), training_bytes(tig)
+        (ab, am), (tb, tm) = _training_traffic(asy), _training_traffic(tig)
         if ab == 0:
             raise UsageError(f"pair {label!r}: no protocol traffic to compare")
         rows.append(CommRow(
@@ -725,6 +703,6 @@ def measure_comm(pairs, per_message_overhead: float = 128.0) -> list[CommRow]:
             asy_bytes=ab,
             tig_bytes=tb,
             byte_ratio=tb / ab,
-            cost_ratio=_link_cost(tig, per_message_overhead) / _link_cost(asy, per_message_overhead),
+            cost_ratio=(tb + per_message_overhead * tm) / (ab + per_message_overhead * am),
         ))
     return rows

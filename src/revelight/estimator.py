@@ -14,8 +14,9 @@ the bias bounds.
 Each side of a step has one home here: `two_point_client` gives a party's
 outputs and regularizer at w and at w + mu*u, `two_point_head` the server's
 two head values, and `client_block_zoe` combines the replies into the block
-estimate; the server side perturbs only the global head.  The vectorized
-Monte-Carlo kernels for a quadratic serve the verification checks.
+estimate; the server side perturbs only the global head.  A `Direction`
+holds its vector and scheme; its dimension is the vector's length.  The
+vectorized Monte-Carlo kernels for a quadratic serve the verification checks.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ class Direction:
 
     u: np.ndarray
     scheme: str
-    dim: int
 
 
 def sample_direction(scheme: str, dim: int, rng: np.random.Generator) -> Direction:
@@ -53,7 +53,7 @@ def sample_direction(scheme: str, dim: int, rng: np.random.Generator) -> Directi
     u = rng.standard_normal(dim)
     if scheme == SPHERE:
         u = u / np.linalg.norm(u)
-    return Direction(u=u, scheme=scheme, dim=dim)
+    return Direction(u=u, scheme=scheme)
 
 
 def dim_factor(scheme: str, dim: int) -> float:
@@ -71,7 +71,6 @@ def client_block_zoe(
     h_bar: float,
     g_base: float,
     g_pert: float,
-    dim: int,
     mu: float,
     lam_eff: float,
     u: Direction,
@@ -83,7 +82,7 @@ def client_block_zoe(
     """
     if mu <= 0:
         raise DomainError(f"smoothing radius must be positive, got {mu}")
-    factor = dim_factor(u.scheme, dim)
+    factor = dim_factor(u.scheme, u.u.size)
     delta = (h_bar + lam_eff * g_pert) - (h + lam_eff * g_base)
     return (factor / mu) * delta * u.u
 
@@ -94,11 +93,11 @@ def server_block_zoe(h: float, h_hat: float, mu: float, u0: Direction | None) ->
     Returns None when there is no trainable head (d0 = 0); that is the
     contract's no-op signal, not an error.
     """
-    if u0 is None or u0.dim == 0:
+    if u0 is None:
         return None
     if mu <= 0:
         raise DomainError(f"smoothing radius must be positive, got {mu}")
-    factor = dim_factor(u0.scheme, u0.dim)
+    factor = dim_factor(u0.scheme, u0.u.size)
     return (factor / mu) * (h_hat - h) * u0.u
 
 

@@ -4,7 +4,10 @@ Training traffic consists of exactly two message kinds.  A party uploads its
 local output and the output at a perturbed parameter point; the server
 replies with the head value at the cached outputs and at the perturbed
 substitution.  No parameter or gradient vector ever crosses this wire, which
-is the property the transcript audit mechanizes.
+is the property the transcript audit mechanizes.  The server answers an
+asynchronous upload against its cache (`handle_upload`) or a whole
+synchronous round against the round's own outputs (`answer_round`); the
+delay model holds each party's mean compute time.
 
 Frame layout (little endian): 4-byte length of the remainder, 1-byte variant
 tag (0 = Upload, 1 = Reply), 4-byte party, 4-byte sample, 4-byte seq, 2-byte
@@ -20,7 +23,6 @@ import json
 import operator
 import struct
 from array import array
-from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -128,6 +130,14 @@ _KEYS = ("time", "dir", "variant", "party", "sample", "seq", "payload", "bytes")
 _ROW = operator.itemgetter(*_KEYS)
 _READ_CHUNK = 1 << 20  # characters of lines per json.loads call
 _WRITE_ROWS = 1024      # rows per formatted block in to_jsonl
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_numbers(values) -> list[str]:
+    """float64 values as json.dumps writes them: float.__repr__ when
+    finite, NaN, Infinity or -Infinity otherwise."""
+    text = list(map(float.__repr__, values))
+    return list(map(_NON_FINITE.get, text, text))
 
 
 class Transcript:
@@ -214,43 +224,28 @@ class Transcript:
 
         Each line is laid out exactly as json.dumps lays out the object with
         the keys time, dir, variant, party, sample, seq, payload and bytes:
-        the ": " and ", " separators, strings escaped by json.dumps, floats by
-        float.__repr__.  A row holding a non-finite value goes through
-        json.dumps itself, which writes NaN and Infinity.  Rows are formatted
-        and written in blocks of _WRITE_ROWS, which bounds the text held at
-        once.
+        the ": " and ", " separators, strings escaped by json.dumps, numbers
+        as `_json_numbers` writes them.  Rows are formatted and written in
+        blocks of _WRITE_ROWS, which bounds the text held at once.
         """
         quoted = {s: json.dumps(s) for s in {*self._direction, *self._variant}}
-        non_finite = self._non_finite_rows()
         offsets = self._offsets
         with open(path, "w") as fh:
             for r0 in range(0, len(self), _WRITE_ROWS):
                 r1 = min(r0 + _WRITE_ROWS, len(self))
                 base = offsets[r0]
-                vals = list(map(float.__repr__, self._values[base:offsets[r1]]))
+                vals = _json_numbers(self._values[base:offsets[r1]])
                 lines = [
                     f'{{"time": {t}, "dir": {quoted[d]}, "variant": {quoted[v]}, '
                     f'"party": {p}, "sample": {s}, "seq": {q}, '
                     f'"payload": [{", ".join(vals[a - base:b - base])}], "bytes": {nb}}}\n'
                     for t, d, v, p, s, q, a, b, nb in zip(
-                        self._time[r0:r1], self._direction[r0:r1], self._variant[r0:r1],
-                        self._party[r0:r1], self._sample[r0:r1], self._seq[r0:r1],
-                        offsets[r0:r1], offsets[r0 + 1:r1 + 1], self._nbytes[r0:r1])
+                        _json_numbers(self._time[r0:r1]), self._direction[r0:r1],
+                        self._variant[r0:r1], self._party[r0:r1], self._sample[r0:r1],
+                        self._seq[r0:r1], offsets[r0:r1], offsets[r0 + 1:r1 + 1],
+                        self._nbytes[r0:r1])
                 ]
-                for i in non_finite[bisect_left(non_finite, r0):bisect_left(non_finite, r1)]:
-                    lines[i - r0] = json.dumps({
-                        "time": self._time[i], "dir": self._direction[i],
-                        "variant": self._variant[i], "party": self._party[i],
-                        "sample": self._sample[i], "seq": self._seq[i],
-                        "payload": self._values[offsets[i]:offsets[i + 1]].tolist(),
-                        "bytes": self._nbytes[i],
-                    }) + "\n"
                 fh.write("".join(lines))
-
-    def _non_finite_rows(self) -> list[int]:
-        at = np.flatnonzero(~np.isfinite(self.column("values")))
-        in_payload = np.searchsorted(self.column("offsets"), at, side="right") - 1
-        return np.union1d(np.flatnonzero(~np.isfinite(self.column("time"))), in_payload).tolist()
 
     @classmethod
     def from_jsonl(cls, path) -> "Transcript":
@@ -392,12 +387,6 @@ class ServerCache:
         self.values[sample, cols] = c
         self.stamp[sample, party - 1] = stamp
 
-    def get(self, sample: int, party: int) -> np.ndarray:
-        cols = self.cols(sample, party)
-        if self.stamp[sample, party - 1] < 0:
-            raise ProtocolError(f"cache cell ({sample}, {party}) not warmed")
-        return self.values[sample, cols].copy()
-
     def row(self, sample: int) -> np.ndarray:
         """A copy of row `sample`: the flat head input of q*k values."""
         if not 0 <= sample < self.n:
@@ -413,10 +402,12 @@ class ServerCache:
 class DelayModel:
     """Compute-time and latency model for the simulated protocol; both are
     drawn from the counter-based streams so timings replay exactly.  The
-    model owns its run's seed and the COMPUTE and LATENCY streams built from
-    it, and addresses a draw by (party, step)."""
+    model owns its run's seed, the COMPUTE and LATENCY streams built from it
+    and the mean compute time of each party, and addresses a draw by
+    (party, step)."""
 
     seed: int
+    means: list[float]            # mean compute time of party m at means[m - 1]
     compute: str = "constant"     # one of COMPUTE_DISTS
     latency: float = 0.0          # mean one-way latency, virtual units
     latency_dist: str = "constant"  # one of LATENCY_DISTS
@@ -429,7 +420,8 @@ class DelayModel:
         self._compute = streams.Stream(self.seed, streams.COMPUTE)
         self._latency = streams.Stream(self.seed, streams.LATENCY)
 
-    def compute_time(self, party: int, step: int, mean: float) -> float:
+    def compute_time(self, party: int, step: int) -> float:
+        mean = self.means[party - 1]
         if self.compute == "constant":
             return mean
         return float(self._compute.at(party, step).exponential(mean))
@@ -536,10 +528,6 @@ class PartyNode:
         self.steps = 0          # activation counter, addresses the streams
         self.pending = None     # outstanding (sample, direction, g0, g1)
 
-    @property
-    def dim(self) -> int:
-        return int(self.w.size)
-
     def start_step(self, sample: int | None = None) -> Upload:
         """Sample an index, perturb, and build the upload (one outstanding).
 
@@ -553,7 +541,7 @@ class PartyNode:
             i = int(self.samples.at(self.id, k).integers(self.X.shape[0]))
         else:
             i = int(sample)
-        u = sample_direction(self.scheme, self.dim, self.directions.at(self.id, k))
+        u = sample_direction(self.scheme, self.w.size, self.directions.at(self.id, k))
         c, c_hat, g0, g1 = two_point_client(self.model, self.w, self.X[i], u, self.mu)
         self.pending = (i, u, g0, g1)
         return Upload(party=self.id, sample=i, c=c, c_hat=c_hat, seq=k)
@@ -572,8 +560,7 @@ class PartyNode:
                 f"party {self.id} reply for sample {reply.sample}/seq {reply.seq}, "
                 f"expected {i}/{self.steps}"
             )
-        v_hat = client_block_zoe(reply.h, reply.h_bar, g0, g1, self.dim,
-                                 self.mu, self.lam_eff, u)
+        v_hat = client_block_zoe(reply.h, reply.h_bar, g0, g1, self.mu, self.lam_eff, u)
         reject_nonfinite(v_hat, self.id, self.steps)
         self.w = self.w - self.eta * v_hat
         self.pending = None
@@ -598,9 +585,9 @@ class ServerNode:
         self.uploads_seen = 0
         self.last_v0: np.ndarray | None = None
 
-    def warm(self, upload: Upload, time: float = 0.0) -> None:
+    def warm(self, upload: Upload) -> None:
         if self.transcript is not None:
-            self.transcript.record(time, "up", upload)
+            self.transcript.record(0.0, "up", upload)
         self.cache.put(upload.sample, upload.party, upload.c, stamp=0)
 
     def handle_upload(self, upload: Upload, event: int) -> Reply:
@@ -611,28 +598,45 @@ class ServerNode:
         self.last_v0 = v0
         return reply
 
-    def answer_round(self, upload: Upload, fresh: np.ndarray, w0_base: np.ndarray,
-                     event: int):
-        """Synchronous-round reply against the same-round outputs `fresh` of
-        every party (staleness zero), given as the flat head input (a list of
-        the q outputs is flattened), estimates taken at w0_base.  Returns
-        (reply, head_estimate or None); the caller applies it after the barrier."""
-        return self._step(upload, w0_base, event, fresh)
+    def answer_round(self, uploads: list[Upload], event: int) -> list[Reply]:
+        """One synchronous round, one upload per party in party order: each is
+        answered at the round's w0 against the round's own outputs (staleness
+        zero), party m's cell stamped event + m, then the head estimates are
+        summed in party order and applied once.  A round that is not parties
+        1..q in order, or holds an output of the wrong width, is rejected
+        before anything changes."""
+        parties = [up.party for up in uploads]
+        if parties != list(range(1, self.cache.q + 1)):
+            raise ProtocolError(f"a synchronous round needs one upload from each of parties "
+                                f"1..{self.cache.q} in order, got {parties}")
+        for up in uploads:
+            self._check_width(up)
+        w0, fresh = self.w0, np.concatenate([up.c for up in uploads])
+        steps = [self._step(up, w0, event + up.party, fresh) for up in uploads]
+        v0s = [v0 for _, v0 in steps if v0 is not None]
+        self.last_v0 = sum(v0s[1:], v0s[0]) if v0s else None
+        if v0s:
+            self.w0 = w0 - self.eta0 * self.last_v0
+        return [reply for reply, _ in steps]
+
+    def _check_width(self, upload: Upload) -> None:
+        k = self.cache.k
+        if np.size(upload.c) != k or np.size(upload.c_hat) != k:
+            raise ProtocolError(
+                f"party {upload.party} sent outputs of {np.size(upload.c)} and "
+                f"{np.size(upload.c_hat)} values, the head takes {k}"
+            )
 
     def _step(self, upload: Upload, w0: np.ndarray, event: int, fresh=None):
         """Two-point step at head parameters w0 against the cached outputs,
-        or `fresh` when given; rejects an unknown sample or party, outputs
-        that are not k values wide and a non-finite head estimate, counts the
-        upload and caches its output."""
+        or the flat row `fresh` when given; rejects an unknown sample or
+        party, outputs that are not k values wide and a non-finite head
+        estimate, counts the upload and caches its output."""
         i, m = upload.sample, upload.party
         cache = self.cache
         cols = cache.cols(i, m)
-        if np.size(upload.c) != cache.k or np.size(upload.c_hat) != cache.k:
-            raise ProtocolError(
-                f"party {m} sent outputs of {np.size(upload.c)} and {np.size(upload.c_hat)} "
-                f"values, the head takes {cache.k}"
-            )
-        row = cache.row(i) if fresh is None else np.array(fresh, dtype=np.float64).reshape(-1)
+        self._check_width(upload)
+        row = cache.row(i) if fresh is None else fresh.copy()
         row[cols] = upload.c
         u0 = head_direction(self.scheme, w0.size, self.directions, self.uploads_seen)
         h, h_bar, v0 = two_point_head(self.model, w0, row, m, upload.c_hat, self.labels[i],
@@ -662,9 +666,6 @@ class AuditReport:
     checked: int
     violation_index: int | None = None
     reason: str | None = None
-
-    def __bool__(self) -> bool:
-        return self.ok
 
 
 def audit_transcript(transcript: Transcript, dims: list[int], d0: int = 0,

@@ -67,26 +67,6 @@ class PartitionedDataset:
 
 
 @dataclass
-class ModelState:
-    """Parameter blocks: a global w0 (possibly empty) and one w_m per party."""
-
-    w0: np.ndarray
-    w: list[np.ndarray]
-
-    def __post_init__(self) -> None:
-        self.w0 = np.asarray(self.w0, dtype=np.float64)
-        self.w = [np.asarray(wm, dtype=np.float64) for wm in self.w]
-
-    @property
-    def d0(self) -> int:
-        return int(self.w0.size)
-
-    @property
-    def block_dims(self) -> list[int]:
-        return [int(wm.size) for wm in self.w]
-
-
-@dataclass
 class LocalModel:
     """Per-party model mapping a feature block to a small output vector.
 
@@ -134,12 +114,10 @@ class LocalModel:
             off += width
         return out
 
-    def init_params(self, input_dim: int, rng: np.random.Generator | None = None) -> np.ndarray:
+    def init_params(self, input_dim: int, rng: np.random.Generator) -> np.ndarray:
         """Zero weights for linear; scaled gaussian weights, zero biases for mlp."""
         if self.kind == "linear":
             return np.zeros(input_dim)
-        if rng is None:
-            raise DomainError("mlp initialization needs an rng")
         chunks = []
         for width, fan_in in self.layer_shapes(input_dim):
             chunks.append(rng.standard_normal(width * fan_in) * np.sqrt(2.0 / fan_in))
@@ -172,11 +150,9 @@ class GlobalModel:
             return 0
         return self.q * self.party_output_dim * self.classes
 
-    def init_params(self, rng: np.random.Generator | None = None) -> np.ndarray:
+    def init_params(self, rng: np.random.Generator) -> np.ndarray:
         if self.kind == "logistic":
             return np.zeros(0)
-        if rng is None:
-            return np.zeros(self.d0)
         return rng.standard_normal(self.d0) * np.sqrt(1.0 / (self.q * self.party_output_dim))
 
 
@@ -303,13 +279,13 @@ def init_state(
     local_model: LocalModel,
     global_model: GlobalModel,
     seed: int,
-) -> ModelState:
-    """Seeded initial parameters: one stream per block so layouts replay."""
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Seeded initial float64 parameters (w0, [w_1, ..., w_q]), w0 empty for
+    a parameter-free head: one stream per block so layouts replay."""
     from . import streams
 
     w = [
         local_model.init_params(data.block_dims[m], streams.stream(seed, streams.INIT, party=m + 1))
         for m in range(data.q)
     ]
-    w0 = global_model.init_params(streams.stream(seed, streams.INIT, party=0))
-    return ModelState(w0=w0, w=w)
+    return global_model.init_params(streams.stream(seed, streams.INIT, party=0)), w

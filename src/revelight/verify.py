@@ -139,11 +139,12 @@ def check_smoothing_bounds(
     return [report for pair in pairs for report in pair]
 
 
-def check_unbiasedness(scheme: str, M: int, seed: int = 0, dim: int = 8) -> BoundReport:
+def check_unbiasedness(scheme: str, M: int, seed: int = 0) -> BoundReport:
     """Coordinatewise t-statistic of the Monte-Carlo estimator mean against
-    the analytic gradient on one random quadratic; passes at 3 sigma."""
+    the analytic gradient on one random quadratic in 8 dimensions; passes at 3 sigma."""
     if M < 10**4:
         raise UsageError("need at least 1e4 draws for a meaningful check")
+    dim = 8
     rng = streams.stream(seed, streams.TRIAL, party=dim, step=7777)
     H, b, w, L = _random_quadratic(dim, rng)
     mu = 1e-3 / L

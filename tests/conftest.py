@@ -1,3 +1,11 @@
+import os
+
+# One BLAS thread, as perfbench/run.py pins it: the worker threads of
+# verify.check_smoothing_bounds otherwise contend with the BLAS thread pool.
+# numpy reads these when it is first imported, which is below.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 import numpy as np
 import pytest
 

@@ -252,7 +252,8 @@ class TestMainCli:
         f"{key} = {value}"
         for key in [*_RUN_KEYS, "p", "straggler", "n", "d", "n_test"]
         for value in ("abc", "nan", "inf", "-1", "0")
-    ] + ["clock = wall", "eta = 1e300", "T = 1e3", "tau = 1.5", "p = 0.5,0.5,a,b"])
+    ] + ["clock = wall", "base_compute = 1", "eta = 1e300", "T = 1e3", "tau = 1.5",
+         "p = 0.5,0.5,a,b"])
     def test_config_edge_runs_or_is_one_error_line(self, tmp_path, capsys, line):
         """Each value either trains (the few in EDGE_ACCEPTED) or ends in one
         error line with exit 2: a failed cast, a value `validate` rejects, an
@@ -288,6 +289,26 @@ class TestMainCli:
         )
         assert proc.returncode == 2
         assert proc.stderr.splitlines() == [f"error: {error}"]
+
+    def test_empty_training_set_writes_one_stderr_line(self):
+        """No numpy warning about an empty mean comes before the error line."""
+        src = str(Path(revelight.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        proc = subprocess.run(
+            [sys.executable, "-m", "revelight.cli", "speedup", "--n", "0", "--parties", "1",
+             "--events", "4"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines() == ["error: the training set has no samples"]
+
+    @pytest.mark.parametrize("overhead", ["nan", "inf", "-1"])
+    def test_bad_overhead_is_one_error_line(self, capsys, overhead):
+        assert main(["bench-comm", "--blocks", "4", "--events", "8",
+                     f"--overhead={overhead}"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: per-message overhead must be finite and nonnegative, "
+                       f"got {float(overhead)}"]
 
     @pytest.mark.parametrize("argv", [
         ["audit", "--transcript", "t.jsonl", "--dims", "a,b"],

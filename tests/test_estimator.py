@@ -72,27 +72,27 @@ def _softplus(z):
 class TestClientBlockZoe:
     def test_constant_objective_gives_zero(self):
         u = sample_direction(SPHERE, 3, _rng())
-        v = client_block_zoe(0.7, 0.7, 0.2, 0.9, 3, 0.1, 0.0, u)
+        v = client_block_zoe(0.7, 0.7, 0.2, 0.9, 0.1, 0.0, u)
         assert np.all(v == 0.0)
 
     def test_worked_logistic_example(self):
         # w=(0,0), x=(1,1), y=1, lambda=0, u=(1,0) on the sphere, mu=0.1
         w = np.zeros(2)
         x = np.ones(2)
-        u = Direction(np.array([1.0, 0.0]), SPHERE, 2)
+        u = Direction(np.array([1.0, 0.0]), SPHERE)
         h = _softplus(-1 * float(w @ x))
         c_hat = float((w + 0.1 * u.u) @ x)
         h_bar = _softplus(-1 * c_hat)
         assert h == pytest.approx(0.693147, abs=1e-6)
         assert h_bar == pytest.approx(0.644397, abs=1e-6)
-        v = client_block_zoe(h, h_bar, 0.0, 0.0, 2, 0.1, 0.0, u)
+        v = client_block_zoe(h, h_bar, 0.0, 0.0, 0.1, 0.0, u)
         assert v[0] == pytest.approx(-0.97500, abs=1e-4)
         assert v[1] == 0.0
 
     def test_output_parallel_to_u(self):
         for tag in range(5):
             u = sample_direction(GAUSSIAN, 6, _rng(tag))
-            v = client_block_zoe(0.3, 0.9, 0.1, 0.4, 6, 0.05, 0.2, u)
+            v = client_block_zoe(0.3, 0.9, 0.1, 0.4, 0.05, 0.2, u)
             cross = v - (np.dot(v, u.u) / np.dot(u.u, u.u)) * u.u
             assert np.linalg.norm(cross) <= 1e-12 * max(1.0, np.linalg.norm(v))
 
@@ -121,7 +121,7 @@ class TestClientBlockZoe:
             h_bar = _softplus(-y * float(wp @ x))
             g0 = float(np.sum(w**2 / (1 + w**2)))
             g1 = float(np.sum(wp**2 / (1 + wp**2)))
-            v = client_block_zoe(h, h_bar, g0, g1, d, mu, lam, u)
+            v = client_block_zoe(h, h_bar, g0, g1, mu, lam, u)
             errs.append(np.linalg.norm(v - target))
         slope = np.polyfit(np.log(mus), np.log(errs), 1)[0]
         assert 0.9 <= slope <= 1.1
@@ -129,7 +129,7 @@ class TestClientBlockZoe:
     def test_nonpositive_radius(self):
         u = sample_direction(SPHERE, 2, _rng())
         with pytest.raises(DomainError):
-            client_block_zoe(0.1, 0.2, 0.0, 0.0, 2, 0.0, 0.0, u)
+            client_block_zoe(0.1, 0.2, 0.0, 0.0, 0.0, 0.0, u)
 
 
 class TestServerBlockZoe:
@@ -143,7 +143,7 @@ class TestServerBlockZoe:
     def test_worked_quadratic_head(self):
         # F0 = 0.5||w0||^2, w0=(1,0), u0=(1,0), mu=0.01
         w0 = np.array([1.0, 0.0])
-        u0 = Direction(np.array([1.0, 0.0]), SPHERE, 2)
+        u0 = Direction(np.array([1.0, 0.0]), SPHERE)
         h = 0.5 * float(w0 @ w0)
         h_hat = 0.5 * float((w0 + 0.01 * u0.u) @ (w0 + 0.01 * u0.u))
         v = server_block_zoe(h, h_hat, 0.01, u0)

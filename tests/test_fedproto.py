@@ -174,7 +174,7 @@ class TestWarmup:
         for m, party in enumerate(parties):
             for i in range(data.n):
                 direct = local_forward(lm, party.w, data.blocks[m][i])
-                assert np.array_equal(server.cache.get(i, m + 1), direct)
+                assert np.array_equal(server.cache.row(i)[m:m + 1], direct)
 
     def test_transcript_gains_n_q_uploads(self):
         data, _, _, parties, server, transcript = _tiny_setup()
@@ -192,9 +192,7 @@ class TestServerCache:
         assert cache.values.shape == (3, 4) and cache.values.flags.c_contiguous
         row = cache.row(2)
         assert np.array_equal(row, [0.25, 4.0, 1.5, -1.0])
-        assert np.array_equal(cache.get(2, 2), [1.5, -1.0])
-        row[:] = 0.0  # row and get return copies
-        cache.get(2, 1)[:] = 0.0
+        row[:] = 0.0  # row returns a copy
         assert np.array_equal(cache.row(2), [0.25, 4.0, 1.5, -1.0])
 
     @pytest.mark.parametrize("sample", [-1, 3])
@@ -202,8 +200,6 @@ class TestServerCache:
         cache = ServerCache(3, 2)
         with pytest.raises(ProtocolError, match=f"unknown sample id {sample}"):
             cache.put(sample, 1, np.array([1.0]), stamp=0)
-        with pytest.raises(ProtocolError, match=f"unknown sample id {sample}"):
-            cache.get(sample, 1)
         with pytest.raises(ProtocolError, match=f"unknown sample id {sample}"):
             cache.row(sample)
         assert np.all(cache.stamp == -1) and not cache.values.any()
@@ -213,8 +209,6 @@ class TestServerCache:
         cache = ServerCache(3, 2)
         with pytest.raises(ProtocolError, match=f"unknown party id {party}"):
             cache.put(0, party, np.array([1.0]), stamp=0)
-        with pytest.raises(ProtocolError, match=f"unknown party id {party}"):
-            cache.get(0, party)
         assert np.all(cache.stamp == -1) and not cache.values.any()
 
     @pytest.mark.parametrize("width", [0, 1, 3])
@@ -229,15 +223,13 @@ class TestServerCache:
         cache.put(1, 1, np.array([1.0]), stamp=0)
         with pytest.raises(ProtocolError, match=r"cache cell \(1, 2\) not warmed"):
             cache.row(1)
-        with pytest.raises(ProtocolError, match=r"cache cell \(1, 2\) not warmed"):
-            cache.get(1, 2)
 
     def test_stamp_may_not_decrease(self):
         cache = ServerCache(3, 2)
         cache.put(1, 2, np.array([1.0]), stamp=5)
         with pytest.raises(ProtocolError, match="stamp would decrease"):
             cache.put(1, 2, np.array([2.0]), stamp=4)
-        assert np.array_equal(cache.get(1, 2), [1.0])
+        assert cache.values[1, 1] == 1.0 and cache.stamp[1, 1] == 5
 
 
 class TestServerHandleUpload:
@@ -268,7 +260,7 @@ class TestServerHandleUpload:
         up = parties[0].start_step(sample=i)
         stale_reply = server.handle_upload(up, event=1)
         fresh_c2 = local_forward(lm, parties[1].w, data.blocks[1][i])
-        assert not np.array_equal(fresh_c2, server.cache.get(i, 2))
+        assert not np.array_equal(fresh_c2, server.cache.row(i)[1:])
         server.cache.put(i, 2, fresh_c2, stamp=2)
         parties[0].pending = None
         up2 = parties[0].start_step(sample=i)
@@ -300,7 +292,8 @@ class TestServerHandleUpload:
             if entry == "handle_upload":
                 server.handle_upload(up, event=1)
             else:
-                server.answer_round(up, [up.c, np.array([0.5])], server.w0, event=1)
+                server.answer_round([up, Upload(2, 2, np.array([0.5]), np.array([0.5]), 0)],
+                                    event=1)
         assert np.array_equal(server.w0, w0)
         assert server.uploads_seen == 0 and server.cache.stamp[2, 0] == 0
 
@@ -308,7 +301,10 @@ class TestServerHandleUpload:
     def _answer(server, entry, up):
         if entry == "handle_upload":
             return server.handle_upload(up, event=1)
-        return server.answer_round(up, np.full(server.cache.q, 0.5), server.w0, event=1)
+        # a round of plain uploads from the other parties, then `up`
+        uploads = [Upload(m, up.sample, np.array([0.5]), np.array([0.5]), 0)
+                   for m in range(1, server.cache.q + 1) if m != up.party]
+        return server.answer_round(uploads + [up], event=1)
 
     @pytest.mark.parametrize("entry", ["handle_upload", "answer_round"])
     @pytest.mark.parametrize("party", [0, -1, 3])
@@ -317,7 +313,10 @@ class TestServerHandleUpload:
         warmup_cache(parties, server)
         cached = server.cache.values.copy()
         up = Upload(party, 1, np.array([0.3]), np.array([0.4]), 0)
-        with pytest.raises(ProtocolError, match=f"unknown party id {party}"):
+        # a round is checked for parties 1..q in order before any step
+        message = (f"unknown party id {party}" if entry == "handle_upload"
+                   else "one upload from each of parties 1..2")
+        with pytest.raises(ProtocolError, match=message):
             self._answer(server, entry, up)
         assert np.array_equal(server.cache.values, cached) and server.uploads_seen == 0
 
@@ -329,7 +328,8 @@ class TestServerHandleUpload:
         _, _, _, parties, server, _ = _tiny_setup()
         warmup_cache(parties, server)
         cached = server.cache.values.copy()
-        up = Upload(1, 1, np.array(c), np.array(c_hat), 0)
+        # the last party: a round is checked whole before its first step
+        up = Upload(server.cache.q, 1, np.array(c), np.array(c_hat), 0)
         with pytest.raises(ProtocolError, match="the head takes 1"):
             self._answer(server, entry, up)
         assert np.array_equal(server.cache.values, cached) and server.uploads_seen == 0
@@ -356,8 +356,52 @@ class TestServerHandleUpload:
         warmup_cache(parties, server)
         up = parties[0].start_step(sample=4)
         server.handle_upload(up, event=1)
-        assert np.array_equal(server.cache.get(4, 1), up.c)
+        assert np.array_equal(server.cache.row(4)[:1], up.c)
         assert server.cache.stamp[4, 0] == 1
+
+
+def _head_server(q=3):
+    """A warm server with a softmax head, so w0 is trainable."""
+    gm = GlobalModel(kind="softmax_fcn", q=q, party_output_dim=1, classes=2)
+    w0 = np.random.default_rng(2).standard_normal(gm.d0)
+    server = ServerNode(gm, w0, np.array([0, 1]), 2, q, mu=0.1, eta0=0.5,
+                        scheme=SPHERE, seed=3)
+    for m in range(1, q + 1):
+        server.cache.put(1, m, np.array([0.1 * m]), stamp=0)
+    return server
+
+
+class TestAnswerRound:
+    def test_round_answers_fresh_outputs_at_one_w0(self):
+        server = _head_server()
+        w0 = server.w0.copy()
+        uploads = [Upload(m, 1, np.array([m + 0.5]), np.array([m - 0.5]), 0) for m in (1, 2, 3)]
+        replies = server.answer_round(uploads, event=6)
+        fresh = np.array([1.5, 2.5, 3.5])
+        for up, reply in zip(uploads, replies):
+            row_bar = fresh.copy()
+            row_bar[up.party - 1] = up.c_hat[0]
+            assert (reply.party, reply.sample) == (up.party, 1)
+            assert reply.h == global_value(server.model, w0, fresh, 1)
+            assert reply.h_bar == global_value(server.model, w0, row_bar, 1)
+        assert np.array_equal(server.cache.values[1], fresh)
+        assert server.cache.stamp[1].tolist() == [7, 8, 9]
+        assert server.uploads_seen == 3
+        assert np.array_equal(server.w0, w0 - server.eta0 * server.last_v0)
+
+    @pytest.mark.parametrize("parties", [[1, 2], [1, 2, 2], [1, 3, 2], [2, 1, 3],
+                                         [1, 2, 3, 4], [0, 1, 2], []],
+                             ids=["missing", "duplicate", "swapped", "out_of_order",
+                                  "unknown", "party_zero", "empty"])
+    def test_round_must_be_every_party_in_order(self, parties):
+        server = _head_server()
+        before = (server.w0.copy(), server.cache.values.copy(), server.cache.stamp.copy())
+        uploads = [Upload(m, 1, np.array([0.3]), np.array([0.4]), 0) for m in parties]
+        with pytest.raises(ProtocolError, match="one upload from each of parties 1..3"):
+            server.answer_round(uploads, event=1)
+        for old, new in zip(before, (server.w0, server.cache.values, server.cache.stamp)):
+            assert np.array_equal(old, new)
+        assert server.uploads_seen == 0 and server.last_v0 is None
 
 
 class TestClientStep:
@@ -751,17 +795,18 @@ class TestTranscript:
 
 class TestDelayModel:
     def test_constant_compute(self):
-        dm = DelayModel(1, compute="constant")
-        assert dm.compute_time(1, 0, 1.4) == 1.4
+        dm = DelayModel(1, [1.4, 0.25], compute="constant")
+        assert dm.compute_time(1, 0) == 1.4 and dm.compute_time(2, 3) == 0.25
+        assert dm.compute_time(1, 9) == 1.4
 
     def test_exponential_is_deterministic_per_address(self):
-        dm = DelayModel(7, compute="exponential")
-        a = dm.compute_time(2, 5, 1.0)
-        b = dm.compute_time(2, 5, 1.0)
+        dm = DelayModel(7, [1.0, 1.0], compute="exponential")
+        a = dm.compute_time(2, 5)
+        b = dm.compute_time(2, 5)
         assert a == b and a > 0
 
     def test_latency_uniform_range(self):
-        dm = DelayModel(1, latency=0.5, latency_dist="uniform")
+        dm = DelayModel(1, [1.0], latency=0.5, latency_dist="uniform")
         vals = [dm.latency_time(1, k) for k in range(200)]
         assert all(0 <= v <= 1.0 for v in vals)
         assert 0.3 < np.mean(vals) < 0.7

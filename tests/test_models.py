@@ -9,7 +9,6 @@ from revelight.errors import DomainError, ShapeError
 from revelight.models import (
     GlobalModel,
     LocalModel,
-    ModelState,
     PartitionedDataset,
     global_value,
     head_losses,
@@ -137,57 +136,56 @@ def _random_instance(rng, n, d, q):
     y = rng.choice([-1, 1], size=n)
     dims = partition_features(d, q)
     data = PartitionedDataset.from_matrix(X, y, dims)
-    state = ModelState(np.zeros(0), [rng.standard_normal(dm) * 0.3 for dm in dims])
-    return data, state
+    return data, np.zeros(0), [rng.standard_normal(dm) * 0.3 for dm in dims]
 
 
 class TestCompositeObjective:
     def test_zero_weights_balanced_data(self):
         rng = np.random.default_rng(0)
-        data, state = _random_instance(rng, 12, 8, 2)
-        state = ModelState(np.zeros(0), [np.zeros(d) for d in data.block_dims])
+        data, w0, _ = _random_instance(rng, 12, 8, 2)
+        w = [np.zeros(d) for d in data.block_dims]
         lm, gm = LocalModel(), GlobalModel(kind="logistic", q=2)
-        v = evaluate_loss(state.w0, state.w, data, 1e-4, lm, gm)
+        v = evaluate_loss(w0, w, data, 1e-4, lm, gm)
         assert v == pytest.approx(np.log(2.0), abs=1e-15)
 
     def test_single_sample_reduction(self):
         rng = np.random.default_rng(1)
-        data, state = _random_instance(rng, 1, 6, 3)
+        data, w0, w = _random_instance(rng, 1, 6, 3)
         lam = 0.37
         lm, gm = LocalModel(), GlobalModel(kind="logistic", q=3)
-        c = [local_forward(lm, state.w[m], data.blocks[m][0]) for m in range(3)]
-        expect = global_value(gm, state.w0, np.concatenate(c), data.labels[0]) + lam * sum(
-            nonconvex_reg(wm) for wm in state.w
+        c = [local_forward(lm, w[m], data.blocks[m][0]) for m in range(3)]
+        expect = global_value(gm, w0, np.concatenate(c), data.labels[0]) + lam * sum(
+            nonconvex_reg(wm) for wm in w
         )
-        got = evaluate_loss(state.w0, state.w, data, lam, lm, gm)
+        got = evaluate_loss(w0, w, data, lam, lm, gm)
         assert got == pytest.approx(expect, abs=1e-15)
 
     def test_against_per_sample_oracle_n16(self):
         # independent oracle: explicit per-sample summation over concatenated w
         rng = np.random.default_rng(2)
-        data, state = _random_instance(rng, 16, 10, 4)
+        data, w0, w = _random_instance(rng, 16, 10, 4)
         lam = 1e-3
         X = data.concatenated()
-        w_cat = np.concatenate(state.w)
+        w_cat = np.concatenate(w)
         acc = 0.0
         for i in range(16):
             z = -data.labels[i] * float(X[i] @ w_cat)
             acc += np.logaddexp(0.0, z)
         oracle = acc / 16 + lam * float(np.sum(w_cat**2 / (1 + w_cat**2)))
         lm, gm = LocalModel(), GlobalModel(kind="logistic", q=4)
-        got = evaluate_loss(state.w0, state.w, data, lam, lm, gm)
+        got = evaluate_loss(w0, w, data, lam, lm, gm)
         assert got == pytest.approx(oracle, abs=1e-12)
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(3)
-        data, state = _random_instance(rng, 20, 8, 2)
+        data, w0, w = _random_instance(rng, 20, 8, 2)
         lm, gm = LocalModel(), GlobalModel(kind="logistic", q=2)
-        v1 = evaluate_loss(state.w0, state.w, data, 1e-4, lm, gm)
+        v1 = evaluate_loss(w0, w, data, 1e-4, lm, gm)
         perm = rng.permutation(20)
         data2 = PartitionedDataset(
             blocks=[b[perm] for b in data.blocks], labels=data.labels[perm]
         )
-        v2 = evaluate_loss(state.w0, state.w, data2, 1e-4, lm, gm)
+        v2 = evaluate_loss(w0, w, data2, 1e-4, lm, gm)
         assert v1 == pytest.approx(v2, abs=1e-12)
 
     @settings(deadline=None, max_examples=100)
@@ -197,12 +195,12 @@ class TestCompositeObjective:
         n = int(rng.integers(2, 64))
         d = int(rng.integers(2, 32))
         q = int(rng.integers(1, min(d, 6) + 1))
-        data, state = _random_instance(rng, n, d, q)
+        data, w0, w = _random_instance(rng, n, d, q)
         lam = float(rng.uniform(0, 1e-2))
         lm, gm = LocalModel(), GlobalModel(kind="logistic", q=q)
-        fed = evaluate_loss(state.w0, state.w, data, lam, lm, gm)
+        fed = evaluate_loss(w0, w, data, lam, lm, gm)
         X = data.concatenated()
-        w_cat = np.concatenate(state.w)
+        w_cat = np.concatenate(w)
         cent = float(
             np.mean(np.logaddexp(0.0, -data.labels * (X @ w_cat)))
         ) + lam * float(np.sum(w_cat**2 / (1 + w_cat**2)))
@@ -251,10 +249,10 @@ class TestBatchedEvaluation:
         n = int(rng.integers(1, 48))
         d = int(rng.integers(1, 24))
         q = int(rng.integers(1, min(d, 6) + 1))
-        data, state = _random_instance(rng, n, d, q)
-        w = [wm * scale for wm in state.w]
+        data, w0, w = _random_instance(rng, n, d, q)
+        w = [wm * scale for wm in w]
         lm, gm = LocalModel(), GlobalModel(kind="logistic", q=q)
-        self._check(state.w0, w, data, lm, gm, float(rng.uniform(0, 1e-2)), exact_rows=True)
+        self._check(w0, w, data, lm, gm, float(rng.uniform(0, 1e-2)), exact_rows=True)
 
     @settings(deadline=None, max_examples=40)
     @given(st.integers(0, 10**6))
@@ -284,21 +282,21 @@ class TestBatchedEvaluation:
 class TestInitState:
     def test_linear_init_is_zero(self):
         rng = np.random.default_rng(0)
-        data, _ = _random_instance(rng, 4, 8, 2)
-        st_ = init_state(data, LocalModel(), GlobalModel(kind="logistic", q=2), seed=7)
-        assert all(np.all(w == 0) for w in st_.w)
-        assert st_.d0 == 0 and all(np.isfinite(w).all() for w in st_.w)
+        data, _, _ = _random_instance(rng, 4, 8, 2)
+        w0, w = init_state(data, LocalModel(), GlobalModel(kind="logistic", q=2), seed=7)
+        assert all(wm.dtype == np.float64 and np.all(wm == 0) for wm in w)
+        assert w0.dtype == np.float64 and w0.size == 0
 
     def test_mlp_init_deterministic(self):
         rng = np.random.default_rng(0)
-        data, _ = _random_instance(rng, 4, 8, 2)
+        data, _, _ = _random_instance(rng, 4, 8, 2)
         lm = LocalModel(kind="mlp", layer_sizes=(3, 1))
         gm = GlobalModel(kind="softmax_fcn", q=2, party_output_dim=1, classes=2)
-        a = init_state(data, lm, gm, seed=11)
-        b = init_state(data, lm, gm, seed=11)
-        assert all(np.array_equal(x, y) for x, y in zip(a.w, b.w))
-        assert np.array_equal(a.w0, b.w0)
-        assert a.w0.size == gm.d0 == 4
+        a0, a = init_state(data, lm, gm, seed=11)
+        b0, b = init_state(data, lm, gm, seed=11)
+        assert all(np.array_equal(x, y) for x, y in zip(a, b))
+        assert np.array_equal(a0, b0)
+        assert a0.size == gm.d0 == 4
 
     def test_stream_determinism(self):
         u = streams.stream(3, streams.DIRECTION, party=2, step=5).standard_normal(4)
