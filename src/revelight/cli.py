@@ -2,8 +2,9 @@
 command-line surface.
 
 Config files are flat `key = value` text with `#` comments; every run-config
-field has a key of the same name.  The built-in synthetic families (separable
-and noisy-logistic, seeded) let every benchmark run without downloads.
+field but `record_snapshots` has a key of the same name.  The built-in
+synthetic families (separable and noisy-logistic, seeded) let every
+benchmark run without downloads.
 
 Subcommands: train, verify, bench-comm, speedup, audit.  Exit status is 0
 iff all requested checks pass; failures print one machine-greppable
@@ -367,11 +368,19 @@ def _bench_pair(block_dim: int, seed: int, events: int):
     return asy, tig
 
 
+def _at_least(flag: str, value: int, least: int) -> None:
+    if value < least:
+        raise UsageError(f"{flag} {value}: must be at least {least}")
+
+
 def _ints(flag: str, text: str) -> list[int]:
+    """Comma-separated integers, each at least 1."""
     try:
-        return [int(tok) for tok in text.split(",")]
+        values = [int(tok) for tok in text.split(",")]
     except ValueError:
         raise UsageError(f"{flag} {text}: expected comma-separated integers") from None
+    _at_least(flag, min(values), 1)
+    return values
 
 
 def _cmd_bench_comm(args) -> int:
@@ -395,6 +404,8 @@ def _cmd_bench_comm(args) -> int:
 
 def _cmd_speedup(args) -> int:
     qs = _ints("--parties", args.parties)
+    _at_least("--n", args.n, 0)  # zero rows ends in the empty-training-set error
+    _at_least("--features", args.features, 1)
     if 1 not in qs:
         qs = [1] + qs
     times = {}
@@ -414,6 +425,8 @@ def _cmd_speedup(args) -> int:
 
 def _cmd_audit(args) -> int:
     dims = _ints("--dims", args.dims)
+    _at_least("--d0", args.d0, 0)
+    _at_least("--max-output-dim", args.max_output_dim, 1)
     transcript = Transcript.from_jsonl(args.transcript)
     report = audit_transcript(transcript, dims, d0=args.d0, max_output_dim=args.max_output_dim)
     if report.ok:

@@ -6,8 +6,9 @@ One iteration is one client update event (async) or one barrier round
 (sync).  The virtual clock is a priority queue over party compute finishes,
 message deliveries, and reply arrivals; with the counter-based streams the
 whole schedule is a deterministic function of the run config.  Loss and
-accuracy are evaluated every n events outside the protocol, so byte counts
-stay pure protocol traffic.
+accuracy are evaluated outside the protocol, so byte counts stay pure
+protocol traffic; from the event count each driver reports, one recorder
+decides when a row is due and when the run stops.
 """
 
 from __future__ import annotations
@@ -230,9 +231,11 @@ def evaluate_accuracy(w0, w, data: PartitionedDataset | None,
 
 
 class _Recorder:
-    """Shared evaluation/logging state across the drivers."""
+    """A run's evaluation rows, stop rule and per-party update counts.  It
+    logs the event-0 row when built; drivers then report their event count
+    through `advance` and their updates through `note_update`."""
 
-    def __init__(self, cfg, data, test_data, local_model, global_model, transcript):
+    def __init__(self, cfg, data, test_data, local_model, global_model, transcript, w0, w):
         self.cfg = cfg
         self.data = data
         self.test = test_data
@@ -242,17 +245,27 @@ class _Recorder:
         self.every = cfg.eval_every or data.n
         self.metrics = RunMetrics(transcript=transcript)
         self.last_v = [0.0] * (cfg.q + 1)
+        self.updates = [0] * (cfg.q + 1)  # update count per party, the head at 0
         self.max_stal = 0
         self.stopped = False
+        self.t = 0
+        self._log(0, 0.0, w0, w)
 
-    def note_update(self, party: int, v_hat: np.ndarray) -> None:
-        self.last_v[party] = float(np.dot(v_hat, v_hat))
+    def note_update(self, party: int, v: np.ndarray | None) -> None:
+        """Count one update of `party` (0 the head); None means no update."""
+        if v is not None:
+            self.last_v[party] = float(np.dot(v, v))
+            self.updates[party] += 1
 
-    def due(self, t: int) -> bool:
-        return t % self.every == 0
+    def advance(self, t: int, vtime: float, w0, w) -> None:
+        """Move the event count `self.t` to t, logging a row when an
+        evaluation point (a multiple of `every`) lies in (self.t, t]."""
+        if t // self.every > self.t // self.every:
+            self._log(t, vtime, w0, w)
+        self.t = t
 
-    def log(self, t: int, vtime: float, w0, w) -> bool:
-        """Append one row; returns True when the stop criterion is hit."""
+    def _log(self, t: int, vtime: float, w0, w) -> None:
+        """Append one row and apply the stop rule."""
         loss = evaluate_loss(w0, w, self.data, self.cfg.lam_eff, self.lm, self.gm)
         if not math.isfinite(loss):
             # updates can stay finite while the parameters grow past where the
@@ -273,12 +286,11 @@ class _Recorder:
             self.metrics.time_to_target = vtime
             self.metrics.events_to_target = t
             self.stopped = True
-        return self.stopped
 
-    def finish(self, w0, w, activations) -> RunMetrics:
+    def finish(self, w0, w) -> RunMetrics:
         self.metrics.final_w0 = np.copy(w0)
         self.metrics.final_w = [np.copy(wm) for wm in w]
-        self.metrics.activations = list(activations)
+        self.metrics.activations = self.updates[1:]
         return self.metrics
 
 
@@ -296,10 +308,10 @@ def _start_protocol(cfg: RunConfig, data: PartitionedDataset, local_model: Local
         for m in range(cfg.q)
     ]
     server = ServerNode(global_model, w0, data.labels, data.n, cfg.q,
-                        mu=cfg.mu, eta0=cfg.eta0, scheme=scheme, seed=cfg.seed,
-                        transcript=transcript)
-    warmup_cache(parties, server)
-    return parties, server, _Recorder(cfg, data, test_data, local_model, global_model, transcript)
+                        mu=cfg.mu, eta0=cfg.eta0, scheme=scheme, seed=cfg.seed)
+    warmup_cache(parties, server, transcript)
+    return parties, server, _Recorder(cfg, data, test_data, local_model, global_model,
+                                      transcript, server.w0, [p.w for p in parties])
 
 
 def run_asyrevel(cfg: RunConfig, data: PartitionedDataset, local_model: LocalModel,
@@ -324,32 +336,25 @@ def run_asyrevel(cfg: RunConfig, data: PartitionedDataset, local_model: LocalMod
                        cfg.latency_dist)
     queue = StalenessQueue(cfg.tau)
     heap: list = []
-    sent = 0       # uploads sent; the latest upload's serial
-    processed = 0  # uploads the server has answered
-    applied = 0    # client update events completed; the run's event counter
-
-    rec.log(0, 0.0, server.w0, [p.w for p in parties])
+    sent = 0  # uploads sent; the latest upload's serial
 
     for p in parties:
         heapq.heappush(heap, (delay.compute_time(p.id, 0), _FINISH, p.id, None))
 
     def drain(now: float) -> None:
-        nonlocal processed
         while True:
-            nxt = queue.pop_next(processed)
+            nxt = queue.pop_next(server.uploads_seen)
             if nxt is None:
                 return
             (upload, lat), send_count, _ser = nxt
-            rec.max_stal = max(rec.max_stal, processed - send_count)
-            reply = server.handle_upload(upload, event=processed + 1)
-            processed += 1
+            rec.max_stal = max(rec.max_stal, server.uploads_seen - send_count)
+            reply = server.handle_upload(upload)
             transcript.record(now, "down", reply)
-            if server.last_v0 is not None:
-                rec.note_update(0, server.last_v0)
+            rec.note_update(0, server.last_v0)
             # the reply travels the same (party, seq) link as its upload
             heapq.heappush(heap, (now + lat, _REPLY, upload.party, reply))
 
-    while applied < cfg.T and heap and not rec.stopped:
+    while rec.t < cfg.T and heap and not rec.stopped:
         now, kind, idx, payload = heapq.heappop(heap)
         if kind == _FINISH:
             if sent >= cfg.T:
@@ -359,7 +364,7 @@ def run_asyrevel(cfg: RunConfig, data: PartitionedDataset, local_model: LocalMod
             transcript.record(now, "up", upload)
             sent += 1
             lat = delay.latency_time(idx, upload.seq)
-            queue.send(sent, now + lat, processed)
+            queue.send(sent, server.uploads_seen)
             # serials are unique, so the heap never compares the payloads
             heapq.heappush(heap, (now + lat, _DELIVER, sent, (upload, lat)))
         elif kind == _DELIVER:
@@ -367,16 +372,13 @@ def run_asyrevel(cfg: RunConfig, data: PartitionedDataset, local_model: LocalMod
             drain(now)
         else:  # _REPLY
             party = parties[idx - 1]
-            v_hat = party.apply_reply(payload)
-            rec.note_update(idx, v_hat)
-            applied += 1
-            if rec.due(applied):
-                rec.log(applied, now, server.w0, [p.w for p in parties])
-            if applied < cfg.T and not rec.stopped:
+            rec.note_update(idx, party.apply_reply(payload))
+            rec.advance(rec.t + 1, now, server.w0, [p.w for p in parties])
+            if rec.t < cfg.T and not rec.stopped:
                 nxt_t = now + delay.compute_time(idx, party.steps)
                 heapq.heappush(heap, (nxt_t, _FINISH, idx, None))
 
-    return rec.finish(server.w0, [p.w for p in parties], [p.steps for p in parties])
+    return rec.finish(server.w0, [p.w for p in parties])
 
 
 def _run_serialized(cfg, parties, server, rec, schedule) -> RunMetrics:
@@ -384,24 +386,20 @@ def _run_serialized(cfg, parties, server, rec, schedule) -> RunMetrics:
     transcript = rec.transcript
     clocks = [0.0] * cfg.q
     means = cfg.party_means()
-    stopped = rec.log(0, 0.0, server.w0, [p.w for p in parties])
     for t, (m, i) in enumerate(schedule[: cfg.T], start=1):
-        if stopped:
+        if rec.stopped:
             break
         party = parties[m - 1]
         clocks[m - 1] += means[m - 1]
         now = clocks[m - 1]
         upload = party.start_step(sample=i)
         transcript.record(now, "up", upload)
-        reply = server.handle_upload(upload, event=t)
+        reply = server.handle_upload(upload)
         transcript.record(now, "down", reply)
-        if server.last_v0 is not None:
-            rec.note_update(0, server.last_v0)
-        v_hat = party.apply_reply(reply)
-        rec.note_update(m, v_hat)
-        if rec.due(t):
-            stopped = rec.log(t, now, server.w0, [p.w for p in parties])
-    return rec.finish(server.w0, [p.w for p in parties], [p.steps for p in parties])
+        rec.note_update(0, server.last_v0)
+        rec.note_update(m, party.apply_reply(reply))
+        rec.advance(t, now, server.w0, [p.w for p in parties])
+    return rec.finish(server.w0, [p.w for p in parties])
 
 
 def round_sample(samples: streams.Stream, r: int, n: int) -> int:
@@ -440,30 +438,22 @@ def run_synrevel(cfg: RunConfig, data: PartitionedDataset, local_model: LocalMod
     samples = streams.Stream(cfg.seed, streams.SAMPLE)
 
     vtime = 0.0
-    t = 0
-    stopped = rec.log(0, 0.0, server.w0, [p.w for p in parties])
     r = 0
-    while t < cfg.T and not stopped:
+    while rec.t < cfg.T and not rec.stopped:
         i = round_sample(samples, r, data.n)
         uploads = [party.start_step(sample=i) for party in parties]
         vtime += max(delay.compute_time(m, r) for m in range(1, cfg.q + 1)) + 2 * cfg.latency
         for up in uploads:
             transcript.record(vtime, "up", up)
-        replies = server.answer_round(uploads, event=t)
+        replies = server.answer_round(uploads)
         for reply in replies:
             transcript.record(vtime, "down", reply)
-        if server.last_v0 is not None:
-            rec.note_update(0, server.last_v0)
+        rec.note_update(0, server.last_v0)
         for party, reply in zip(parties, replies):
-            v_hat = party.apply_reply(reply)
-            rec.note_update(party.id, v_hat)
-        told = t
-        t += cfg.q
+            rec.note_update(party.id, party.apply_reply(reply))
         r += 1
-        boundary = (told // rec.every + 1) * rec.every
-        if boundary <= t:
-            stopped = rec.log(t, vtime, server.w0, [p.w for p in parties])
-    return rec.finish(server.w0, [p.w for p in parties], [p.steps for p in parties])
+        rec.advance(rec.t + cfg.q, vtime, server.w0, [p.w for p in parties])
+    return rec.finish(server.w0, [p.w for p in parties])
 
 
 def _centralized_start(cfg: RunConfig, data: PartitionedDataset, local_model: LocalModel,
@@ -480,23 +470,26 @@ def _centralized_start(cfg: RunConfig, data: PartitionedDataset, local_model: Lo
     return w0, w, cache
 
 
-def _activations(cfg: RunConfig):
-    """Party activations in compute-time order for the drivers that send
-    nothing through the network model (nonfed, tig).
+def _centralized_events(cfg: RunConfig, n: int):
+    """The update events of the drivers that send nothing through the network
+    model (nonfed, tig), in compute-time order.
 
-    Yields (time, party, step) without end: each party's next activation
-    follows its previous one by a compute time drawn at (party, step).
+    Yields (t, time, party, step, sample) for t = 1..T: each party's next
+    activation follows its previous one by a compute time drawn at (party,
+    step), and its sample is the SAMPLE stream's draw at (party, step).
     """
     delay = DelayModel(cfg.seed, cfg.party_means(), cfg.compute_dist)
+    samples = streams.Stream(cfg.seed, streams.SAMPLE)
     heap = [(delay.compute_time(m, 0), m) for m in range(1, cfg.q + 1)]
     heapq.heapify(heap)
     steps = [0] * cfg.q
-    while True:
+    for t in range(1, cfg.T + 1):
         now, pid = heapq.heappop(heap)
         k = steps[pid - 1]
-        yield now, pid, k
+        yield t, now, pid, k, int(samples.at(pid, k).integers(n))
         steps[pid - 1] = k + 1
-        heapq.heappush(heap, (now + delay.compute_time(pid, k + 1), pid))
+        if t < cfg.T:  # no compute-time draw after the last event
+            heapq.heappush(heap, (now + delay.compute_time(pid, k + 1), pid))
 
 
 def run_nonfederated(cfg: RunConfig, data: PartitionedDataset, local_model: LocalModel,
@@ -510,19 +503,15 @@ def run_nonfederated(cfg: RunConfig, data: PartitionedDataset, local_model: Loca
     cfg.validate()
     w0, w, cache = _centralized_start(cfg, data, local_model, global_model)
     scheme = cfg.direction_scheme
-    rec = _Recorder(cfg, data, test_data, local_model, global_model, None)
-    samples = streams.Stream(cfg.seed, streams.SAMPLE)
+    rec = _Recorder(cfg, data, test_data, local_model, global_model, None, w0, w)
     directions = streams.Stream(cfg.seed, streams.DIRECTION)
     head_directions = streams.Stream(cfg.seed, streams.SERVER_DIRECTION)
     odim = global_model.party_output_dim
-    steps = [0] * cfg.q
-    rec.log(0, 0.0, w0, w)
-    for t, (now, pid, k) in zip(range(1, cfg.T + 1), _activations(cfg)):
+    for t, now, pid, k, i in _centralized_events(cfg, data.n):
         if rec.stopped:
             break
         m = pid - 1
         cols = party_columns(pid, odim)
-        i = int(samples.at(pid, k).integers(data.n))
         u = sample_direction(scheme, w[m].size, directions.at(pid, k))
         c, c_hat, g0, g1 = two_point_client(local_model, w[m], data.blocks[m][i], u, cfg.mu)
         row = cache[i].copy()
@@ -540,10 +529,8 @@ def run_nonfederated(cfg: RunConfig, data: PartitionedDataset, local_model: Loca
         reject_nonfinite(v_hat, pid, k)
         w[m] = w[m] - cfg.eta * v_hat
         rec.note_update(pid, v_hat)
-        steps[m] = k + 1
-        if rec.due(t):
-            rec.log(t, now, w0, w)
-    return rec.finish(w0, w, steps)
+        rec.advance(t, now, w0, w)
+    return rec.finish(w0, w)
 
 
 def _head_gradients(global_model: GlobalModel, w0, feats, label, m):
@@ -603,21 +590,17 @@ def run_tig_baseline(cfg: RunConfig, data: PartitionedDataset, local_model: Loca
         )
     transcript = Transcript()
     w0, w, cache = _centralized_start(cfg, data, local_model, global_model)
-    rec = _Recorder(cfg, data, test_data, local_model, global_model, transcript)
     odim = global_model.party_output_dim
     for i in range(data.n):
         for m in range(cfg.q):
             transcript.record_raw(0.0, "up", "tig_output", m + 1, i, -1,
                                   cache[i, party_columns(m + 1, odim)])
-    samples = streams.Stream(cfg.seed, streams.SAMPLE)
-    steps = [0] * cfg.q
-    rec.log(0, 0.0, w0, w)
-    for t, (now, pid, k) in zip(range(1, cfg.T + 1), _activations(cfg)):
+    rec = _Recorder(cfg, data, test_data, local_model, global_model, transcript, w0, w)
+    for t, now, pid, k, i in _centralized_events(cfg, data.n):
         if rec.stopped:
             break
         m = pid - 1
         cols = party_columns(pid, odim)
-        i = int(samples.at(pid, k).integers(data.n))
         x = data.blocks[m][i]
         c = local_forward(local_model, w[m], x)
         transcript.record_raw(now, "up", "tig_output", pid, i, k, c)
@@ -635,10 +618,8 @@ def run_tig_baseline(cfg: RunConfig, data: PartitionedDataset, local_model: Loca
             w0 = w0 - cfg.eta0 * g0
             rec.note_update(0, g0)
         cache[i, cols] = c
-        steps[m] = k + 1
-        if rec.due(t):
-            rec.log(t, now, w0, w)
-    return rec.finish(w0, w, steps)
+        rec.advance(t, now, w0, w)
+    return rec.finish(w0, w)
 
 
 RUNNERS = {

@@ -6,7 +6,8 @@ replies with the head value at the cached outputs and at the perturbed
 substitution.  No parameter or gradient vector ever crosses this wire, which
 is the property the transcript audit mechanizes.  The server answers an
 asynchronous upload against its cache (`handle_upload`) or a whole
-synchronous round against the round's own outputs (`answer_round`); the
+synchronous round against the round's own outputs (`answer_round`),
+stamping each cell it caches with its count of uploads answered.  The
 delay model holds each party's mean compute time.
 
 Frame layout (little endian): 4-byte length of the remainder, 1-byte variant
@@ -17,7 +18,6 @@ length, c followed by c_hat; Reply carries the pair h, h_bar).
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import json
 import operator
@@ -358,8 +358,8 @@ class ServerCache:
     The outputs live in one contiguous (n, q*k) float64 matrix `values`, k
     the head's party_output_dim: party m's output for sample i sits at
     values[i, party_columns(m, k)], so row i is the head's flat input.
-    stamp[i, m-1] is the event that last wrote the cell, -1 while it is not
-    warmed.
+    stamp[i, m-1] is the server's upload count when it last wrote the cell,
+    0 after the warm-up and -1 while it is not warmed.
     """
 
     def __init__(self, n: int, q: int, k: int = 1) -> None:
@@ -449,20 +449,18 @@ class StalenessQueue:
     Serials increase and send counts never decrease from one send to the
     next, so `sends`, which keeps every unprocessed message in serial order,
     is sorted oldest-first: the deadline check scans it without a sort, and
-    its first entry is the oldest message.  Delivery order comes from a heap
-    keyed (delivery, send_count, serial) whose processed entries are dropped
-    when they reach the top.
+    its first entry is the oldest message.  `pending` keeps the delivered
+    messages in the order delivered, so its first entry is the earliest
+    delivery; the caller's event heap decides that order.
     """
 
     def __init__(self, tau: int) -> None:
         self.tau = tau
         self.sends: dict[int, int] = {}        # serial -> send_count, unprocessed, serial order
-        self.in_flight: dict[int, float] = {}  # serial -> delivery time, not yet delivered
-        self.pending: dict[int, object] = {}   # serial -> msg, delivered, not yet processed
-        self._by_delivery: list[tuple[float, int, int]] = []
+        self.pending: dict[int, object] = {}   # serial -> msg, delivered, unprocessed, in order
         self._last: tuple[int, int] | None = None  # serial and send count of the latest send
 
-    def send(self, serial: int, delivery_time: float, send_count: int) -> None:
+    def send(self, serial: int, send_count: int) -> None:
         if self._last is not None:
             last_serial, last_count = self._last
             if serial <= last_serial:
@@ -471,14 +469,11 @@ class StalenessQueue:
                 raise ProtocolError(f"send count {send_count} is below the previous {last_count}")
         self._last = (serial, send_count)
         self.sends[serial] = send_count
-        self.in_flight[serial] = delivery_time
 
     def deliver(self, serial: int, msg) -> None:
-        delivery = self.in_flight.pop(serial, None)
-        if delivery is None:
+        if serial not in self.sends or serial in self.pending:
             raise ProtocolError(f"delivery of serial {serial}, which is not in flight")
         self.pending[serial] = msg
-        heapq.heappush(self._by_delivery, (delivery, self.sends[serial], serial))
 
     def _deadline_pressure(self, processed_count: int) -> bool:
         # Slot i of the oldest-first order is the earliest count at which the
@@ -501,10 +496,7 @@ class StalenessQueue:
             if serial not in self.pending:
                 return None  # stall for the in-flight oldest
         elif self.pending:
-            heap = self._by_delivery
-            while heap[0][2] not in self.pending:
-                heapq.heappop(heap)  # processed out of delivery order
-            serial = heapq.heappop(heap)[2]
+            serial = next(iter(self.pending))
         else:
             return None
         return self.pending.pop(serial), self.sends.pop(serial), serial
@@ -572,7 +564,7 @@ class ServerNode:
     """Label holder: evaluates the head against cached party outputs."""
 
     def __init__(self, global_model: GlobalModel, w0, labels, n, q, *,
-                 mu, eta0, scheme, seed, transcript: Transcript | None = None):
+                 mu, eta0, scheme, seed):
         self.model = global_model
         self.w0 = np.asarray(w0, dtype=np.float64)
         self.labels = labels
@@ -581,30 +573,24 @@ class ServerNode:
         self.eta0 = eta0
         self.scheme = scheme
         self.directions = streams.Stream(seed, streams.SERVER_DIRECTION)
-        self.transcript = transcript
         self.uploads_seen = 0
         self.last_v0: np.ndarray | None = None
 
-    def warm(self, upload: Upload) -> None:
-        if self.transcript is not None:
-            self.transcript.record(0.0, "up", upload)
-        self.cache.put(upload.sample, upload.party, upload.c, stamp=0)
-
-    def handle_upload(self, upload: Upload, event: int) -> Reply:
+    def handle_upload(self, upload: Upload) -> Reply:
         """Head values from the pre-update cache, reply, then cache overwrite."""
-        reply, v0 = self._step(upload, self.w0, event)
+        reply, v0 = self._step(upload, self.w0)
         if v0 is not None:
             self.w0 = self.w0 - self.eta0 * v0
         self.last_v0 = v0
         return reply
 
-    def answer_round(self, uploads: list[Upload], event: int) -> list[Reply]:
+    def answer_round(self, uploads: list[Upload]) -> list[Reply]:
         """One synchronous round, one upload per party in party order: each is
         answered at the round's w0 against the round's own outputs (staleness
-        zero), party m's cell stamped event + m, then the head estimates are
-        summed in party order and applied once.  A round that is not parties
-        1..q in order, or holds an output of the wrong width, is rejected
-        before anything changes."""
+        zero), party m's cell stamped with the count of uploads answered
+        through m, then the head estimates are summed in party order and
+        applied once.  A round that is not parties 1..q in order, or holds
+        an output of the wrong width, is rejected before anything changes."""
         parties = [up.party for up in uploads]
         if parties != list(range(1, self.cache.q + 1)):
             raise ProtocolError(f"a synchronous round needs one upload from each of parties "
@@ -612,7 +598,7 @@ class ServerNode:
         for up in uploads:
             self._check_width(up)
         w0, fresh = self.w0, np.concatenate([up.c for up in uploads])
-        steps = [self._step(up, w0, event + up.party, fresh) for up in uploads]
+        steps = [self._step(up, w0, fresh) for up in uploads]
         v0s = [v0 for _, v0 in steps if v0 is not None]
         self.last_v0 = sum(v0s[1:], v0s[0]) if v0s else None
         if v0s:
@@ -627,11 +613,12 @@ class ServerNode:
                 f"{np.size(upload.c_hat)} values, the head takes {k}"
             )
 
-    def _step(self, upload: Upload, w0: np.ndarray, event: int, fresh=None):
+    def _step(self, upload: Upload, w0: np.ndarray, fresh=None):
         """Two-point step at head parameters w0 against the cached outputs,
         or the flat row `fresh` when given; rejects an unknown sample or
         party, outputs that are not k values wide and a non-finite head
-        estimate, counts the upload and caches its output."""
+        estimate, counts the upload and caches its output stamped with the
+        count."""
         i, m = upload.sample, upload.party
         cache = self.cache
         cols = cache.cols(i, m)
@@ -644,19 +631,22 @@ class ServerNode:
         if v0 is not None:
             reject_nonfinite(v0, 0, self.uploads_seen)
         self.uploads_seen += 1
-        cache.put(i, m, upload.c, stamp=event)
+        cache.put(i, m, upload.c, stamp=self.uploads_seen)
         return Reply(party=m, sample=i, h=h, h_bar=h_bar, seq=upload.seq), v0
 
 
-def warmup_cache(parties: list[PartyNode], server: ServerNode) -> ServerCache:
+def warmup_cache(parties: list[PartyNode], server: ServerNode,
+                 transcript: Transcript) -> ServerCache:
     """Every party uploads its initial output for every sample.
 
-    Populates all (sample, party) cells; the uploads are logged in the
-    transcript and counted in the byte totals.
+    Each upload is logged in `transcript` at time 0, so it counts in the
+    byte totals, and fills its (sample, party) cell with stamp 0.
     """
     for party in parties:
         for i in range(server.cache.n):
-            server.warm(party.warm_upload(i))
+            upload = party.warm_upload(i)
+            transcript.record(0.0, "up", upload)
+            server.cache.put(i, party.id, upload.c, stamp=0)
     return server.cache
 
 

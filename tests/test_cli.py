@@ -320,6 +320,23 @@ class TestMainCli:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: {argv[-2]} ")
 
+    @pytest.mark.parametrize("argv, error", [
+        (["bench-comm", "--blocks=-3"], "--blocks -3: must be at least 1"),
+        (["bench-comm", "--blocks=16,0"], "--blocks 0: must be at least 1"),
+        (["speedup", "--parties=0"], "--parties 0: must be at least 1"),
+        (["speedup", "--n=-5", "--parties", "1"], "--n -5: must be at least 0"),
+        (["speedup", "--features=0", "--parties", "1"], "--features 0: must be at least 1"),
+        (["audit", "--transcript", "t.jsonl", "--dims", "4,4", "--d0=-4"],
+         "--d0 -4: must be at least 0"),
+        (["audit", "--transcript", "t.jsonl", "--dims", "4,4", "--max-output-dim=0"],
+         "--max-output-dim 0: must be at least 1"),
+        (["audit", "--transcript", "t.jsonl", "--dims=4,-1"], "--dims -1: must be at least 1"),
+    ], ids=["blocks_negative", "blocks_zero", "parties_zero", "n_negative", "features_zero",
+            "d0_negative", "max_output_dim_zero", "dims_negative"])
+    def test_out_of_range_flag_is_one_error_line(self, capsys, argv, error):
+        assert main(argv) == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: {error}"]
+
     def test_train_missing_config(self, tmp_path, capsys):
         rc = main(["train", "--config", str(tmp_path / "nope.cfg")])
         assert rc == 2

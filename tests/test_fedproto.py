@@ -157,20 +157,20 @@ def _tiny_setup(n=6, d=8, q=2, seed=5, scheme=SPHERE, mu=0.05, eta=0.1, lam=1e-3
         for m in range(q)
     ]
     server = ServerNode(gm, np.zeros(0), y, n, q, mu=mu, eta0=eta / q,
-                        scheme=scheme, seed=seed, transcript=transcript)
+                        scheme=scheme, seed=seed)
     return data, lm, gm, parties, server, transcript
 
 
 class TestWarmup:
     def test_cache_fully_populated(self):
-        _, _, _, parties, server, _ = _tiny_setup()
-        cache = warmup_cache(parties, server)
+        _, _, _, parties, server, transcript = _tiny_setup()
+        cache = warmup_cache(parties, server, transcript)
         assert np.all(cache.stamp == 0)
         assert all(len(cache.row(i)) == cache.q for i in range(cache.n))
 
     def test_cache_matches_direct_forward(self):
-        data, lm, _, parties, server, _ = _tiny_setup()
-        warmup_cache(parties, server)
+        data, lm, _, parties, server, transcript = _tiny_setup()
+        warmup_cache(parties, server, transcript)
         for m, party in enumerate(parties):
             for i in range(data.n):
                 direct = local_forward(lm, party.w, data.blocks[m][i])
@@ -178,7 +178,7 @@ class TestWarmup:
 
     def test_transcript_gains_n_q_uploads(self):
         data, _, _, parties, server, transcript = _tiny_setup()
-        warmup_cache(parties, server)
+        warmup_cache(parties, server, transcript)
         assert len(transcript) == data.n * len(parties)
         assert (transcript.column("variant") == "upload").all()
         assert (transcript.column("seq") == -1).all()
@@ -234,47 +234,47 @@ class TestServerCache:
 
 class TestServerHandleUpload:
     def test_identical_inputs_give_equal_head_values(self):
-        _, _, _, parties, server, _ = _tiny_setup()
-        warmup_cache(parties, server)
+        _, _, _, parties, server, transcript = _tiny_setup()
+        warmup_cache(parties, server, transcript)
         up = parties[0].start_step(sample=3)
         up.c_hat = up.c.copy()
-        reply = server.handle_upload(up, event=1)
+        reply = server.handle_upload(up)
         assert reply.h == reply.h_bar
 
     def test_glm_head_never_updates(self):
         _, _, _, parties, server, transcript = _tiny_setup()
-        warmup_cache(parties, server)
+        warmup_cache(parties, server, transcript)
         before = len(transcript)
         up = parties[0].start_step()
-        reply = server.handle_upload(up, event=1)
+        reply = server.handle_upload(up)
         assert server.w0.size == 0 and server.last_v0 is None
         assert isinstance(reply, Reply)
         assert len(transcript) == before  # replies are logged by the engine, not here
 
     def test_stale_entry_changes_head_value(self):
         # party 2's cached output is one step old; a fresh entry gives a different h
-        data, lm, _, parties, server, _ = _tiny_setup()
-        warmup_cache(parties, server)
+        data, lm, _, parties, server, transcript = _tiny_setup()
+        warmup_cache(parties, server, transcript)
         i = 2
         parties[1].w = parties[1].w + 0.5  # party 2 moved since warm-up
         up = parties[0].start_step(sample=i)
-        stale_reply = server.handle_upload(up, event=1)
+        stale_reply = server.handle_upload(up)
         fresh_c2 = local_forward(lm, parties[1].w, data.blocks[1][i])
         assert not np.array_equal(fresh_c2, server.cache.row(i)[1:])
         server.cache.put(i, 2, fresh_c2, stamp=2)
         parties[0].pending = None
         up2 = parties[0].start_step(sample=i)
         up2.c, up2.c_hat = up.c, up.c_hat  # same party-1 payload, fresh party-2 cache
-        fresh_reply = server.handle_upload(up2, event=3)
+        fresh_reply = server.handle_upload(up2)
         assert stale_reply.h != fresh_reply.h
 
     def test_unknown_sample_id(self):
-        _, _, _, parties, server, _ = _tiny_setup()
-        warmup_cache(parties, server)
+        _, _, _, parties, server, transcript = _tiny_setup()
+        warmup_cache(parties, server, transcript)
         up = parties[0].start_step(sample=1)
         up.sample = 999
         with pytest.raises(ProtocolError, match="unknown sample"):
-            server.handle_upload(up, event=1)
+            server.handle_upload(up)
 
     @pytest.mark.parametrize("entry", ["handle_upload", "answer_round"])
     def test_non_finite_head_estimate_rejected(self, entry):
@@ -290,27 +290,26 @@ class TestServerHandleUpload:
         rejected = "server: non-finite head update rejected at step 0"
         with np.errstate(invalid="ignore"), pytest.raises(ProtocolError, match=rejected):
             if entry == "handle_upload":
-                server.handle_upload(up, event=1)
+                server.handle_upload(up)
             else:
-                server.answer_round([up, Upload(2, 2, np.array([0.5]), np.array([0.5]), 0)],
-                                    event=1)
+                server.answer_round([up, Upload(2, 2, np.array([0.5]), np.array([0.5]), 0)])
         assert np.array_equal(server.w0, w0)
         assert server.uploads_seen == 0 and server.cache.stamp[2, 0] == 0
 
     @staticmethod
     def _answer(server, entry, up):
         if entry == "handle_upload":
-            return server.handle_upload(up, event=1)
+            return server.handle_upload(up)
         # a round of plain uploads from the other parties, then `up`
         uploads = [Upload(m, up.sample, np.array([0.5]), np.array([0.5]), 0)
                    for m in range(1, server.cache.q + 1) if m != up.party]
-        return server.answer_round(uploads + [up], event=1)
+        return server.answer_round(uploads + [up])
 
     @pytest.mark.parametrize("entry", ["handle_upload", "answer_round"])
     @pytest.mark.parametrize("party", [0, -1, 3])
     def test_unknown_party_id(self, entry, party):
-        _, _, _, parties, server, _ = _tiny_setup()
-        warmup_cache(parties, server)
+        _, _, _, parties, server, transcript = _tiny_setup()
+        warmup_cache(parties, server, transcript)
         cached = server.cache.values.copy()
         up = Upload(party, 1, np.array([0.3]), np.array([0.4]), 0)
         # a round is checked for parties 1..q in order before any step
@@ -325,8 +324,8 @@ class TestServerHandleUpload:
         ([0.3, 0.1], [0.4, 0.2]), ([0.3], [0.4, 0.2]), ([0.3, 0.1], [0.4]), ([], []),
     ], ids=["both_two", "c_hat_two", "c_two", "empty"])
     def test_output_width_must_match_head(self, entry, c, c_hat):
-        _, _, _, parties, server, _ = _tiny_setup()
-        warmup_cache(parties, server)
+        _, _, _, parties, server, transcript = _tiny_setup()
+        warmup_cache(parties, server, transcript)
         cached = server.cache.values.copy()
         # the last party: a round is checked whole before its first step
         up = Upload(server.cache.q, 1, np.array(c), np.array(c_hat), 0)
@@ -344,7 +343,7 @@ class TestServerHandleUpload:
         for m, c in outs.items():
             server.cache.put(1, m, c, stamp=0)
         up = Upload(2, 1, np.array([5.0, 6.0]), np.array([7.0, 8.0]), 0)
-        reply = server.handle_upload(up, event=1)
+        reply = server.handle_upload(up)
         row = np.concatenate([outs[1], up.c, outs[3]])
         row_bar = np.concatenate([outs[1], up.c_hat, outs[3]])
         assert reply.h == global_value(gm, w0, row, 1)
@@ -352,10 +351,10 @@ class TestServerHandleUpload:
         assert np.array_equal(server.cache.values[1], row)
 
     def test_cache_overwritten_after_reply(self):
-        _, _, _, parties, server, _ = _tiny_setup()
-        warmup_cache(parties, server)
+        _, _, _, parties, server, transcript = _tiny_setup()
+        warmup_cache(parties, server, transcript)
         up = parties[0].start_step(sample=4)
-        server.handle_upload(up, event=1)
+        server.handle_upload(up)
         assert np.array_equal(server.cache.row(4)[:1], up.c)
         assert server.cache.stamp[4, 0] == 1
 
@@ -376,7 +375,7 @@ class TestAnswerRound:
         server = _head_server()
         w0 = server.w0.copy()
         uploads = [Upload(m, 1, np.array([m + 0.5]), np.array([m - 0.5]), 0) for m in (1, 2, 3)]
-        replies = server.answer_round(uploads, event=6)
+        replies = server.answer_round(uploads)
         fresh = np.array([1.5, 2.5, 3.5])
         for up, reply in zip(uploads, replies):
             row_bar = fresh.copy()
@@ -385,7 +384,7 @@ class TestAnswerRound:
             assert reply.h == global_value(server.model, w0, fresh, 1)
             assert reply.h_bar == global_value(server.model, w0, row_bar, 1)
         assert np.array_equal(server.cache.values[1], fresh)
-        assert server.cache.stamp[1].tolist() == [7, 8, 9]
+        assert server.cache.stamp[1].tolist() == [1, 2, 3]  # the server's own count
         assert server.uploads_seen == 3
         assert np.array_equal(server.w0, w0 - server.eta0 * server.last_v0)
 
@@ -398,7 +397,7 @@ class TestAnswerRound:
         before = (server.w0.copy(), server.cache.values.copy(), server.cache.stamp.copy())
         uploads = [Upload(m, 1, np.array([0.3]), np.array([0.4]), 0) for m in parties]
         with pytest.raises(ProtocolError, match="one upload from each of parties 1..3"):
-            server.answer_round(uploads, event=1)
+            server.answer_round(uploads)
         for old, new in zip(before, (server.w0, server.cache.values, server.cache.stamp)):
             assert np.array_equal(old, new)
         assert server.uploads_seen == 0 and server.last_v0 is None
@@ -411,26 +410,26 @@ class TestClientStep:
             parties[0].apply_reply(Reply(1, 0, 0.1, 0.2, 0))
 
     def test_mismatched_reply_is_protocol_error(self):
-        _, _, _, parties, server, _ = _tiny_setup()
-        warmup_cache(parties, server)
+        _, _, _, parties, server, transcript = _tiny_setup()
+        warmup_cache(parties, server, transcript)
         up = parties[0].start_step(sample=1)
-        reply = server.handle_upload(up, event=1)
+        reply = server.handle_upload(up)
         bad = Reply(reply.party, reply.sample + 1, reply.h, reply.h_bar, reply.seq)
         with pytest.raises(ProtocolError):
             parties[0].apply_reply(bad)
 
     def test_double_upload_rejected(self):
-        _, _, _, parties, server, _ = _tiny_setup()
-        warmup_cache(parties, server)
+        _, _, _, parties, server, transcript = _tiny_setup()
+        warmup_cache(parties, server, transcript)
         parties[0].start_step()
         with pytest.raises(ProtocolError, match="outstanding"):
             parties[0].start_step()
 
     def test_non_finite_update_rejected(self):
-        _, _, _, parties, server, _ = _tiny_setup()
-        warmup_cache(parties, server)
+        _, _, _, parties, server, transcript = _tiny_setup()
+        warmup_cache(parties, server, transcript)
         up = parties[0].start_step()
-        reply = server.handle_upload(up, event=1)
+        reply = server.handle_upload(up)
         bad = Reply(reply.party, reply.sample, float("inf"), reply.h_bar, reply.seq)
         with pytest.raises(ProtocolError, match="party 1: non-finite update rejected at step 0"):
             parties[0].apply_reply(bad)
@@ -438,12 +437,12 @@ class TestClientStep:
 
     def test_deterministic_updates(self):
         def run_once():
-            _, _, _, parties, server, _ = _tiny_setup(seed=11)
-            warmup_cache(parties, server)
+            _, _, _, parties, server, transcript = _tiny_setup(seed=11)
+            warmup_cache(parties, server, transcript)
             for t in range(100):
                 party = parties[t % 2]
                 up = party.start_step()
-                reply = server.handle_upload(up, event=t + 1)
+                reply = server.handle_upload(up)
                 party.apply_reply(reply)
             return [p.w.copy() for p in parties]
 
@@ -464,9 +463,9 @@ class TestClientStep:
                           mu=mu, eta=eta, lam_eff=lam, scheme=SPHERE, seed=seed)
         server = ServerNode(gm, np.zeros(0), y, n, 1, mu=mu, eta0=eta,
                             scheme=SPHERE, seed=seed)
-        warmup_cache([party], server)
+        warmup_cache([party], server, Transcript())
         for t in range(50):
-            reply = server.handle_upload(party.start_step(), event=t + 1)
+            reply = server.handle_upload(party.start_step())
             party.apply_reply(reply)
 
         w = np.zeros(d)
@@ -490,17 +489,16 @@ class TestClientStep:
 class TestStalenessQueue:
     def test_delivery_order_when_unpressured(self):
         q = StalenessQueue(tau=5)
-        q.send(1, 2.0, 0)
-        q.send(2, 1.0, 0)
-        q.deliver(1, "a")
+        q.send(1, 0)
+        q.send(2, 0)
         q.deliver(2, "b")
-        msg, _, _ = q.pop_next(0)
-        assert msg == "b"  # earlier delivery first
+        q.deliver(1, "a")
+        assert [q.pop_next(0)[0], q.pop_next(0)[0]] == ["b", "a"]  # in the order delivered
 
     def test_tau_zero_is_send_order(self):
         q = StalenessQueue(tau=0)
-        q.send(1, 5.0, 0)
-        q.send(2, 1.0, 0)
+        q.send(1, 0)
+        q.send(2, 0)
         q.deliver(2, "late-sent")  # delivered first but sent second? same count
         # with equal send counts, tau=0 pressure forces oldest (serial) first
         assert q.pop_next(0) is None  # serial 1 still in flight -> stall
@@ -514,10 +512,10 @@ class TestStalenessQueue:
         tau = 2
         q = StalenessQueue(tau=tau)
         sends = {1: 0, 2: 0, 3: 1, 4: 2}
-        q.send(1, 10.0, 0)   # slow delivery
-        q.send(2, 1.0, 0)
-        q.send(3, 1.5, 1)
-        q.send(4, 2.0, 2)
+        q.send(1, 0)   # delivered last
+        q.send(2, 0)
+        q.send(3, 1)
+        q.send(4, 2)
         q.deliver(2, "m2")
         q.deliver(3, "m3")
         q.deliver(4, "m4")
@@ -538,49 +536,53 @@ class TestStalenessQueue:
 
     def test_send_count_may_not_decrease(self):
         q = StalenessQueue(tau=2)
-        q.send(1, 1.0, 3)
+        q.send(1, 3)
         with pytest.raises(ProtocolError, match="send count 2 is below the previous 3"):
-            q.send(2, 1.0, 2)
-        q.send(2, 1.0, 3)
+            q.send(2, 2)
+        q.send(2, 3)
 
     def test_serial_must_increase(self):
         q = StalenessQueue(tau=2)
-        q.send(5, 1.0, 0)
+        q.send(5, 0)
         with pytest.raises(ProtocolError, match="serial 5 does not follow serial 5"):
-            q.send(5, 1.0, 0)
+            q.send(5, 0)
 
     def test_deliver_of_unknown_serial(self):
         q = StalenessQueue(tau=2)
-        q.send(1, 1.0, 0)
+        q.send(1, 0)
         q.deliver(1, "a")
-        for serial in (1, 2):
+        q.send(2, 0)
+        q.deliver(2, "b")
+        q.pop_next(0)
+        # processed, delivered but not processed, never sent
+        for serial in (1, 2, 3):
             with pytest.raises(ProtocolError, match=f"serial {serial}, which is not in flight"):
                 q.deliver(serial, "b")
 
 
 class ListStalenessQueue:
-    """Reference: the staleness queue as it was before the sort-free
-    rewrite, kept verbatim (it sorts every unprocessed send count per pop)."""
+    """Reference: the staleness queue as it was before the sort-free rewrite
+    (it sorts every unprocessed send count per pop), except that an
+    unpressured pop takes the first message delivered rather than the
+    smallest (delivery time, send count, serial)."""
 
     def __init__(self, tau: int) -> None:
         self.tau = tau
-        self.pending: list[tuple[float, int, int, object]] = []  # (delivery, send_count, serial, msg)
-        self.in_flight: dict[int, tuple[float, int]] = {}  # serial -> (delivery, send_count)
+        self.pending: list[tuple[int, int, object]] = []  # (send_count, serial, msg), as delivered
+        self.in_flight: dict[int, int] = {}  # serial -> send_count
 
-    def send(self, serial: int, delivery_time: float, send_count: int) -> None:
-        self.in_flight[serial] = (delivery_time, send_count)
+    def send(self, serial: int, send_count: int) -> None:
+        self.in_flight[serial] = send_count
 
     def deliver(self, serial: int, msg) -> None:
-        delivery, send_count = self.in_flight.pop(serial)
-        self.pending.append((delivery, send_count, serial, msg))
+        send_count = self.in_flight.pop(serial)
+        self.pending.append((send_count, serial, msg))
 
     def _deadline_pressure(self, processed_count: int) -> bool:
         # Unprocessed messages sorted oldest-first; slot i is the earliest
         # count at which the i-th could run.  Pressure when some slot would
         # pass a deadline, i.e. processed_count + i >= send_count_i + tau.
-        sends = sorted(
-            [p[1] for p in self.pending] + [s for _, s in self.in_flight.values()]
-        )
+        sends = sorted([p[0] for p in self.pending] + list(self.in_flight.values()))
         return any(processed_count + i >= s + self.tau for i, s in enumerate(sends))
 
     def pop_next(self, processed_count: int):
@@ -593,24 +595,24 @@ class ListStalenessQueue:
             return None
         if self._deadline_pressure(processed_count):
             oldest_pending = min(
-                ((p[1], p[2]) for p in self.pending), default=None
+                ((p[0], p[1]) for p in self.pending), default=None
             )
             oldest_flying = min(
-                ((s, ser) for ser, (_, s) in self.in_flight.items()), default=None
+                ((s, ser) for ser, s in self.in_flight.items()), default=None
             )
             if oldest_pending is None or (
                 oldest_flying is not None and oldest_flying < oldest_pending
             ):
                 return None  # stall for the in-flight oldest
             choice = next(
-                p for p in self.pending if (p[1], p[2]) == oldest_pending
+                p for p in self.pending if (p[0], p[1]) == oldest_pending
             )
         elif self.pending:
-            choice = min(self.pending, key=lambda p: (p[0], p[1], p[2]))
+            choice = self.pending[0]
         else:
             return None
         self.pending.remove(choice)
-        delivery, send_count, serial, msg = choice
+        send_count, serial, msg = choice
         return msg, send_count, serial
 
 
@@ -635,12 +637,11 @@ class QueueMachine(RuleBasedStateMachine):
         return len(self.sent) - len(self.popped)
 
     @precondition(lambda self: self._outstanding() < self.cap)
-    @rule(delay=st.integers(0, 8))
-    def send(self, delay):
+    @rule()
+    def send(self):
         self.serial += 1
-        # integer delivery times give ties, which the send count and serial break
-        self.queue.send(self.serial, float(delay), self.processed)
-        self.ref.send(self.serial, float(delay), self.processed)
+        self.queue.send(self.serial, self.processed)
+        self.ref.send(self.serial, self.processed)
         self.sent[self.serial] = self.processed
         self.flying.append(self.serial)
         self.most_outstanding = max(self.most_outstanding, self._outstanding())
@@ -688,7 +689,7 @@ class QueueMachine(RuleBasedStateMachine):
         unprocessed = set(self.queue.sends)
         assert unprocessed.isdisjoint(self.popped)
         assert unprocessed | set(self.popped) == set(self.sent)
-        assert set(self.queue.in_flight) == set(self.flying)
+        assert set(self.queue.sends) - set(self.queue.pending) == set(self.flying)
         assert len(self.queue.pending) == len(self.ref.pending)
 
 
@@ -700,12 +701,12 @@ TestQueueMachine = QueueMachine.TestCase
 class TestAudit:
     def test_protocol_transcript_passes(self):
         data, _, _, parties, server, transcript = _tiny_setup()
-        warmup_cache(parties, server)
+        warmup_cache(parties, server, transcript)
         for t in range(20):
             party = parties[t % 2]
             up = party.start_step()
             transcript.record(float(t), "up", up)
-            reply = server.handle_upload(up, event=t + 1)
+            reply = server.handle_upload(up)
             transcript.record(float(t), "down", reply)
             party.apply_reply(reply)
         report = audit_transcript(transcript, dims=[4, 4], max_output_dim=1)
@@ -713,7 +714,7 @@ class TestAudit:
 
     def test_injected_parameter_payload_flagged(self):
         data, _, _, parties, server, transcript = _tiny_setup()
-        warmup_cache(parties, server)
+        warmup_cache(parties, server, transcript)
         transcript.record_raw(1.0, "up", "upload", 1, 0, 99, np.zeros(8))
         report = audit_transcript(transcript, dims=[4, 4], max_output_dim=1)
         assert not report.ok
@@ -753,10 +754,10 @@ class TestAudit:
 class TestTranscript:
     def test_jsonl_round_trip(self, tmp_path):
         _, _, _, parties, server, transcript = _tiny_setup()
-        warmup_cache(parties, server)
+        warmup_cache(parties, server, transcript)
         up = parties[0].start_step()
         transcript.record(1.5, "up", up)
-        reply = server.handle_upload(up, event=1)
+        reply = server.handle_upload(up)
         transcript.record(1.5, "down", reply)
         path = tmp_path / "t.jsonl"
         transcript.to_jsonl(path)
@@ -787,7 +788,7 @@ class TestTranscript:
 
     def test_total_bytes_by_direction(self):
         _, _, _, parties, server, transcript = _tiny_setup()
-        warmup_cache(parties, server)
+        warmup_cache(parties, server, transcript)
         up_bytes = transcript.total_bytes("up")
         assert up_bytes == transcript.total_bytes()
         assert transcript.total_bytes("down") == 0

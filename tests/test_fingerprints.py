@@ -11,6 +11,11 @@ softmax_fcn set-ups draw server directions; only the exponential set-up
 draws compute times; only the mlp_odim2 set-up gives each party two outputs,
 so only it checks that party m's values sit at columns (m-1)k..mk-1 of the
 server's flat head input.
+
+The row pins hash a run's metrics CSV and its per-party activation counts.
+They pin what the trajectory hashes do not: when rows are logged (q = 3 does
+not divide eval_every, so synrevel's rounds straddle the evaluation points),
+when the stop rule fires, and the bytes, staleness and gnorm2 columns.
 """
 
 import hashlib
@@ -18,8 +23,8 @@ import hashlib
 import numpy as np
 import pytest
 
-from revelight.cli import make_synthetic
-from revelight.engine import ALGORITHMS, RunConfig, run_algorithm
+from revelight.cli import make_synthetic, synthetic_pair
+from revelight.engine import ALGORITHMS, RunConfig, matched_schedule, run_algorithm, run_asyrevel
 from revelight.models import GlobalModel, LocalModel, PartitionedDataset
 
 _RUN = dict(q=4, T=400, tau=3, latency=0.6, latency_dist="uniform", seed=4,
@@ -88,3 +93,55 @@ def fingerprint(setup: str, algorithm: str, workdir) -> str:
 @pytest.mark.parametrize("setup", SETUPS)
 def test_trajectory_fingerprint(setup, algorithm, tmp_path):
     assert fingerprint(setup, algorithm, tmp_path) == PINNED[setup, algorithm]
+
+
+_ROWS_RUN = dict(q=3, T=200, tau=2, latency=0.6, latency_dist="uniform", seed=7,
+                 eta=0.05, eta_server=0.01)
+
+ROW_CASES = {
+    "every5": dict(eval_every=5),
+    "stop": dict(eval_every=7, stop_loss=0.62, compute_dist="exponential", straggler=(2, 1.5)),
+}
+
+# computed before the recorder took over evaluation cadence and update counts
+ROWS_PINNED = {
+    ("every5", "asyrevel_gau"): "3ffa513783fc763d5a946e4daba90761a7140e748fc11f52c51c312aec016349",
+    ("every5", "asyrevel_uni"): "c83cb8254448bfc1d2ac8f215527fe4e006474962cc25b4386936dad8d5dc362",
+    ("every5", "synrevel"): "8668a53808e2f55339d2c2635166e97965ef46687f7ab1958076207c93cb5bf5",
+    ("every5", "nonfed"): "3b0c7957173c16a3ee92c08e45dc500da1c11d19265edfeca1914aa004a6f39b",
+    ("every5", "tig"): "0ca402617d784c140bce6b2277b35d3c7306af27851c316feebda214cb829290",
+    ("every5", "asyrevel_gau_replay"): "a533a7e6029a50a55cd94777f74328c0cbc5ea96c49f8240a29f5e7085a2b80c",
+    ("stop", "asyrevel_gau"): "405d0f3a5ba31ba2cf4d16181f42375eb41f32466eddb8d446f1be00d60fd71e",
+    ("stop", "asyrevel_uni"): "409ad6e003d319bdc6e8d5b1a8fd3de624d740b1113b2eec2bd92bbaf1618199",
+    ("stop", "synrevel"): "ed50bb846bd8a0574e250409a542294ab4ff3616bfbf481a9beed1fcbc72c07c",
+    ("stop", "nonfed"): "a27ad096d54d74f3ec352e6791ef89478ed031a9391bc130d18c7ac70136a5e0",
+    ("stop", "tig"): "e6a87317fc96f44c3ba93fb11e0c6dbb025d27254a83e90e5c960c0033fa13a1",
+    ("stop", "asyrevel_gau_replay"): "4377a613312df40c8c68eac044ccad09a0891c54d461b7ea50642bbb557dff3f",
+}
+
+
+def rows_fingerprint(case: str, algorithm: str, workdir, replay: bool = False) -> str:
+    train, test = synthetic_pair("noisy", 60, 40, 9, 3, 7)
+    lm, gm = LocalModel(), GlobalModel(kind="logistic", q=3)
+    cfg = RunConfig(algorithm=algorithm, **_ROWS_RUN, **ROW_CASES[case])
+    if replay:
+        metrics = run_asyrevel(cfg, train, lm, gm, test, schedule=matched_schedule(cfg, train.n))
+    else:
+        metrics = run_algorithm(cfg, train, lm, gm, test)
+    path = workdir / "rows.csv"
+    metrics.to_csv(path)
+    h = hashlib.sha256(path.read_bytes())
+    h.update(repr((metrics.activations, metrics.reached, metrics.events_to_target)).encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+@pytest.mark.parametrize("case", ROW_CASES)
+def test_metrics_rows_fingerprint(case, algorithm, tmp_path):
+    assert rows_fingerprint(case, algorithm, tmp_path) == ROWS_PINNED[case, algorithm]
+
+
+@pytest.mark.parametrize("case", ROW_CASES)
+def test_replayed_metrics_rows_fingerprint(case, tmp_path):
+    assert (rows_fingerprint(case, "asyrevel_gau", tmp_path, replay=True)
+            == ROWS_PINNED[case, "asyrevel_gau_replay"])
