@@ -42,8 +42,8 @@ IDX_LABEL_MAGIC = 0x00000801
 # dataset ingestion
 
 
-def load_libsvm(path, n_features: int | None = None) -> PartitionedDataset:
-    """Parse `label idx:val ...` lines (1-based indices) into dense rows."""
+def load_libsvm(path) -> tuple[np.ndarray, np.ndarray]:
+    """Parse `label idx:val ...` lines (1-based indices): dense float64 rows, int labels."""
     rows, labels = [], []
     max_idx = 0
     with open(path) as fh:
@@ -65,26 +65,18 @@ def load_libsvm(path, n_features: int | None = None) -> PartitionedDataset:
                     raise ParseError(f"{path}:{lineno}: bad feature token {tok!r}") from exc
                 if idx < 1:
                     raise ParseError(f"{path}:{lineno}: feature index {idx} must be >= 1")
-                if n_features is not None and idx > n_features:
-                    raise ParseError(
-                        f"{path}:{lineno}: feature index {idx} exceeds declared {n_features}"
-                    )
                 feats[idx] = val
                 max_idx = max(max_idx, idx)
             rows.append(feats)
-    d = n_features if n_features is not None else max_idx
-    X = np.zeros((len(rows), d))
+    X = np.zeros((len(rows), max_idx))
     for i, feats in enumerate(rows):
         for idx, val in feats.items():
             X[i, idx - 1] = val
-    y = np.array(labels)
-    if set(np.unique(y)) == {0, 1}:
-        y = 2 * y - 1
-    return PartitionedDataset.from_matrix(X, y, [d])
+    return X, np.array(labels)
 
 
-def load_csv(path) -> PartitionedDataset:
-    """Dense CSV with the label in the last column."""
+def load_csv(path) -> tuple[np.ndarray, np.ndarray]:
+    """Dense CSV, the label in the last column: float64 rows, int labels."""
     rows = []
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -100,10 +92,7 @@ def load_csv(path) -> PartitionedDataset:
     if not rows:
         raise ParseError(f"{path}: empty file")
     arr = np.array(rows)
-    y = arr[:, -1].astype(int)
-    if set(np.unique(y)) == {0, 1}:
-        y = 2 * y - 1
-    return PartitionedDataset.from_matrix(arr[:, :-1], y, [arr.shape[1] - 1])
+    return arr[:, :-1], arr[:, -1].astype(int)
 
 
 def _read_idx(path, expect_magic: int) -> np.ndarray:
@@ -124,28 +113,24 @@ def _read_idx(path, expect_magic: int) -> np.ndarray:
     return data.reshape(dims)
 
 
-def load_idx(images_path, labels_path=None) -> PartitionedDataset:
-    """Big-endian IDX image/label pair; pixels scaled to [0, 1].
-
-    When labels_path is omitted it is derived by the standard naming
-    convention (images-idx3 -> labels-idx1).
-    """
+def load_idx(images_path) -> tuple[np.ndarray, np.ndarray]:
+    """Big-endian IDX image/label pair, the labels file named by convention
+    (images-idx3 -> labels-idx1): float64 rows scaled to [0, 1], int labels."""
     images_path = str(images_path)
-    if labels_path is None:
-        labels_path = images_path.replace("images-idx3", "labels-idx1").replace(
-            "images.idx3", "labels.idx1"
-        )
-        if labels_path == images_path:
-            raise FormatError(f"{images_path}: cannot derive labels path, pass it explicitly")
+    labels_path = images_path.replace("images-idx3", "labels-idx1").replace(
+        "images.idx3", "labels.idx1"
+    )
+    if labels_path == images_path:
+        raise FormatError(f"{images_path}: cannot derive the labels path from the name")
     images = _read_idx(images_path, IDX_IMAGE_MAGIC)
     labels = _read_idx(labels_path, IDX_LABEL_MAGIC)
     if images.shape[0] != labels.shape[0]:
         raise FormatError("image and label counts differ")
     X = images.reshape(images.shape[0], -1).astype(np.float64) / 255.0
-    return PartitionedDataset.from_matrix(X, labels.astype(int), [X.shape[1]])
+    return X, labels.astype(int)
 
 
-def load_dataset(path, fmt: str) -> PartitionedDataset:
+def load_dataset(path, fmt: str) -> tuple[np.ndarray, np.ndarray]:
     if fmt == "libsvm":
         return load_libsvm(path)
     if fmt == "csv":
@@ -193,14 +178,14 @@ def synthetic_pair(kind: str, n_train: int, n_test: int, d: int, q: int, seed: i
     return train, test
 
 
-def split_tenfold(data: PartitionedDataset, seed: int):
-    """Hold out the first of ten shuffled folds for testing."""
-    order = streams.stream(seed, streams.SPLIT).permutation(data.n)
-    test_idx = order[:data.n // 10]
+def split_tenfold(X: np.ndarray, y: np.ndarray, block_dims: list[int], seed: int):
+    """Hold out the first of ten shuffled folds of the rows for testing, the
+    training rows in file order; both parts are partitioned by block_dims."""
+    order = streams.stream(seed, streams.SPLIT).permutation(len(y))
+    test_idx = order[:len(y) // 10]
     train_idx = np.setdiff1d(order, test_idx)
-    X = data.concatenated()
-    train = PartitionedDataset.from_matrix(X[train_idx], data.labels[train_idx], data.block_dims)
-    test = PartitionedDataset.from_matrix(X[test_idx], data.labels[test_idx], data.block_dims)
+    train = PartitionedDataset.from_matrix(X[train_idx], y[train_idx], block_dims)
+    test = PartitionedDataset.from_matrix(X[test_idx], y[test_idx], block_dims)
     return train, test
 
 
@@ -258,6 +243,10 @@ class ExperimentSpec:
         spec = cls(cfg=cfg)
         if "dataset" in kv:
             spec.dataset = kv.pop("dataset")
+        unused = ("format",) if spec.dataset.startswith("synthetic:") else ("n", "d", "n_test")
+        for key in unused:
+            if key in kv:
+                raise ConfigError(f"{key} = {kv[key]}: not used with dataset = {spec.dataset}")
         if "format" in kv:
             spec.fmt = kv.pop("format")
         for key, least in (("n", 1), ("d", 1), ("n_test", 0)):
@@ -275,14 +264,14 @@ class ExperimentSpec:
         return spec
 
     def load(self):
+        """Partitioned (train, test); file labels in {0, 1} become -1/+1."""
         if self.dataset.startswith("synthetic:"):
             kind = self.dataset.split(":", 1)[1]
             return synthetic_pair(kind, self.n, self.n_test, self.d, self.cfg.q, self.cfg.seed)
-        full = load_dataset(self.dataset, self.fmt)
-        dims = partition_features(full.total_features, self.cfg.q)
-        X = full.concatenated()
-        repart = PartitionedDataset.from_matrix(X, full.labels, dims)
-        return split_tenfold(repart, self.cfg.seed)
+        X, y = load_dataset(self.dataset, self.fmt)
+        if set(np.unique(y)) == {0, 1}:
+            y = 2 * y - 1
+        return split_tenfold(X, y, partition_features(X.shape[1], self.cfg.q), self.cfg.seed)
 
 
 def parse_config(path) -> dict[str, str]:
@@ -404,6 +393,7 @@ def _cmd_bench_comm(args) -> int:
 
 def _cmd_speedup(args) -> int:
     qs = _ints("--parties", args.parties)
+    _at_least("--events", args.events, 1)
     _at_least("--n", args.n, 0)  # zero rows ends in the empty-training-set error
     _at_least("--features", args.features, 1)
     if 1 not in qs:
@@ -412,7 +402,8 @@ def _cmd_speedup(args) -> int:
     for q in qs:
         d = max(args.features, q)  # blocks need at least one feature each
         train, test = synthetic_pair("noisy", args.n, 256, d, q, args.seed)
-        cfg = RunConfig(algorithm="asyrevel_gau", q=q, T=args.events,
+        # one row at event 0 and one at event T, whose time is the run's
+        cfg = RunConfig(algorithm="asyrevel_gau", q=q, T=args.events, eval_every=args.events,
                         eta=1e-3, mu=1e-3, lam_eff=5e-5, seed=args.seed)
         metrics = run_asyrevel(cfg, train, LocalModel(), GlobalModel(kind="logistic", q=q), test)
         times[q] = metrics.final_vtime

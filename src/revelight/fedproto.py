@@ -214,9 +214,7 @@ class Transcript:
         values = np.asarray(payload, dtype=np.float64).reshape(-1).tolist()
         self._append(time, direction, variant, party, sample, seq, values)
 
-    def total_bytes(self, direction: str | None = None) -> int:
-        if direction is None:
-            return self._bytes["up"] + self._bytes["down"]
+    def total_bytes(self, direction: str) -> int:
         return self._bytes[direction]
 
     def to_jsonl(self, path) -> None:

@@ -46,10 +46,6 @@ class PartitionedDataset:
             raise ShapeError("label count does not match sample count")
         self.block_dims = [int(b.shape[1]) for b in self.blocks]
 
-    @property
-    def total_features(self) -> int:
-        return sum(self.block_dims)
-
     @classmethod
     def from_matrix(cls, X: np.ndarray, y: np.ndarray, block_dims: list[int]) -> "PartitionedDataset":
         """Slice a dense (n, dbar) matrix into contiguous per-party blocks."""
@@ -61,9 +57,6 @@ class PartitionedDataset:
             blocks.append(np.ascontiguousarray(X[:, lo:lo + d]))
             lo += d
         return cls(blocks=blocks, labels=np.asarray(y))
-
-    def concatenated(self) -> np.ndarray:
-        return np.hstack(self.blocks)
 
 
 @dataclass
@@ -257,7 +250,8 @@ def head_predictions(model: GlobalModel, w0: np.ndarray, C: list[np.ndarray]) ->
 
 
 def nonconvex_reg(w: np.ndarray) -> float:
-    """Bounded even regularizer sum_j w_j^2 / (1 + w_j^2); value in [0, dim(w))."""
+    """Bounded even regularizer sum_j w_j^2 / (1 + w_j^2): in [0, dim(w)) while
+    every w_j^2 is finite; past |w_j| ~ 1.3e154 the square overflows and it is nan."""
     w = np.asarray(w, dtype=np.float64)
     sq = w * w
     return float(np.sum(sq / (1.0 + sq)))

@@ -32,6 +32,10 @@ from .estimator import (GAUSSIAN, require_draws, smoothed_grad_mc_quadratic,
 # products and the ufunc loops, so they run in parallel.
 MAX_WORKERS = 8
 
+# The dimensions and smoothing radii check_smoothing_bounds covers.
+DIMS = (2, 4, 8, 16)
+MUS = (1e-1, 1e-2)
+
 
 @dataclass
 class BoundReport:
@@ -116,12 +120,10 @@ def check_smoothing_bounds(
     scheme: str,
     trials: int,
     seed: int = 0,
-    dims: tuple[int, ...] = (2, 4, 8, 16),
-    mus: tuple[float, ...] = (1e-1, 1e-2),
     draws: int = 20000,
 ) -> list[BoundReport]:
     """Monte-Carlo checks of the value- and gradient-bias bounds on random
-    quadratics with known spectral norm.
+    quadratics with known spectral norm, at each dimension in DIMS and mu in MUS.
 
     The (dim, mu, trial) cases run on up to min(CPUs, MAX_WORKERS) threads;
     each owns its stream, so the reports and their order do not depend on
@@ -130,9 +132,7 @@ def check_smoothing_bounds(
     if trials < 1:
         raise UsageError("need at least one trial")
     require_draws(draws)
-    cases = list(itertools.product(dims, mus, range(trials)))
-    if not cases:
-        return []
+    cases = list(itertools.product(DIMS, MUS, range(trials)))
     run_case = functools.partial(_smoothing_case, scheme, seed, draws)
     with ThreadPoolExecutor(min(len(cases), _cpus(), MAX_WORKERS)) as pool:
         pairs = list(pool.map(run_case, range(len(cases)), cases))
@@ -180,10 +180,10 @@ def fit_rate_series(ts, values, window: tuple[float, float] = (0.2, 1.0)) -> Rat
     return RateFit(float(slope), float(intercept), (lo, hi), r2)
 
 
-def fit_convergence_rate(metrics, grad_sq_fn, window: tuple[float, float] = (0.2, 1.0)) -> RateFit:
+def fit_convergence_rate(metrics, grad_sq_fn) -> RateFit:
     """Rate-shape fit for a training run: the true squared gradient norm is
     evaluated at the recorded parameter snapshots, its running mean is fitted
-    on a log-log scale over the window.
+    on a log-log scale over fit_rate_series' default window.
 
     grad_sq_fn(w0, w_blocks) must return ||grad f||^2 for the full objective;
     the run must have been made with record_snapshots=True.
@@ -199,7 +199,7 @@ def fit_convergence_rate(metrics, grad_sq_fn, window: tuple[float, float] = (0.2
     if len(ts) < 10:
         raise UsageError(f"need at least 10 checkpoints, got {len(ts)}")
     running = np.cumsum(g2) / np.arange(1, len(g2) + 1)
-    return fit_rate_series(ts, running, window)
+    return fit_rate_series(ts, running)
 
 
 def compute_speedup(times: dict[int, float]) -> dict[int, float]:

@@ -39,7 +39,7 @@ def bench_data():
 
 def logistic_grad_sq(data, lam_eff):
     """Analytic squared gradient norm of the nonconvex logistic objective."""
-    X = data.concatenated()
+    X = np.hstack(data.blocks)
     y = data.labels
 
     def grad_sq(w0, w_blocks):

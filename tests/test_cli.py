@@ -24,28 +24,22 @@ from revelight.cli import (
     synthetic_pair,
 )
 from revelight.errors import ConfigError, FormatError, ParseError
-from revelight.models import PartitionedDataset
+from revelight.models import partition_features
 
 
 class TestLibsvm:
     def test_basic_line(self, tmp_path):
         p = tmp_path / "d.libsvm"
         p.write_text("+1 1:0.5 3:2\n-1 2:1\n")
-        data = load_libsvm(p, n_features=3)
-        assert data.n == 2 and data.total_features == 3
-        assert np.array_equal(data.blocks[0][0], [0.5, 0.0, 2.0])
-        assert list(data.labels) == [1, -1]
+        X, y = load_libsvm(p)
+        assert X.dtype == np.float64
+        assert np.array_equal(X, [[0.5, 0.0, 2.0], [0.0, 1.0, 0.0]])
+        assert list(y) == [1, -1]
 
     def test_infers_dimension(self, tmp_path):
         p = tmp_path / "d.libsvm"
         p.write_text("+1 5:1\n-1 2:3\n")
-        assert load_libsvm(p).total_features == 5
-
-    def test_index_beyond_declared(self, tmp_path):
-        p = tmp_path / "d.libsvm"
-        p.write_text("+1 1:0.5\n-1 7:1\n")
-        with pytest.raises(ParseError, match=":2:"):
-            load_libsvm(p, n_features=3)
+        assert load_libsvm(p)[0].shape == (2, 5)
 
     def test_malformed_token(self, tmp_path):
         p = tmp_path / "d.libsvm"
@@ -53,19 +47,19 @@ class TestLibsvm:
         with pytest.raises(ParseError, match=":2:"):
             load_libsvm(p)
 
-    def test_zero_one_labels_mapped(self, tmp_path):
+    def test_labels_as_read(self, tmp_path):
         p = tmp_path / "d.libsvm"
         p.write_text("1 1:1\n0 1:2\n")
-        assert set(load_libsvm(p).labels) == {-1, 1}
+        assert list(load_libsvm(p)[1]) == [1, 0]
 
 
 class TestCsv:
     def test_label_last_column(self, tmp_path):
         p = tmp_path / "d.csv"
         p.write_text("0.5,1.5,1\n0.25,-2,-1\n")
-        data = load_csv(p)
-        assert data.total_features == 2
-        assert list(data.labels) == [1, -1]
+        X, y = load_csv(p)
+        assert np.array_equal(X, [[0.5, 1.5], [0.25, -2.0]])
+        assert list(y) == [1, -1]
 
     def test_bad_field(self, tmp_path):
         p = tmp_path / "d.csv"
@@ -74,22 +68,32 @@ class TestCsv:
             load_csv(p)
 
 
-def _write_idx_pair(tmp_path, n=4, rows=3, cols=2):
+def _zero_one(n):
+    return [i % 2 for i in range(n)]
+
+
+def _write_idx_pair(tmp_path, n=4, rows=3, cols=2, labels_of=range):
     images = tmp_path / "train-images-idx3-ubyte"
     labels = tmp_path / "train-labels-idx1-ubyte"
     pix = np.arange(n * rows * cols, dtype=np.uint8)
     images.write_bytes(struct.pack(">IIII", 0x00000803, n, rows, cols) + pix.tobytes())
-    labels.write_bytes(struct.pack(">II", 0x00000801, n) + bytes(range(n)))
+    labels.write_bytes(struct.pack(">II", 0x00000801, n) + bytes(labels_of(n)))
     return images, labels
 
 
 class TestIdx:
     def test_loads_pair_and_scales(self, tmp_path):
         images, _ = _write_idx_pair(tmp_path)
-        data = load_idx(images)
-        assert data.n == 4 and data.total_features == 6
-        assert data.blocks[0].max() <= 1.0
-        assert list(data.labels) == [0, 1, 2, 3]
+        X, y = load_idx(images)
+        assert X.shape == (4, 6) and X.dtype == np.float64
+        assert X.max() <= 1.0
+        assert list(y) == [0, 1, 2, 3]
+
+    def test_underivable_labels_path(self, tmp_path):
+        odd = tmp_path / "pixels.bin"
+        odd.write_bytes(struct.pack(">IIII", 0x00000803, 1, 1, 1) + b"\x00")
+        with pytest.raises(FormatError, match="labels path"):
+            load_idx(odd)
 
     def test_magic_mismatch(self, tmp_path):
         bad = tmp_path / "bad-images-idx3-ubyte"
@@ -99,7 +103,7 @@ class TestIdx:
 
     def test_dispatch(self, tmp_path):
         images, _ = _write_idx_pair(tmp_path)
-        assert load_dataset(images, "idx").n == 4
+        assert load_dataset(images, "idx")[0].shape == (4, 6)
 
 
 class TestSynthetic:
@@ -119,11 +123,16 @@ class TestSynthetic:
 
     def test_tenfold_split(self):
         rng = np.random.default_rng(0)
-        data = PartitionedDataset.from_matrix(
-            rng.standard_normal((50, 6)), rng.choice([-1, 1], 50), [3, 3]
-        )
-        train, test = split_tenfold(data, seed=2)
+        X, y = rng.standard_normal((50, 6)), rng.choice([-1, 1], 50)
+        train, test = split_tenfold(X, y, [3, 3], seed=2)
         assert test.n == 5 and train.n == 45
+        assert train.block_dims == test.block_dims == [3, 3]
+        # the training rows keep their order; together the parts hold every row once
+        rows = np.hstack(train.blocks)
+        kept = [int(np.flatnonzero((X == r).all(axis=1))[0]) for r in rows]
+        assert kept == sorted(kept)
+        both = np.vstack([rows, np.hstack(test.blocks)])
+        assert np.array_equal(np.sort(both, axis=0), np.sort(X, axis=0))
 
 
 CONFIG = """
@@ -172,12 +181,51 @@ class TestConfig:
         with pytest.raises(ConfigError, match=":1:"):
             parse_config(p)
 
+    def test_readme_config_parses(self, tmp_path):
+        """The config block the README documents is a valid config."""
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+        p = tmp_path / "run.cfg"
+        p.write_text(block)
+        spec = ExperimentSpec.from_config(p)
+        assert spec.cfg.algorithm == "asyrevel_gau"
+        assert spec.cfg.q == 4 and spec.cfg.T == 20000
+
     def test_p_and_straggler_parsing(self, tmp_path):
         p = tmp_path / "run.cfg"
         p.write_text(CONFIG + "p = 0.1,0.2,0.3,0.4\nstraggler = 2:1.4\n")
         spec = ExperimentSpec.from_config(p)
         assert spec.cfg.p == [0.1, 0.2, 0.3, 0.4]
         assert spec.cfg.straggler == (2, 1.4)
+
+
+class TestSpecLoad:
+    """ExperimentSpec.load maps file labels, splits and partitions."""
+
+    @staticmethod
+    def _spec(tmp_path, dataset, fmt):
+        p = tmp_path / "run.cfg"
+        p.write_text(f"algorithm = nonfed\nq = 2\nT = 8\ndataset = {dataset}\nformat = {fmt}\n")
+        return ExperimentSpec.from_config(p)
+
+    @pytest.mark.parametrize("fmt", ["libsvm", "csv", "idx"])
+    def test_zero_one_labels_mapped(self, tmp_path, fmt):
+        if fmt == "idx":
+            path, _ = _write_idx_pair(tmp_path, n=20, labels_of=_zero_one)
+        else:
+            path = tmp_path / f"d.{fmt}"
+            lines = [f"{i % 2} 1:{i} 2:1" if fmt == "libsvm" else f"{i},1,{i % 2}"
+                     for i in range(20)]
+            path.write_text("\n".join(lines) + "\n")
+        train, test = self._spec(tmp_path, path, fmt).load()
+        assert set(train.labels) | set(test.labels) == {-1, 1}
+        assert train.n == 18 and test.n == 2
+
+    def test_other_labels_kept(self, tmp_path):
+        images, _ = _write_idx_pair(tmp_path, n=20, labels_of=lambda n: [i % 3 for i in range(n)])
+        train, test = self._spec(tmp_path, images, "idx").load()
+        assert set(train.labels) | set(test.labels) == {0, 1, 2}
+        assert train.block_dims == test.block_dims == partition_features(6, 2)
 
 
 class TestRunExperiment:
@@ -268,6 +316,33 @@ class TestMainCli:
             assert rc == 2
             assert len(err) == 1 and err[0].startswith("error:")
 
+    @pytest.mark.parametrize("dataset, line", [
+        ("synthetic:noisy", "format = csv"),
+        ("FILE", "n = 5"),
+        ("FILE", "d = 99"),
+        ("FILE", "n_test = 3"),
+    ], ids=["format_with_synthetic", "n_with_file", "d_with_file", "n_test_with_file"])
+    def test_key_the_dataset_ignores_is_one_error_line(self, tmp_path, capsys, dataset, line):
+        data = tmp_path / "d.libsvm"
+        data.write_text("".join(f"{i % 2} 1:{i} 2:1\n" for i in range(20)))
+        cfgp = tmp_path / "run.cfg"
+        cfgp.write_text("algorithm = nonfed\nq = 2\nT = 8\n"
+                        f"dataset = {dataset.replace('FILE', str(data))}\n{line}\n")
+        rc = main(["train", "--config", str(cfgp), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err.splitlines()
+        assert rc == 2
+        assert len(err) == 1 and err[0].startswith(f"error: {line}: not used with dataset")
+
+    def test_idx_pair_with_zero_one_labels_trains_and_audits(self, tmp_path, capsys):
+        images, _ = _write_idx_pair(tmp_path, n=40, labels_of=_zero_one)
+        cfgp = tmp_path / "run.cfg"
+        cfgp.write_text(f"algorithm = asyrevel_gau\nq = 2\nT = 64\nseed = 3\n"
+                        f"dataset = {images}\nformat = idx\n")
+        assert main(["train", "--config", str(cfgp), "--out", str(tmp_path / "out")]) == 0
+        transcript = tmp_path / "out" / "transcript_asyrevel_gau_3.jsonl"
+        assert main(["audit", "--transcript", str(transcript), "--dims", "3,3"]) == 0
+        assert "audit pass" in capsys.readouterr().out
+
     @pytest.mark.parametrize("algorithm,error", [
         ("asyrevel_gau", "party 1: non-finite update rejected at step 1"),
         ("asyrevel_uni", "party 1: non-finite update rejected at step 1"),
@@ -324,6 +399,7 @@ class TestMainCli:
         (["bench-comm", "--blocks=-3"], "--blocks -3: must be at least 1"),
         (["bench-comm", "--blocks=16,0"], "--blocks 0: must be at least 1"),
         (["speedup", "--parties=0"], "--parties 0: must be at least 1"),
+        (["speedup", "--events=0", "--parties", "1"], "--events 0: must be at least 1"),
         (["speedup", "--n=-5", "--parties", "1"], "--n -5: must be at least 0"),
         (["speedup", "--features=0", "--parties", "1"], "--features 0: must be at least 1"),
         (["audit", "--transcript", "t.jsonl", "--dims", "4,4", "--d0=-4"],
@@ -331,7 +407,8 @@ class TestMainCli:
         (["audit", "--transcript", "t.jsonl", "--dims", "4,4", "--max-output-dim=0"],
          "--max-output-dim 0: must be at least 1"),
         (["audit", "--transcript", "t.jsonl", "--dims=4,-1"], "--dims -1: must be at least 1"),
-    ], ids=["blocks_negative", "blocks_zero", "parties_zero", "n_negative", "features_zero",
+    ], ids=["blocks_negative", "blocks_zero", "parties_zero", "events_zero", "n_negative",
+            "features_zero",
             "d0_negative", "max_output_dim_zero", "dims_negative"])
     def test_out_of_range_flag_is_one_error_line(self, capsys, argv, error):
         assert main(argv) == 2
@@ -416,3 +493,15 @@ class TestMainCli:
         assert lines[0] == "q,time,speedup"
         speed = {int(l.split(",")[0]): float(l.split(",")[2]) for l in lines[1:]}
         assert speed[1] == 1.0 and speed[2] > 1.5
+
+    @pytest.mark.parametrize("argv, rows", [
+        (["--parties", "3", "--features", "2", "--n", "16", "--events", "8"],
+         ["1,8,1.0000", "3,3,2.6667"]),
+        (["--parties", "1,2", "--features", "4", "--n", "16", "--events", "40"],
+         ["1,40,1.0000", "2,20,2.0000"]),
+    ], ids=["events_below_n", "events_not_a_multiple_of_n"])
+    def test_speedup_times_event_T(self, capsys, argv, rows):
+        """Each party count is timed at its last event, not at its last
+        multiple of the training-set size."""
+        assert main(["speedup", *argv]) == 0
+        assert capsys.readouterr().out.splitlines() == ["q,time,speedup", *rows]

@@ -789,8 +789,7 @@ class TestTranscript:
     def test_total_bytes_by_direction(self):
         _, _, _, parties, server, transcript = _tiny_setup()
         warmup_cache(parties, server, transcript)
-        up_bytes = transcript.total_bytes("up")
-        assert up_bytes == transcript.total_bytes()
+        assert transcript.total_bytes("up") == transcript.column("nbytes").sum() > 0
         assert transcript.total_bytes("down") == 0
 
 

@@ -25,7 +25,7 @@ import pytest
 
 from revelight.cli import make_synthetic, synthetic_pair
 from revelight.engine import ALGORITHMS, RunConfig, matched_schedule, run_algorithm, run_asyrevel
-from revelight.models import GlobalModel, LocalModel, PartitionedDataset
+from revelight.models import GlobalModel, LocalModel, PartitionedDataset, partition_features
 
 _RUN = dict(q=4, T=400, tau=3, latency=0.6, latency_dist="uniform", seed=4,
             eta=5e-3, eta_server=1e-3, lam_eff=1e-5, eval_every=100)
@@ -78,6 +78,10 @@ def fingerprint(setup: str, algorithm: str, workdir) -> str:
     kind, extra = SETUPS[setup]
     data, lm, gm = _problem(kind)
     metrics = run_algorithm(RunConfig(algorithm=algorithm, **_RUN, **extra), data, lm, gm)
+    return _digest(metrics, workdir)
+
+
+def _digest(metrics, workdir) -> str:
     h = hashlib.sha256()
     if metrics.transcript is not None:
         path = workdir / "fingerprint.jsonl"
@@ -93,6 +97,23 @@ def fingerprint(setup: str, algorithm: str, workdir) -> str:
 @pytest.mark.parametrize("setup", SETUPS)
 def test_trajectory_fingerprint(setup, algorithm, tmp_path):
     assert fingerprint(setup, algorithm, tmp_path) == PINNED[setup, algorithm]
+
+
+# Eight parties, a latency of 3.0 against unit compute and party 2 three times
+# slower: uploads pile up delivered and unprocessed, so this run pins which one
+# the staleness queue takes when no deadline presses (the first delivered).
+# Taking the last instead moves this hash and no other pin in this module.
+_QUEUE_RUN = dict(q=8, T=400, tau=7, latency=3.0, latency_dist="uniform", straggler=(2, 3.0),
+                  eta=5e-3, lam_eff=1e-5, eval_every=100, seed=4)
+QUEUE_PINNED = "5f45d1b7b37393c2a5dfa2a15a86eb52ec6c0cd0233c45d0ca9062b97dd6431c"
+
+
+def test_queue_pick_fingerprint(tmp_path):
+    X, y = make_synthetic("noisy", 256, 32, seed=4)
+    data = PartitionedDataset.from_matrix(X, y, partition_features(32, 8))
+    cfg = RunConfig(algorithm="asyrevel_gau", **_QUEUE_RUN)
+    metrics = run_algorithm(cfg, data, LocalModel(), GlobalModel(kind="logistic", q=8))
+    assert _digest(metrics, tmp_path) == QUEUE_PINNED
 
 
 _ROWS_RUN = dict(q=3, T=200, tau=2, latency=0.6, latency_dist="uniform", seed=7,

@@ -165,7 +165,7 @@ class TestCompositeObjective:
         rng = np.random.default_rng(2)
         data, w0, w = _random_instance(rng, 16, 10, 4)
         lam = 1e-3
-        X = data.concatenated()
+        X = np.hstack(data.blocks)
         w_cat = np.concatenate(w)
         acc = 0.0
         for i in range(16):
@@ -199,7 +199,7 @@ class TestCompositeObjective:
         lam = float(rng.uniform(0, 1e-2))
         lm, gm = LocalModel(), GlobalModel(kind="logistic", q=q)
         fed = evaluate_loss(w0, w, data, lam, lm, gm)
-        X = data.concatenated()
+        X = np.hstack(data.blocks)
         w_cat = np.concatenate(w)
         cent = float(
             np.mean(np.logaddexp(0.0, -data.labels * (X @ w_cat)))

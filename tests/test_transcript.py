@@ -202,7 +202,7 @@ class TestRecord:
         assert len(transcript) == 2
         assert [e.payload.tolist() for e in rows(transcript)] == [[1.0, 2.0], [0.5, 0.25]]
         assert transcript.column("offsets").tolist() == [0, 2, 4]
-        assert transcript.total_bytes() == frame_bytes(2) * 2
+        assert transcript.total_bytes("up") == transcript.total_bytes("down") == frame_bytes(2)
 
 
 class TestStrictReader:

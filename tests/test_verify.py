@@ -71,10 +71,6 @@ class TestSmoothingBounds:
         with pytest.raises(UsageError, match="at least 2 draws"):
             check_smoothing_bounds(GAUSSIAN, trials=1, draws=draws)
 
-    def test_no_cases_no_reports(self):
-        assert check_smoothing_bounds(GAUSSIAN, trials=1, dims=()) == []
-        assert check_smoothing_bounds(GAUSSIAN, trials=1, mus=()) == []
-
     def test_reports_do_not_depend_on_worker_count(self, monkeypatch):
         """One worker, two, and the cap on more threads than cores, with a
         short switch interval: the same reports in the same order."""
@@ -100,7 +96,7 @@ class TestSmoothingBounds:
         assert pools == list(caps)
         assert runs[0] == runs[1] == runs[2]
         # case s of the nested dim, mu, trial loops draws at salt s
-        cases = [(d, mu, t) for d in (2, 4, 8, 16) for mu in (1e-1, 1e-2) for t in range(2)]
+        cases = [(d, mu, t) for d in verify.DIMS for mu in verify.MUS for t in range(2)]
         serial = [r for salt, case in enumerate(cases)
                   for r in verify._smoothing_case(SPHERE, 5, 300, salt, case)]
         assert runs[0] == serial
