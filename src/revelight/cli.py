@@ -14,6 +14,7 @@ iff all requested checks pass; failures print one machine-greppable
 from __future__ import annotations
 
 import argparse
+import itertools
 import struct
 import sys
 from dataclasses import dataclass, field
@@ -42,36 +43,56 @@ IDX_LABEL_MAGIC = 0x00000801
 # dataset ingestion
 
 
+def _label(path, lineno: int, text: str) -> int:
+    """An integral label as read: "+1", "-1" and "1.0" read, "1.5" does not."""
+    try:
+        value = float(text)
+    except ValueError as exc:
+        raise ParseError(f"{path}:{lineno}: bad label {text!r}") from exc
+    if not value.is_integer():
+        raise ParseError(f"{path}:{lineno}: label {text!r} is not an integer")
+    return int(value)
+
+
+def _features(path, lineno: int, toks: list[str]) -> dict[int, float]:
+    """A line's `idx:val` tokens as {idx: val}, a repeated index keeping its last
+    value: parsed in bulk, or token by token to name the first bad token."""
+    try:
+        if set(map(str.count, toks, itertools.repeat(":"))) <= {1}:
+            fields = ":".join(toks).split(":")
+            feats = dict(zip(map(int, fields[::2]), map(float, fields[1::2])))
+            if min(feats, default=1) >= 1:
+                return feats
+    except ValueError:
+        pass
+    feats = {}
+    for tok in toks:
+        try:
+            idx_s, val_s = tok.split(":")
+            idx, val = int(idx_s), float(val_s)
+        except ValueError as exc:
+            raise ParseError(f"{path}:{lineno}: bad feature token {tok!r}") from exc
+        if idx < 1:
+            raise ParseError(f"{path}:{lineno}: feature index {idx} must be >= 1")
+        feats[idx] = val
+    return feats
+
+
 def load_libsvm(path) -> tuple[np.ndarray, np.ndarray]:
     """Parse `label idx:val ...` lines (1-based indices): dense float64 rows, int labels."""
     rows, labels = [], []
-    max_idx = 0
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            parts = line.split()
-            try:
-                labels.append(int(float(parts[0])))
-            except ValueError as exc:
-                raise ParseError(f"{path}:{lineno}: bad label {parts[0]!r}") from exc
-            feats = {}
-            for tok in parts[1:]:
-                try:
-                    idx_s, val_s = tok.split(":")
-                    idx, val = int(idx_s), float(val_s)
-                except ValueError as exc:
-                    raise ParseError(f"{path}:{lineno}: bad feature token {tok!r}") from exc
-                if idx < 1:
-                    raise ParseError(f"{path}:{lineno}: feature index {idx} must be >= 1")
-                feats[idx] = val
-                max_idx = max(max_idx, idx)
-            rows.append(feats)
-    X = np.zeros((len(rows), max_idx))
-    for i, feats in enumerate(rows):
-        for idx, val in feats.items():
-            X[i, idx - 1] = val
+            label, *toks = line.split()
+            labels.append(_label(path, lineno, label))
+            rows.append(_features(path, lineno, toks))
+    cells = np.repeat(np.arange(len(rows)), list(map(len, rows)))
+    cols = np.fromiter(itertools.chain.from_iterable(rows), np.int64, cells.size)
+    X = np.zeros((len(rows), cols.max(initial=0)))
+    X[cells, cols - 1] = list(itertools.chain.from_iterable(map(dict.values, rows)))
     return X, np.array(labels)
 
 
@@ -83,12 +104,14 @@ def load_csv(path) -> tuple[np.ndarray, np.ndarray]:
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
+            toks = line.split(",")
             try:
-                rows.append([float(tok) for tok in line.split(",")])
+                rows.append([float(tok) for tok in toks])
             except ValueError as exc:
                 raise ParseError(f"{path}:{lineno}: non-numeric field") from exc
             if len(rows) > 1 and len(rows[-1]) != len(rows[0]):
                 raise ParseError(f"{path}:{lineno}: expected {len(rows[0])} fields")
+            _label(path, lineno, toks[-1].strip())
     if not rows:
         raise ParseError(f"{path}: empty file")
     arr = np.array(rows)
@@ -299,23 +322,19 @@ def run_experiment(spec: ExperimentSpec) -> dict:
     local_model = LocalModel()
     global_model = GlobalModel(kind="logistic", q=spec.cfg.q)
     metrics = run_algorithm(spec.cfg, train, local_model, global_model, test)
-    paths = {}
-    metrics_path = spec.out_dir / f"metrics_{spec.cfg.algorithm}_{spec.cfg.seed}.csv"
-    metrics.to_csv(metrics_path)
-    paths["metrics"] = metrics_path
+    paths = {"metrics": spec.out_dir / f"metrics_{spec.cfg.algorithm}_{spec.cfg.seed}.csv"}
+    metrics.to_csv(paths["metrics"])
     if metrics.transcript is not None:
-        transcript_path = spec.out_dir / f"transcript_{spec.cfg.algorithm}_{spec.cfg.seed}.jsonl"
-        metrics.transcript.to_jsonl(transcript_path)
-        paths["transcript"] = transcript_path
+        paths["transcript"] = spec.out_dir / f"transcript_{spec.cfg.algorithm}_{spec.cfg.seed}.jsonl"
+        metrics.transcript.to_jsonl(paths["transcript"])
     summary = (
         f"{spec.cfg.algorithm},{spec.cfg.seed},{metrics.final_loss:.12g},"
         f"{metrics.final_accuracy:.12g},{metrics.total_bytes},{metrics.final_vtime:.12g}"
     )
     print(summary)
-    summary_path = spec.out_dir / "summary.csv"
-    with open(summary_path, "a") as fh:
+    paths["summary"] = spec.out_dir / "summary.csv"
+    with open(paths["summary"], "a") as fh:
         fh.write(summary + "\n")
-    paths["summary"] = summary_path
     return {"metrics": metrics, "paths": paths}
 
 
@@ -374,10 +393,7 @@ def _ints(flag: str, text: str) -> list[int]:
 
 def _cmd_bench_comm(args) -> int:
     blocks = _ints("--blocks", args.blocks)
-    pairs = []
-    for bd in blocks:
-        asy, tig = _bench_pair(bd, args.seed, args.events)
-        pairs.append((f"d{bd}", bd, asy, tig))
+    pairs = [(f"d{bd}", bd, *_bench_pair(bd, args.seed, args.events)) for bd in blocks]
     rows = measure_comm(pairs, per_message_overhead=args.overhead)
     print("block_dim,asy_bytes,tig_bytes,byte_ratio,cost_ratio")
     for r in rows:

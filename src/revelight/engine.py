@@ -416,14 +416,8 @@ def matched_schedule(cfg: RunConfig, n: int):
     trajectories coincide exactly (a barrier over one worker is a no-op).
     """
     samples = streams.Stream(cfg.seed, streams.SAMPLE)
-    sched = []
-    r = 0
-    while len(sched) < cfg.T:
-        i = round_sample(samples, r, n)
-        for m in range(1, cfg.q + 1):
-            sched.append((m, i))
-        r += 1
-    return sched[:cfg.T]
+    rounds = [round_sample(samples, r, n) for r in range(-(-cfg.T // cfg.q))]
+    return [(m, i) for i in rounds for m in range(1, cfg.q + 1)][:cfg.T]
 
 
 def run_synrevel(cfg: RunConfig, data: PartitionedDataset, local_model: LocalModel,
@@ -540,7 +534,7 @@ def _head_gradients(global_model: GlobalModel, w0, feats, label, m):
     odim = global_model.party_output_dim
     if global_model.kind == "logistic":
         y = int(label)
-        sig = 1.0 / (1.0 + np.exp(y * float(np.sum(feats))))
+        sig = 1.0 / (1.0 + np.exp(y * float(feats.sum())))
         return np.full(odim, -y * sig), None
     # softmax cross-entropy: d/dlogits = softmax(logits) - onehot(label)
     W = w0.reshape(feats.size, global_model.classes)

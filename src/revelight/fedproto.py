@@ -44,7 +44,7 @@ COMPUTE_DISTS = ("constant", "exponential")
 LATENCY_DISTS = ("constant", "uniform")
 
 
-@dataclass
+@dataclass(slots=True)
 class Upload:
     party: int
     sample: int
@@ -53,7 +53,7 @@ class Upload:
     seq: int
 
 
-@dataclass
+@dataclass(slots=True)
 class Reply:
     party: int
     sample: int
@@ -199,7 +199,7 @@ class Transcript:
         """Log one message with the size of its frame, which `frame_bytes`
         gives without encoding it."""
         if isinstance(msg, Upload):
-            if np.shape(msg.c) != np.shape(msg.c_hat):
+            if msg.c.shape != msg.c_hat.shape:
                 raise ShapeError("upload vectors c and c_hat must have equal length")
             values = msg.c.tolist() + msg.c_hat.tolist()
             self._append(time, direction, "upload", msg.party, msg.sample, msg.seq, values)
@@ -357,7 +357,8 @@ class ServerCache:
     the head's party_output_dim: party m's output for sample i sits at
     values[i, party_columns(m, k)], so row i is the head's flat input.
     stamp[i, m-1] is the server's upload count when it last wrote the cell,
-    0 after the warm-up and -1 while it is not warmed.
+    0 after the warm-up and -1 while it is not warmed; `cold` counts the
+    cells at -1.
     """
 
     def __init__(self, n: int, q: int, k: int = 1) -> None:
@@ -366,6 +367,7 @@ class ServerCache:
         self.k = k
         self.values = np.zeros((n, q * k))
         self.stamp = -np.ones((n, q), dtype=np.int64)
+        self.cold = n * q
 
     def cols(self, sample: int, party: int) -> slice:
         """Party's columns of the flat row; rejects an unknown sample or party."""
@@ -375,23 +377,43 @@ class ServerCache:
             raise ProtocolError(f"unknown party id {party}")
         return party_columns(party, self.k)
 
+    def _check_width(self, party: int, width: int) -> None:
+        if width != self.k:
+            raise ProtocolError(f"party {party} output has {width} values, the head takes {self.k}")
+
     def put(self, sample: int, party: int, c: np.ndarray, stamp: int) -> None:
         cols = self.cols(sample, party)
         c = np.asarray(c)
-        if c.size != self.k:
-            raise ProtocolError(f"party {party} output has {c.size} values, the head takes {self.k}")
-        if stamp < self.stamp[sample, party - 1]:
+        self._check_width(party, c.size)
+        old = self.stamp[sample, party - 1]
+        if stamp < old:
             raise ProtocolError(f"cache stamp would decrease for sample {sample}, party {party}")
         self.values[sample, cols] = c
         self.stamp[sample, party - 1] = stamp
+        if old < 0 <= stamp:
+            self.cold -= 1
+
+    def put_party(self, party: int, outputs: np.ndarray, stamp: int) -> None:
+        """`put` for every sample at once: row i of the (n, k) `outputs` is
+        party's output for sample i, and every cell gets `stamp`."""
+        if not 1 <= party <= self.q:
+            raise ProtocolError(f"unknown party id {party}")
+        self._check_width(party, outputs.shape[1])
+        stamps = self.stamp[:, party - 1]
+        down = np.flatnonzero(stamps > stamp)
+        if down.size:
+            raise ProtocolError(f"cache stamp would decrease for sample {down[0]}, party {party}")
+        if stamp >= 0:
+            self.cold -= int(np.count_nonzero(stamps < 0))
+        self.values[:, party_columns(party, self.k)] = outputs
+        stamps[:] = stamp
 
     def row(self, sample: int) -> np.ndarray:
         """A copy of row `sample`: the flat head input of q*k values."""
         if not 0 <= sample < self.n:
             raise ProtocolError(f"unknown sample id {sample}")
-        stamps = self.stamp[sample]
-        if stamps.min() < 0:
-            party = int(np.argmax(stamps < 0)) + 1
+        if self.cold and self.stamp[sample].min() < 0:
+            party = int(np.argmax(self.stamp[sample] < 0)) + 1
             raise ProtocolError(f"cache cell ({sample}, {party}) not warmed")
         return self.values[sample].copy()
 
@@ -534,11 +556,11 @@ class PartyNode:
         u = sample_direction(self.scheme, self.w.size, self.directions.at(self.id, k))
         c, c_hat, g0, g1 = two_point_client(self.model, self.w, self.X[i], u, self.mu)
         self.pending = (i, u, g0, g1)
-        return Upload(party=self.id, sample=i, c=c, c_hat=c_hat, seq=k)
+        return Upload(self.id, i, c, c_hat, k)
 
     def warm_upload(self, sample: int) -> Upload:
         c = local_forward(self.model, self.w, self.X[sample])
-        return Upload(party=self.id, sample=sample, c=c, c_hat=c, seq=-1)
+        return Upload(self.id, sample, c, c, -1)
 
     def apply_reply(self, reply: Reply) -> np.ndarray:
         """Finish the step: form the block estimate and descend."""
@@ -630,7 +652,7 @@ class ServerNode:
             reject_nonfinite(v0, 0, self.uploads_seen)
         self.uploads_seen += 1
         cache.put(i, m, upload.c, stamp=self.uploads_seen)
-        return Reply(party=m, sample=i, h=h, h_bar=h_bar, seq=upload.seq), v0
+        return Reply(m, i, h, h_bar, upload.seq), v0
 
 
 def warmup_cache(parties: list[PartyNode], server: ServerNode,
@@ -638,14 +660,18 @@ def warmup_cache(parties: list[PartyNode], server: ServerNode,
     """Every party uploads its initial output for every sample.
 
     Each upload is logged in `transcript` at time 0, so it counts in the
-    byte totals, and fills its (sample, party) cell with stamp 0.
+    byte totals; then the party's n outputs fill its cells at once, stamped 0.
     """
+    cache, record = server.cache, transcript.record
     for party in parties:
-        for i in range(server.cache.n):
+        outputs = []
+        for i in range(cache.n):
             upload = party.warm_upload(i)
-            transcript.record(0.0, "up", upload)
-            server.cache.put(i, party.id, upload.c, stamp=0)
-    return server.cache
+            record(0.0, "up", upload)
+            outputs.append(upload.c)
+        if outputs:
+            cache.put_party(party.id, np.concatenate(outputs).reshape(cache.n, -1), stamp=0)
+    return cache
 
 
 @dataclass

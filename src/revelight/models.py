@@ -154,10 +154,10 @@ def local_forward(model: LocalModel, w_m: np.ndarray, X: np.ndarray) -> np.ndarr
     vector c, or on an (n, dbar) row matrix, giving the (n, output_dim) outputs.
 
     Linear is the inner product; mlp applies the layer recursion
-    u_l = relu(W_l u_{l-1} + b_l) with a linear last layer.
+    u_l = relu(W_l u_{l-1} + b_l) with a linear last layer.  w_m and X are
+    float64 arrays, as PartyNode and PartitionedDataset.from_matrix keep them:
+    the per-row calls of the warm-up and of every event convert nothing.
     """
-    w_m = np.asarray(w_m, dtype=np.float64)
-    X = np.asarray(X, dtype=np.float64)
     dbar = X.shape[-1]
     if model.kind == "linear":
         if w_m.size != dbar:
@@ -201,7 +201,7 @@ def global_value(model: GlobalModel, w0: np.ndarray, feats: np.ndarray, label) -
     if model.kind == "logistic":
         if y not in (-1, 1):
             raise DomainError(f"logistic label must be +/-1, got {label!r}")
-        return _softplus(-y * float(np.sum(feats)))
+        return _softplus(-y * float(feats.sum()))
     if not 0 <= y < model.classes:
         raise DomainError(f"label {label!r} outside [0, {model.classes})")
     if w0.size != feats.size * model.classes:
@@ -254,7 +254,7 @@ def nonconvex_reg(w: np.ndarray) -> float:
     every w_j^2 is finite; past |w_j| ~ 1.3e154 the square overflows and it is nan."""
     w = np.asarray(w, dtype=np.float64)
     sq = w * w
-    return float(np.sum(sq / (1.0 + sq)))
+    return float((sq / (1.0 + sq)).sum())
 
 
 def partition_features(d_total: int, q: int) -> list[int]:

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from revelight.cli import synthetic_pair
-from revelight.errors import DomainError
+from revelight.errors import DomainError, ParseError
 from revelight.estimator import _direction_matrix, dim_factor
 from revelight.models import GlobalModel, LocalModel
 
@@ -110,3 +110,39 @@ def smoothed_grad_mc_quadratic_oneshot(H, b, w, mu, scheme, draws, rng: np.rando
     deltas = mu * (U @ g) + 0.5 * mu * mu * np.einsum("kd,kd->k", U @ H, U)
     est = (factor / mu) * deltas[:, None] * U
     return est.mean(axis=0), est.std(axis=0, ddof=1) / np.sqrt(draws)
+
+
+# The libsvm loader before its bulk parse: one token at a time into a dict
+# per line.  It is the reference `cli.load_libsvm` is checked against.
+
+
+def load_libsvm_reference(path) -> tuple[np.ndarray, np.ndarray]:
+    rows, labels = [], []
+    max_idx = 0
+    with open(path) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            parts = line.split()
+            try:
+                labels.append(int(float(parts[0])))
+            except ValueError as exc:
+                raise ParseError(f"{path}:{lineno}: bad label {parts[0]!r}") from exc
+            feats = {}
+            for tok in parts[1:]:
+                try:
+                    idx_s, val_s = tok.split(":")
+                    idx, val = int(idx_s), float(val_s)
+                except ValueError as exc:
+                    raise ParseError(f"{path}:{lineno}: bad feature token {tok!r}") from exc
+                if idx < 1:
+                    raise ParseError(f"{path}:{lineno}: feature index {idx} must be >= 1")
+                feats[idx] = val
+                max_idx = max(max_idx, idx)
+            rows.append(feats)
+    X = np.zeros((len(rows), max_idx))
+    for i, feats in enumerate(rows):
+        for idx, val in feats.items():
+            X[i, idx - 1] = val
+    return X, np.array(labels)

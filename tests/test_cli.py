@@ -7,8 +7,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import revelight
+from conftest import load_libsvm_reference
 from revelight.cli import (
     _RUN_KEYS,
     ExperimentSpec,
@@ -25,6 +28,29 @@ from revelight.cli import (
 )
 from revelight.errors import ConfigError, FormatError, ParseError
 from revelight.models import partition_features
+
+
+def _number_text(value: float, form: int) -> str:
+    return [repr(value), f"{value:e}", f"{value:+.3f}"][form]
+
+
+# One line of a libsvm file: a comment, a blank line, or an integral label in
+# one of its spellings followed by any idx:val tokens, spaced by runs of
+# blanks and tabs.
+_LIBSVM_LINE = st.one_of(
+    st.just("# a comment"),
+    st.sampled_from(["", "   ", "\t"]),
+    st.builds(
+        lambda label, form, feats, seps: (
+            [str(label), f"{label:+d}", f"{label}.0", f"{label}e0"][form]
+            + "".join(sep + f"{idx}:{_number_text(v, vf)}"
+                      for (idx, v, vf), sep in zip(feats, seps))),
+        st.integers(-3, 3), st.integers(0, 3),
+        st.lists(st.tuples(st.integers(1, 9), st.floats(width=64), st.integers(0, 2)),
+                 max_size=6),
+        st.lists(st.sampled_from([" ", "  ", "\t"]), min_size=6, max_size=6)),
+)
+_BAD_TOKENS = ["oops", "1:2:3", ":5", "3:", "1:x", "0:1", "-2:1"]
 
 
 class TestLibsvm:
@@ -49,8 +75,56 @@ class TestLibsvm:
 
     def test_labels_as_read(self, tmp_path):
         p = tmp_path / "d.libsvm"
-        p.write_text("1 1:1\n0 1:2\n")
-        assert list(load_libsvm(p)[1]) == [1, 0]
+        p.write_text("1 1:1\n0 1:2\n+1 1:3\n-1 1:4\n1.0 1:5\n")
+        assert list(load_libsvm(p)[1]) == [1, 0, 1, -1, 1]
+
+    @pytest.mark.parametrize("label", ["1.5", "0.9", "inf", "nan"])
+    def test_non_integral_label(self, tmp_path, label):
+        p = tmp_path / "d.libsvm"
+        p.write_text(f"1 1:1\n{label} 1:2\n")
+        with pytest.raises(ParseError) as err:
+            load_libsvm(p)
+        assert str(err.value) == f"{p}:2: label '{label}' is not an integer"
+
+    def test_repeated_index_keeps_last_value(self, tmp_path):
+        p = tmp_path / "d.libsvm"
+        p.write_text("1 3:1 1:2 3:5\n")
+        assert np.array_equal(load_libsvm(p)[0], [[2.0, 0.0, 5.0]])
+
+    @pytest.mark.parametrize("tok", ["oops", "1:2:3", ":5", "3:", "1:x", "0:1", "-2:1"])
+    def test_bad_token_error_as_reference(self, tmp_path, tok):
+        p = tmp_path / "d.libsvm"
+        p.write_text(f"+1 1:0.5\n-1 2:1 {tok} 3:oops\n")
+        with pytest.raises(ParseError) as want:
+            load_libsvm_reference(p)
+        with pytest.raises(ParseError) as got:
+            load_libsvm(p)
+        assert str(got.value) == str(want.value)
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(lines=st.lists(_LIBSVM_LINE, max_size=8),
+           bad=st.none() | st.tuples(st.integers(0, 8), st.sampled_from(_BAD_TOKENS)))
+    def test_matches_reference(self, tmp_path, lines, bad):
+        """Comments, blank and label-only lines, unsorted and repeated indices,
+        signs and exponents: the same bytes, shape and labels as the
+        token-by-token reference, or the same error for a bad token."""
+        if bad is not None:
+            at, tok = bad
+            lines = lines[:at] + [f"1 2:0.5 {tok}"] + lines[at:]
+        p = tmp_path / "d.libsvm"
+        p.write_text("\n".join(lines) + "\n")
+        try:
+            want = load_libsvm_reference(p)
+        except ParseError as exc:
+            with pytest.raises(ParseError) as got:
+                load_libsvm(p)
+            assert str(got.value) == str(exc)
+            return
+        X, y = load_libsvm(p)
+        assert X.dtype == want[0].dtype and X.shape == want[0].shape
+        assert X.tobytes() == want[0].tobytes()
+        assert y.dtype == want[1].dtype and y.tolist() == want[1].tolist()
 
 
 class TestCsv:
@@ -66,6 +140,19 @@ class TestCsv:
         p.write_text("0.5,x,1\n")
         with pytest.raises(ParseError, match=":1:"):
             load_csv(p)
+
+    def test_integral_label_forms(self, tmp_path):
+        p = tmp_path / "d.csv"
+        p.write_text("0.5,+1\n0.5,-1\n0.5,1.0\n0.5,0\n")
+        assert load_csv(p)[1].tolist() == [1, -1, 1, 0]
+
+    @pytest.mark.parametrize("label", ["1.5", "0.9", "inf"])
+    def test_non_integral_label(self, tmp_path, label):
+        p = tmp_path / "d.csv"
+        p.write_text(f"0.5,1\n0.5, {label}\n")
+        with pytest.raises(ParseError) as err:
+            load_csv(p)
+        assert str(err.value) == f"{p}:2: label '{label}' is not an integer"
 
 
 def _zero_one(n):

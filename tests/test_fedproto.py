@@ -183,6 +183,40 @@ class TestWarmup:
         assert (transcript.column("variant") == "upload").all()
         assert (transcript.column("seq") == -1).all()
 
+    def test_one_upload_and_one_record_per_cell(self, monkeypatch):
+        """The counts a traced benchmark run checks: n*q warm uploads, and
+        n*q + 2T transcript records over a whole asynchronous run."""
+        from revelight.cli import synthetic_pair
+        from revelight.engine import RunConfig, run_asyrevel
+
+        calls = {"warm_upload": 0, "record": 0}
+        for cls, name in ((PartyNode, "warm_upload"), (Transcript, "record")):
+            def counted(self, *args, _fn=getattr(cls, name), _name=name):
+                calls[_name] += 1
+                return _fn(self, *args)
+            monkeypatch.setattr(cls, name, counted)
+        n, q, T = 24, 3, 10
+        train, _ = synthetic_pair("noisy", n, 8, 6, q, seed=0)
+        run_asyrevel(RunConfig(algorithm="asyrevel_gau", q=q, T=T), train, LocalModel(),
+                     GlobalModel(kind="logistic", q=q))
+        assert calls == {"warm_upload": n * q, "record": n * q + 2 * T}
+
+    def test_wrong_output_width_raises_as_put(self):
+        data, _, _, parties, _, transcript = _tiny_setup()
+        server = ServerNode(GlobalModel(kind="logistic", q=2, party_output_dim=2), np.zeros(0),
+                            data.labels, data.n, 2, mu=0.05, eta0=0.05, scheme=SPHERE, seed=5)
+        with pytest.raises(ProtocolError) as put:
+            ServerCache(data.n, 2, 2).put(0, 1, np.ones(1), stamp=0)
+        with pytest.raises(ProtocolError) as warm:
+            warmup_cache(parties, server, transcript)
+        assert str(warm.value) == str(put.value) == "party 1 output has 1 values, the head takes 2"
+        assert np.all(server.cache.stamp == -1)
+
+    def test_no_samples_warms_nothing(self):
+        _, _, _, parties, server, transcript = _tiny_setup(n=0)
+        cache = warmup_cache(parties, server, transcript)
+        assert len(transcript) == 0 and cache.values.shape == (0, 2) and cache.cold == 0
+
 
 class TestServerCache:
     def test_layout_is_one_flat_row_per_sample(self):
@@ -230,6 +264,52 @@ class TestServerCache:
         with pytest.raises(ProtocolError, match="stamp would decrease"):
             cache.put(1, 2, np.array([2.0]), stamp=4)
         assert cache.values[1, 1] == 1.0 and cache.stamp[1, 1] == 5
+
+    def test_put_party_fills_one_party_for_every_sample(self):
+        cache = ServerCache(3, 2, 2)
+        outputs = np.arange(6.0).reshape(3, 2)
+        cache.put_party(2, outputs, stamp=0)
+        assert np.array_equal(cache.values[:, 2:], outputs) and not cache.values[:, :2].any()
+        assert cache.stamp[:, 1].tolist() == [0, 0, 0] and cache.cold == 3
+        with pytest.raises(ProtocolError, match=r"cache cell \(0, 1\) not warmed"):
+            cache.row(0)
+        cache.put_party(1, -outputs, stamp=0)
+        assert cache.cold == 0
+        assert np.array_equal(cache.row(2), [-4.0, -5.0, 4.0, 5.0])
+
+    @pytest.mark.parametrize("party", [0, -1, 3])
+    def test_put_party_unknown_party(self, party):
+        cache = ServerCache(3, 2)
+        with pytest.raises(ProtocolError, match=f"unknown party id {party}"):
+            cache.put_party(party, np.ones((3, 1)), stamp=0)
+        assert np.all(cache.stamp == -1) and not cache.values.any() and cache.cold == 6
+
+    @pytest.mark.parametrize("width", [1, 3])
+    def test_put_party_width_must_be_k(self, width):
+        cache = ServerCache(3, 2, 2)
+        with pytest.raises(ProtocolError) as err:
+            cache.put_party(1, np.ones((3, width)), stamp=0)
+        assert str(err.value) == f"party 1 output has {width} values, the head takes 2"
+        assert np.all(cache.stamp == -1) and cache.cold == 6
+
+    def test_put_party_stamp_may_not_decrease(self):
+        cache = ServerCache(3, 2)
+        cache.put(1, 2, np.array([1.0]), stamp=5)
+        with pytest.raises(ProtocolError) as err:
+            cache.put_party(2, np.full((3, 1), 2.0), stamp=4)
+        assert str(err.value) == "cache stamp would decrease for sample 1, party 2"
+        assert cache.values[:, 1].tolist() == [0.0, 1.0, 0.0] and cache.cold == 5
+
+    def test_cold_count_follows_the_stamps(self):
+        cache = ServerCache(2, 2)
+        cache.put(0, 1, np.array([1.0]), stamp=0)
+        cache.put(0, 1, np.array([2.0]), stamp=3)  # a warm cell again
+        cache.put_party(2, np.ones((2, 1)), stamp=1)
+        assert cache.cold == int((cache.stamp < 0).sum()) == 1
+        with pytest.raises(ProtocolError, match=r"cache cell \(1, 1\) not warmed"):
+            cache.row(1)
+        cache.put(1, 1, np.array([4.0]), stamp=2)
+        assert cache.cold == 0 and cache.row(1).tolist() == [4.0, 1.0]
 
 
 class TestServerHandleUpload:
@@ -621,7 +701,7 @@ class QueueMachine(RuleBasedStateMachine):
     reference.  Send counts are the processed count at send, as in the
     asynchronous driver, and at most `cap` messages are outstanding."""
 
-    @initialize(tau=st.integers(0, 5), cap=st.integers(1, 6))
+    @initialize(tau=st.integers(0, 12), cap=st.integers(1, 12))
     def start(self, tau, cap):
         self.tau, self.cap = tau, cap
         self.queue = StalenessQueue(tau)
