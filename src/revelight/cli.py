@@ -1,10 +1,10 @@
 """Configuration, dataset ingestion, experiment orchestration, and the
 command-line surface.
 
-Config files are flat `key = value` text with `#` comments; every run-config
-field but `record_snapshots` has a key of the same name.  The built-in
-synthetic families (separable and noisy-logistic, seeded) let every
-benchmark run without downloads.
+Config files are flat `key = value` text with `#` comments, read by the one
+table CONFIG_KEYS; every run-config field but `record_snapshots` has a key of
+the same name.  The seeded synthetic families (separable and noisy-logistic)
+let every benchmark run without downloads.
 
 Subcommands: train, verify, bench-comm, speedup, audit.  Exit status is 0
 iff all requested checks pass; failures print one machine-greppable
@@ -15,10 +15,12 @@ from __future__ import annotations
 
 import argparse
 import itertools
+import math
 import struct
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -78,20 +80,30 @@ def _features(path, lineno: int, toks: list[str]) -> dict[int, float]:
     return feats
 
 
-def load_libsvm(path) -> tuple[np.ndarray, np.ndarray]:
-    """Parse `label idx:val ...` lines (1-based indices): dense float64 rows, int labels."""
-    rows, labels = [], []
+def _data_lines(path):
+    """(lineno, stripped line) for each line of a text dataset file that is
+    neither blank nor a `#` comment."""
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            label, *toks = line.split()
-            labels.append(_label(path, lineno, label))
-            rows.append(_features(path, lineno, toks))
+            if line and not line.startswith("#"):
+                yield lineno, line
+
+
+def load_libsvm(path) -> tuple[np.ndarray, np.ndarray]:
+    """Parse `label idx:val ...` lines (1-based indices): dense float64 rows, int labels."""
+    rows, labels = [], []
+    for lineno, line in _data_lines(path):
+        label, *toks = line.split()
+        labels.append(_label(path, lineno, label))
+        rows.append(_features(path, lineno, toks))
     cells = np.repeat(np.arange(len(rows)), list(map(len, rows)))
-    cols = np.fromiter(itertools.chain.from_iterable(rows), np.int64, cells.size)
-    X = np.zeros((len(rows), cols.max(initial=0)))
+    try:
+        cols = np.fromiter(itertools.chain.from_iterable(rows), np.int64, cells.size)
+        X = np.zeros((len(rows), cols.max(initial=0)))
+    except (OverflowError, ValueError, MemoryError):
+        top = max(itertools.chain.from_iterable(rows))
+        raise ParseError(f"{path}: feature index {top} is too large for a dense matrix") from None
     X[cells, cols - 1] = list(itertools.chain.from_iterable(map(dict.values, rows)))
     return X, np.array(labels)
 
@@ -99,19 +111,15 @@ def load_libsvm(path) -> tuple[np.ndarray, np.ndarray]:
 def load_csv(path) -> tuple[np.ndarray, np.ndarray]:
     """Dense CSV, the label in the last column: float64 rows, int labels."""
     rows = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            toks = line.split(",")
-            try:
-                rows.append([float(tok) for tok in toks])
-            except ValueError as exc:
-                raise ParseError(f"{path}:{lineno}: non-numeric field") from exc
-            if len(rows) > 1 and len(rows[-1]) != len(rows[0]):
-                raise ParseError(f"{path}:{lineno}: expected {len(rows[0])} fields")
-            _label(path, lineno, toks[-1].strip())
+    for lineno, line in _data_lines(path):
+        toks = line.split(",")
+        try:
+            rows.append([float(tok) for tok in toks])
+        except ValueError as exc:
+            raise ParseError(f"{path}:{lineno}: non-numeric field") from exc
+        if len(rows) > 1 and len(rows[-1]) != len(rows[0]):
+            raise ParseError(f"{path}:{lineno}: expected {len(rows[0])} fields")
+        _label(path, lineno, toks[-1].strip())
     if not rows:
         raise ParseError(f"{path}: empty file")
     arr = np.array(rows)
@@ -125,13 +133,13 @@ def _read_idx(path, expect_magic: int) -> np.ndarray:
         raise FormatError(f"{path}: truncated IDX header")
     (magic,) = struct.unpack(">I", raw[:4])
     if magic != expect_magic:
-        raise FormatError(
-            f"{path}: IDX magic 0x{magic:08x}, expected 0x{expect_magic:08x}"
-        )
+        raise FormatError(f"{path}: IDX magic 0x{magic:08x}, expected 0x{expect_magic:08x}")
     ndim = magic & 0xFF
+    if len(raw) < 4 + 4 * ndim:
+        raise FormatError(f"{path}: IDX header ends before its {ndim} dimensions")
     dims = struct.unpack(f">{ndim}I", raw[4:4 + 4 * ndim])
     data = np.frombuffer(raw, dtype=np.uint8, offset=4 + 4 * ndim)
-    if data.size != int(np.prod(dims)):
+    if data.size != math.prod(dims):
         raise FormatError(f"{path}: IDX payload size does not match dimensions {dims}")
     return data.reshape(dims)
 
@@ -154,13 +162,11 @@ def load_idx(images_path) -> tuple[np.ndarray, np.ndarray]:
 
 
 def load_dataset(path, fmt: str) -> tuple[np.ndarray, np.ndarray]:
-    if fmt == "libsvm":
-        return load_libsvm(path)
-    if fmt == "csv":
-        return load_csv(path)
-    if fmt == "idx":
-        return load_idx(path)
-    raise UsageError(f"unknown dataset format {fmt!r}")
+    # built per call, so a loader rebound at run time (a tracer's) is the one called
+    loaders = {"libsvm": load_libsvm, "csv": load_csv, "idx": load_idx}
+    if fmt not in loaders:
+        raise UsageError(f"unknown dataset format {fmt!r}")
+    return loaders[fmt](path)
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +184,10 @@ def make_synthetic(kind: str, n: int, d: int, seed: int, *,
     rng = streams.stream(seed, streams.DATA)
     w_star = rng.standard_normal(d)
     w_star /= np.linalg.norm(w_star)
-    X = rng.standard_normal((n, d))
+    try:
+        X = rng.standard_normal((n, d))
+    except ValueError as exc:  # numpy's "array is too big", raised before allocating
+        raise MemoryError(f"{n} x {d} synthetic features: {exc}") from None
     raw = X @ w_star
     if kind == "separable":
         y = np.where(raw >= 0, 1, -1)
@@ -216,14 +225,6 @@ def split_tenfold(X: np.ndarray, y: np.ndarray, block_dims: list[int], seed: int
 # experiment specification
 
 
-_RUN_KEYS = {
-    "algorithm": str, "q": int, "T": int, "eta": float, "eta_server": float,
-    "mu": float, "lam_eff": float, "tau": int, "seed": int, "scheme": str,
-    "compute_dist": str, "latency": float, "latency_dist": str,
-    "eval_every": int, "stop_loss": float,
-}
-
-
 def _floats(text: str) -> list[float]:
     return [float(tok) for tok in text.split(",")]
 
@@ -231,6 +232,31 @@ def _floats(text: str) -> list[float]:
 def _straggler(text: str) -> tuple[int, float]:
     party, factor = text.split(":")
     return int(party), float(factor)
+
+
+class ConfigKey(NamedTuple):
+    """A key's cast, the ExperimentSpec field it sets (None: the RunConfig
+    field of its name, checked by RunConfig.validate), its least value and
+    the one dataset kind that reads it ("synthetic" or "file"; None: both)."""
+
+    cast: Callable[[str], object]
+    spec_field: str | None = None
+    least: int | None = None
+    dataset_kind: str | None = None
+
+
+# the config grammar, in the order the keys are read
+CONFIG_KEYS = {
+    "algorithm": ConfigKey(str), "q": ConfigKey(int), "T": ConfigKey(int),
+    "eta": ConfigKey(float), "eta_server": ConfigKey(float), "mu": ConfigKey(float),
+    "lam_eff": ConfigKey(float), "tau": ConfigKey(int), "seed": ConfigKey(int),
+    "scheme": ConfigKey(str), "compute_dist": ConfigKey(str), "latency": ConfigKey(float),
+    "latency_dist": ConfigKey(str), "eval_every": ConfigKey(int),
+    "stop_loss": ConfigKey(float), "p": ConfigKey(_floats), "straggler": ConfigKey(_straggler),
+    "dataset": ConfigKey(str, "dataset"), "format": ConfigKey(str, "fmt", dataset_kind="file"),
+    "n": ConfigKey(int, "n", 1, "synthetic"), "d": ConfigKey(int, "d", 1, "synthetic"),
+    "n_test": ConfigKey(int, "n_test", 0, "synthetic"), "out": ConfigKey(Path, "out_dir"),
+}
 
 
 @dataclass
@@ -246,45 +272,33 @@ class ExperimentSpec:
     @classmethod
     def from_config(cls, path, seed_override: int | None = None,
                     out_override=None) -> "ExperimentSpec":
+        """Read a config file's keys in CONFIG_KEYS order, each by its row."""
         kv = parse_config(path)
-
-        def take(key, cast):
-            """Pop and cast one value; a failed cast names the key and the value."""
-            value = kv.pop(key)
-            try:
-                return cast(value)
-            except ValueError as exc:
-                raise ConfigError(f"{key} = {value}: {exc}") from None
-
-        casts = {**_RUN_KEYS, "p": _floats, "straggler": _straggler}
-        run_kwargs = {key: take(key, cast) for key, cast in casts.items() if key in kv}
-        if "algorithm" not in run_kwargs or "q" not in run_kwargs or "T" not in run_kwargs:
+        if not {"algorithm", "q", "T"} <= kv.keys():
             raise ConfigError("config must set algorithm, q, and T")
+        dataset = kv.get("dataset", cls.dataset)
+        kind = "synthetic" if dataset.startswith("synthetic:") else "file"
+        run_kwargs, spec_kwargs = {}, {}
+        for key in filter(kv.__contains__, CONFIG_KEYS):
+            rule, text = CONFIG_KEYS[key], kv.pop(key)
+            if rule.dataset_kind not in (None, kind):
+                raise ConfigError(f"{key} = {text}: not used with dataset = {dataset}")
+            try:
+                value = rule.cast(text)
+            except ValueError as exc:
+                raise ConfigError(f"{key} = {text}: {exc}") from None
+            if rule.least is not None and value < rule.least:
+                raise ConfigError(f"{key} must be at least {rule.least}")
+            (spec_kwargs if rule.spec_field else run_kwargs)[rule.spec_field or key] = value
+        if kv:
+            raise ConfigError(f"unknown config keys: {', '.join(sorted(kv))}")
         cfg = RunConfig(**run_kwargs)
         if seed_override is not None:
             cfg.seed = seed_override
-        spec = cls(cfg=cfg)
-        if "dataset" in kv:
-            spec.dataset = kv.pop("dataset")
-        unused = ("format",) if spec.dataset.startswith("synthetic:") else ("n", "d", "n_test")
-        for key in unused:
-            if key in kv:
-                raise ConfigError(f"{key} = {kv[key]}: not used with dataset = {spec.dataset}")
-        if "format" in kv:
-            spec.fmt = kv.pop("format")
-        for key, least in (("n", 1), ("d", 1), ("n_test", 0)):
-            if key in kv:
-                setattr(spec, key, take(key, int))
-            if getattr(spec, key) < least:
-                raise ConfigError(f"{key} must be at least {least}")
-        if "out" in kv:
-            spec.out_dir = Path(kv.pop("out"))
         if out_override is not None:
-            spec.out_dir = Path(out_override)
-        if kv:
-            raise ConfigError(f"unknown config keys: {', '.join(sorted(kv))}")
+            spec_kwargs["out_dir"] = Path(out_override)
         cfg.validate()
-        return spec
+        return cls(cfg=cfg, **spec_kwargs)
 
     def load(self):
         """Partitioned (train, test); file labels in {0, 1} become -1/+1."""
@@ -319,9 +333,7 @@ def run_experiment(spec: ExperimentSpec) -> dict:
     algorithms only), and print the summary line."""
     spec.out_dir.mkdir(parents=True, exist_ok=True)
     train, test = spec.load()
-    local_model = LocalModel()
-    global_model = GlobalModel(kind="logistic", q=spec.cfg.q)
-    metrics = run_algorithm(spec.cfg, train, local_model, global_model, test)
+    metrics = run_algorithm(spec.cfg, train, LocalModel(), GlobalModel(q=spec.cfg.q), test)
     paths = {"metrics": spec.out_dir / f"metrics_{spec.cfg.algorithm}_{spec.cfg.seed}.csv"}
     metrics.to_csv(paths["metrics"])
     if metrics.transcript is not None:
@@ -366,8 +378,7 @@ def _cmd_verify(args) -> int:
 
 
 def _bench_pair(block_dim: int, seed: int, events: int):
-    n = 64
-    X, y = make_synthetic("noisy", n, block_dim * 2, seed)
+    X, y = make_synthetic("noisy", 64, block_dim * 2, seed)
     data = PartitionedDataset.from_matrix(X, y, [block_dim, block_dim])
     lm, gm = LocalModel(), GlobalModel(kind="logistic", q=2)
     base = dict(q=2, T=events, eta=1e-3, mu=1e-3, lam_eff=5e-5, seed=seed)
@@ -398,10 +409,8 @@ def _cmd_bench_comm(args) -> int:
     print("block_dim,asy_bytes,tig_bytes,byte_ratio,cost_ratio")
     for r in rows:
         print(f"{r.block_dim},{r.asy_bytes},{r.tig_bytes},{r.byte_ratio:.4f},{r.cost_ratio:.4f}")
-    ok = all(r.byte_ratio > 1.0 for r in rows) and all(
-        rows[i].byte_ratio <= rows[i + 1].byte_ratio for i in range(len(rows) - 1)
-    )
-    if not ok:
+    ratios = [r.byte_ratio for r in rows]
+    if min(ratios) <= 1.0 or ratios != sorted(ratios):
         print("error: communication ratios not >1 and monotone", file=sys.stderr)
         return 1
     return 0
@@ -494,7 +503,7 @@ def main(argv=None) -> int:
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             return args.fn(args)
     except (ConfigError, DomainError, UsageError, ParseError, FormatError, ProtocolError,
-            OSError) as exc:
+            OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -46,10 +46,12 @@ from .models import (
     GlobalModel,
     LocalModel,
     PartitionedDataset,
+    head_gradients,
     head_losses,
     head_predictions,
     init_state,
     local_forward,
+    local_param_gradient,
     nonconvex_reg,
     party_columns,
 )
@@ -294,12 +296,24 @@ class _Recorder:
         return self.metrics
 
 
+def _init_run(cfg: RunConfig, data: PartitionedDataset, local_model: LocalModel,
+              global_model: GlobalModel):
+    """init_state for a run whose config, data and head agree on the party
+    count, and whose local models give the head's input width per party."""
+    counts = (cfg.q, data.q, global_model.q)
+    widths = (local_model.output_dim, global_model.party_output_dim)
+    if len(set(counts)) > 1 or len(set(widths)) > 1:
+        raise ConfigError(f"parties disagree: counts (q, data blocks, head) {counts}, "
+                          f"output widths (local, head) {widths}")
+    return init_state(data, local_model, global_model, cfg.seed)
+
+
 def _start_protocol(cfg: RunConfig, data: PartitionedDataset, local_model: LocalModel,
                     global_model: GlobalModel, test_data: PartitionedDataset | None):
     """Party and server nodes after the cache warm-up, and a recorder on the
     transcript that holds the warm-up uploads."""
     transcript = Transcript()
-    w0, w = init_state(data, local_model, global_model, cfg.seed)
+    w0, w = _init_run(cfg, data, local_model, global_model)
     scheme = cfg.direction_scheme
     parties = [
         PartyNode(m + 1, data.blocks[m], local_model, w[m],
@@ -455,7 +469,7 @@ def _centralized_start(cfg: RunConfig, data: PartitionedDataset, local_model: Lo
     """Initial w0 and blocks w of a run without parties, and the warm
     (n, q*k) output cache that mirrors the protocol's warm-up: row i is
     sample i's flat head input, built from the same per-row forward passes."""
-    w0, w = init_state(data, local_model, global_model, cfg.seed)
+    w0, w = _init_run(cfg, data, local_model, global_model)
     cache = np.array([
         np.concatenate([local_forward(local_model, w[m], data.blocks[m][i])
                         for m in range(cfg.q)])
@@ -527,45 +541,6 @@ def run_nonfederated(cfg: RunConfig, data: PartitionedDataset, local_model: Loca
     return rec.finish(w0, w)
 
 
-def _head_gradients(global_model: GlobalModel, w0, feats, label, m):
-    """Gradients of the head at one sample's flat head input feats: w.r.t.
-    party m's output vector, and w.r.t. the head parameters w0 (None for the
-    parameter-free head)."""
-    odim = global_model.party_output_dim
-    if global_model.kind == "logistic":
-        y = int(label)
-        sig = 1.0 / (1.0 + np.exp(y * float(feats.sum())))
-        return np.full(odim, -y * sig), None
-    # softmax cross-entropy: d/dlogits = softmax(logits) - onehot(label)
-    W = w0.reshape(feats.size, global_model.classes)
-    logits = feats @ W
-    z = logits - np.max(logits)
-    probs = np.exp(z) / np.sum(np.exp(z))
-    probs[int(label)] -= 1.0
-    return (W @ probs)[party_columns(m, odim)], np.outer(feats, probs).ravel()
-
-
-def _local_param_gradient(local_model: LocalModel, w_m, x, upstream):
-    """Chain rule through the local model: d(head)/d(w_m) given d(head)/d(c)."""
-    if local_model.kind == "linear":
-        return float(upstream[0]) * x
-    # manual backprop through the rectifier stack
-    layers = local_model.layers(w_m, x.size)
-    acts = [np.asarray(x, dtype=np.float64)]
-    for l, (W, b) in enumerate(layers):
-        z = W @ acts[-1] + b
-        acts.append(np.maximum(z, 0.0) if l != len(layers) - 1 else z)
-    grad = np.zeros_like(w_m)
-    delta = np.asarray(upstream, dtype=np.float64)
-    for l, (gW, gb) in reversed(list(enumerate(local_model.layers(grad, x.size)))):
-        gb[:] = delta
-        gW[:] = np.outer(delta, acts[l])
-        if l > 0:
-            # acts[l] is the rectified output of layer l - 1
-            delta = (layers[l][0].T @ delta) * (acts[l] > 0)
-    return grad
-
-
 def run_tig_baseline(cfg: RunConfig, data: PartitionedDataset, local_model: LocalModel,
                      global_model: GlobalModel, test_data: PartitionedDataset | None = None) -> RunMetrics:
     """Gradient-transmitting baseline.
@@ -600,9 +575,9 @@ def run_tig_baseline(cfg: RunConfig, data: PartitionedDataset, local_model: Loca
         transcript.record_raw(now, "up", "tig_output", pid, i, k, c)
         row = cache[i].copy()
         row[cols] = c
-        upstream, g0 = _head_gradients(global_model, w0, row, data.labels[i], pid)
+        upstream, g0 = head_gradients(global_model, w0, row, data.labels[i], pid)
         transcript.record_raw(now, "down", "tig_grad", pid, i, k, upstream)
-        grad = _local_param_gradient(local_model, w[m], x, upstream)
+        grad = local_param_gradient(local_model, w[m], x, upstream)
         transcript.record_raw(now, "down", "tig_chain", pid, i, k, grad)
         reject_nonfinite(grad, pid, k)
         w[m] = w[m] - cfg.eta * grad

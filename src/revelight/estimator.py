@@ -66,25 +66,22 @@ def dim_factor(scheme: str, dim: int) -> float:
     raise DomainError(f"unknown scheme {scheme!r}")
 
 
-def client_block_zoe(
-    h: float,
-    h_bar: float,
-    g_base: float,
-    g_pert: float,
-    mu: float,
-    lam_eff: float,
-    u: Direction,
-) -> np.ndarray:
+def _two_point(h: float, h_pert: float, mu: float, u: Direction) -> np.ndarray:
+    """(factor / mu) * (h_pert - h) * u: the two-point estimate along u from
+    the values at the base point and at the point perturbed by mu * u."""
+    if mu <= 0:
+        raise DomainError(f"smoothing radius must be positive, got {mu}")
+    return (dim_factor(u.scheme, u.u.size) / mu) * (h_pert - h) * u.u
+
+
+def client_block_zoe(h: float, h_bar: float, g_base: float, g_pert: float, mu: float,
+                     lam_eff: float, u: Direction) -> np.ndarray:
     """Block gradient estimate from the server's two replies.
 
     h and h_bar are the head values at the current and perturbed local
     output; g_base/g_pert are the regularizer at w_m and w_m + mu*u.
     """
-    if mu <= 0:
-        raise DomainError(f"smoothing radius must be positive, got {mu}")
-    factor = dim_factor(u.scheme, u.u.size)
-    delta = (h_bar + lam_eff * g_pert) - (h + lam_eff * g_base)
-    return (factor / mu) * delta * u.u
+    return _two_point(h + lam_eff * g_base, h_bar + lam_eff * g_pert, mu, u)
 
 
 def server_block_zoe(h: float, h_hat: float, mu: float, u0: Direction | None) -> np.ndarray | None:
@@ -93,12 +90,7 @@ def server_block_zoe(h: float, h_hat: float, mu: float, u0: Direction | None) ->
     Returns None when there is no trainable head (d0 = 0); that is the
     contract's no-op signal, not an error.
     """
-    if u0 is None:
-        return None
-    if mu <= 0:
-        raise DomainError(f"smoothing radius must be positive, got {mu}")
-    factor = dim_factor(u0.scheme, u0.u.size)
-    return (factor / mu) * (h_hat - h) * u0.u
+    return None if u0 is None else _two_point(h, h_hat, mu, u0)
 
 
 def head_direction(scheme: str, d0: int, directions: streams.Stream, k: int) -> Direction | None:
@@ -116,11 +108,8 @@ def two_point_client(model: LocalModel, w: np.ndarray, x: np.ndarray, u: Directi
     and the regularizer g0 at w and g1 at the perturbed point.
     """
     w_hat = w + mu * u.u
-    c = local_forward(model, w, x)
-    c_hat = local_forward(model, w_hat, x)
-    g0 = nonconvex_reg(w)
-    g1 = nonconvex_reg(w_hat)
-    return c, c_hat, g0, g1
+    return (local_forward(model, w, x), local_forward(model, w_hat, x),
+            nonconvex_reg(w), nonconvex_reg(w_hat))
 
 
 def two_point_head(head: GlobalModel, w0: np.ndarray, row: np.ndarray, m: int,

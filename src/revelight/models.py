@@ -52,10 +52,8 @@ class PartitionedDataset:
         X = np.asarray(X, dtype=np.float64)
         if sum(block_dims) != X.shape[1]:
             raise ShapeError(f"block dims sum {sum(block_dims)} != feature dim {X.shape[1]}")
-        blocks, lo = [], 0
-        for d in block_dims:
-            blocks.append(np.ascontiguousarray(X[:, lo:lo + d]))
-            lo += d
+        lo = np.cumsum([0, *block_dims])
+        blocks = [np.ascontiguousarray(X[:, a:b]) for a, b in zip(lo[:-1], lo[1:])]
         return cls(blocks=blocks, labels=np.asarray(y))
 
 
@@ -90,11 +88,8 @@ class LocalModel:
         return sum(width * fan_in + width for width, fan_in in self.layer_shapes(input_dim))
 
     def layer_shapes(self, input_dim: int) -> list[tuple[int, int]]:
-        shapes, fan_in = [], input_dim
-        for width in self.layer_sizes:
-            shapes.append((width, fan_in))
-            fan_in = width
-        return shapes
+        """(width, fan_in) of each mlp layer, first layer first."""
+        return list(zip(self.layer_sizes, (input_dim, *self.layer_sizes[:-1])))
 
     def layers(self, w_m: np.ndarray, input_dim: int) -> list[tuple[np.ndarray, np.ndarray]]:
         """Views (W_l, b_l) into a flat mlp parameter vector, first layer
@@ -158,22 +153,45 @@ def local_forward(model: LocalModel, w_m: np.ndarray, X: np.ndarray) -> np.ndarr
     float64 arrays, as PartyNode and PartitionedDataset.from_matrix keep them:
     the per-row calls of the warm-up and of every event convert nothing.
     """
-    dbar = X.shape[-1]
     if model.kind == "linear":
-        if w_m.size != dbar:
-            raise ShapeError(f"linear model: dim(w)={w_m.size} != dim(x)={dbar}")
+        if w_m.size != X.shape[-1]:
+            raise ShapeError(f"linear model: dim(w)={w_m.size} != dim(x)={X.shape[-1]}")
         return X.dot(w_m[:, None])
+    return _layer_outputs(model, w_m, X)[-1]
+
+
+def _layer_outputs(model: LocalModel, w_m: np.ndarray, X: np.ndarray) -> list[np.ndarray]:
+    """The mlp layer recursion: X, then each layer's output, first layer first."""
+    dbar = X.shape[-1]
     if w_m.size != model.param_dim(dbar):
         raise ShapeError(
             f"mlp parameters have {w_m.size} entries, layout needs {model.param_dim(dbar)}"
         )
-    u = X
+    outs = [X]
     layers = model.layers(w_m, dbar)
     for l, (W, b) in enumerate(layers):
-        u = u.dot(W.T) + b
-        if l != len(layers) - 1:
-            u = np.maximum(u, 0.0)
-    return u
+        u = outs[-1].dot(W.T) + b
+        outs.append(u if l == len(layers) - 1 else np.maximum(u, 0.0))
+    return outs
+
+
+def local_param_gradient(model: LocalModel, w_m: np.ndarray, x: np.ndarray,
+                         upstream: np.ndarray) -> np.ndarray:
+    """Chain rule through the local model at feature row x: d(head)/d(w_m)
+    given d(head)/d(c), backpropagated through the layer recursion."""
+    if model.kind == "linear":
+        return float(upstream[0]) * x
+    outs = _layer_outputs(model, w_m, x)
+    layers = model.layers(w_m, x.size)
+    grad = np.zeros_like(w_m)
+    delta = upstream
+    for l, (gW, gb) in reversed(list(enumerate(model.layers(grad, x.size)))):
+        gb[:] = delta
+        gW[:] = np.outer(delta, outs[l])
+        if l > 0:
+            # outs[l] is the rectified output of layer l - 1
+            delta = (layers[l][0].T @ delta) * (outs[l] > 0)
+    return grad
 
 
 def _softplus(z: float) -> float:
@@ -204,11 +222,35 @@ def global_value(model: GlobalModel, w0: np.ndarray, feats: np.ndarray, label) -
         return _softplus(-y * float(feats.sum()))
     if not 0 <= y < model.classes:
         raise DomainError(f"label {label!r} outside [0, {model.classes})")
-    if w0.size != feats.size * model.classes:
-        raise ShapeError(f"head parameters {w0.size} != {feats.size}x{model.classes}")
-    logits = feats @ w0.reshape(feats.size, model.classes)
+    logits = feats @ _head_matrix(model, w0, feats.size)
     zmax = float(np.max(logits))
     return float(zmax + np.log(np.sum(np.exp(logits - zmax))) - logits[y])
+
+
+def _head_matrix(model: GlobalModel, w0: np.ndarray, width: int) -> np.ndarray:
+    """The softmax head's parameters as its (width, classes) weight matrix:
+    row j weighs flat head input j."""
+    if w0.size != width * model.classes:
+        raise ShapeError(f"head parameters {w0.size} != {width}x{model.classes}")
+    return w0.reshape(width, model.classes)
+
+
+def head_gradients(model: GlobalModel, w0: np.ndarray, feats: np.ndarray, label, m: int):
+    """Gradients of global_value at one sample's flat head input feats: with
+    respect to party m's output vector, and to the head parameters w0 (None
+    for the parameter-free head)."""
+    odim = model.party_output_dim
+    if model.kind == "logistic":
+        y = int(label)
+        sig = 1.0 / (1.0 + np.exp(y * float(feats.sum())))
+        return np.full(odim, -y * sig), None
+    # softmax cross-entropy: d/dlogits = softmax(logits) - onehot(label)
+    W = _head_matrix(model, w0, feats.size)
+    z = feats @ W
+    z = z - np.max(z)
+    probs = np.exp(z) / np.sum(np.exp(z))
+    probs[int(label)] -= 1.0
+    return (W @ probs)[party_columns(m, odim)], np.outer(feats, probs).ravel()
 
 
 def _head_scores(model: GlobalModel, w0: np.ndarray, C: list[np.ndarray]) -> np.ndarray:
@@ -218,9 +260,7 @@ def _head_scores(model: GlobalModel, w0: np.ndarray, C: list[np.ndarray]) -> np.
     feats = np.concatenate(C, axis=1)
     if model.kind == "logistic":
         return np.sum(feats, axis=1)
-    if w0.size != feats.shape[1] * model.classes:
-        raise ShapeError(f"head parameters {w0.size} != {feats.shape[1]}x{model.classes}")
-    return feats @ w0.reshape(feats.shape[1], model.classes)
+    return feats @ _head_matrix(model, w0, feats.shape[1])
 
 
 def head_losses(model: GlobalModel, w0: np.ndarray, C: list[np.ndarray], labels) -> np.ndarray:

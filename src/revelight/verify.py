@@ -116,12 +116,8 @@ def _smoothing_case(scheme: str, seed: int, draws: int, salt: int,
     )
 
 
-def check_smoothing_bounds(
-    scheme: str,
-    trials: int,
-    seed: int = 0,
-    draws: int = 20000,
-) -> list[BoundReport]:
+def check_smoothing_bounds(scheme: str, trials: int, seed: int = 0,
+                           draws: int = 20000) -> list[BoundReport]:
     """Monte-Carlo checks of the value- and gradient-bias bounds on random
     quadratics with known spectral norm, at each dimension in DIMS and mu in MUS.
 
@@ -190,12 +186,9 @@ def fit_convergence_rate(metrics, grad_sq_fn) -> RateFit:
     """
     if not metrics.snapshots:
         raise UsageError("run recorded no parameter snapshots")
-    ts, g2 = [], []
-    for t, w0, w in metrics.snapshots:
-        if t == 0:
-            continue
-        ts.append(t)
-        g2.append(grad_sq_fn(w0, w))
+    snapshots = [snap for snap in metrics.snapshots if snap[0] != 0]
+    ts = [t for t, _, _ in snapshots]
+    g2 = [grad_sq_fn(w0, w) for _, w0, w in snapshots]
     if len(ts) < 10:
         raise UsageError(f"need at least 10 checkpoints, got {len(ts)}")
     running = np.cumsum(g2) / np.arange(1, len(g2) + 1)
@@ -215,13 +208,10 @@ def compute_speedup(times: dict[int, float]) -> dict[int, float]:
 def report_lines(reports: list[BoundReport]) -> list[str]:
     """Fixed-width text table, one line per bound check."""
     width = max((len(r.quantity) for r in reports), default=8)
-    lines = [f"{'quantity'.ljust(width)}  {'measured':>12}  {'bound':>12}  {'slack':>12}  pass"]
-    for r in reports:
-        lines.append(
-            f"{r.quantity.ljust(width)}  {r.measured:12.5g}  {r.bound:12.5g}  "
-            f"{r.slack:12.5g}  {'yes' if r.passed else 'NO'}"
-        )
-    return lines
+    return [f"{'quantity'.ljust(width)}  {'measured':>12}  {'bound':>12}  {'slack':>12}  pass"] + [
+        f"{r.quantity.ljust(width)}  {r.measured:12.5g}  {r.bound:12.5g}  "
+        f"{r.slack:12.5g}  {'yes' if r.passed else 'NO'}" for r in reports
+    ]
 
 
 def reports_to_csv(reports: list[BoundReport], path) -> None:

@@ -3,6 +3,7 @@ import os
 import struct
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 import revelight
 from conftest import load_libsvm_reference
 from revelight.cli import (
-    _RUN_KEYS,
+    CONFIG_KEYS,
     ExperimentSpec,
     load_csv,
     load_dataset,
@@ -26,7 +27,8 @@ from revelight.cli import (
     split_tenfold,
     synthetic_pair,
 )
-from revelight.errors import ConfigError, FormatError, ParseError
+from revelight.engine import RunConfig
+from revelight.errors import ConfigError, FormatError, ParseError, UsageError
 from revelight.models import partition_features
 
 
@@ -86,6 +88,15 @@ class TestLibsvm:
             load_libsvm(p)
         assert str(err.value) == f"{p}:2: label '{label}' is not an integer"
 
+    @pytest.mark.parametrize("index", [2**62, 10**20])
+    def test_oversized_index(self, tmp_path, index):
+        """An index numpy cannot size a matrix for, refused before allocating."""
+        p = tmp_path / "d.libsvm"
+        p.write_text(f"1 1:1\n0 {index}:2\n")
+        with pytest.raises(ParseError) as err:
+            load_libsvm(p)
+        assert str(err.value) == f"{p}: feature index {index} is too large for a dense matrix"
+
     def test_repeated_index_keeps_last_value(self, tmp_path):
         p = tmp_path / "d.libsvm"
         p.write_text("1 3:1 1:2 3:5\n")
@@ -141,6 +152,18 @@ class TestCsv:
         with pytest.raises(ParseError, match=":1:"):
             load_csv(p)
 
+    @pytest.mark.parametrize("text, error", [
+        ("0.5,1\n0.5,2,1\n", ":2: expected 2 fields"),
+        ("", ": empty file"),
+        ("# a comment\n\n", ": empty file"),
+    ], ids=["field_count", "empty", "comments_only"])
+    def test_bad_shape(self, tmp_path, text, error):
+        p = tmp_path / "d.csv"
+        p.write_text(text)
+        with pytest.raises(ParseError) as err:
+            load_csv(p)
+        assert str(err.value) == f"{p}{error}"
+
     def test_integral_label_forms(self, tmp_path):
         p = tmp_path / "d.csv"
         p.write_text("0.5,+1\n0.5,-1\n0.5,1.0\n0.5,0\n")
@@ -192,11 +215,38 @@ class TestIdx:
         images, _ = _write_idx_pair(tmp_path)
         assert load_dataset(images, "idx")[0].shape == (4, 6)
 
+    def test_unknown_format(self, tmp_path):
+        images, _ = _write_idx_pair(tmp_path)
+        with pytest.raises(UsageError, match="unknown dataset format 'bogus'"):
+            load_dataset(images, "bogus")
+
+    @pytest.mark.parametrize("which, data, error", [
+        ("images", b"\x00\x00\x08", "truncated IDX header"),
+        ("images", struct.pack(">II", 0x00000803, 4), "IDX header ends before its 3 dimensions"),
+        ("images", struct.pack(">IIII", 0x00000803, 4, 3, 2) + b"\x00" * 5,
+         "IDX payload size does not match dimensions (4, 3, 2)"),
+        # 2**31 * 2**31 * 4 is 0 in int64 arithmetic: the size is checked exactly
+        ("images", struct.pack(">IIII", 0x00000803, 2**31, 2**31, 4),
+         f"IDX payload size does not match dimensions ({2**31}, {2**31}, 4)"),
+        ("labels", struct.pack(">II", 0x00000801, 3) + bytes(3), "image and label counts differ"),
+    ], ids=["under_4_bytes", "short_header", "payload_size", "size_overflows_int64",
+            "count_mismatch"])
+    def test_malformed_pair(self, tmp_path, which, data, error):
+        images, labels = _write_idx_pair(tmp_path)
+        (images if which == "images" else labels).write_bytes(data)
+        with pytest.raises(FormatError) as err:
+            load_idx(images)
+        assert str(err.value).endswith(error)
+
 
 class TestSynthetic:
     def test_separable_margins(self):
         X, y = make_synthetic("separable", 200, 16, seed=0, margin=0.5)
         assert set(np.unique(y)) <= {-1, 1}
+
+    def test_unknown_family(self):
+        with pytest.raises(UsageError, match="unknown synthetic family 'bogus'"):
+            make_synthetic("bogus", 10, 2, seed=0)
 
     def test_noisy_reproducible(self):
         a = make_synthetic("noisy", 50, 8, seed=3)
@@ -261,6 +311,24 @@ class TestConfig:
         p.write_text(CONFIG + "bogus = 3\n")
         with pytest.raises(ConfigError, match="bogus"):
             ExperimentSpec.from_config(p)
+
+    @pytest.mark.parametrize("key", ["algorithm", "q", "T"])
+    def test_required_key_missing(self, tmp_path, key):
+        p = tmp_path / "run.cfg"
+        p.write_text("".join(line + "\n" for line in CONFIG.splitlines()
+                             if not line.startswith(f"{key} =")))
+        with pytest.raises(ConfigError, match="config must set algorithm, q, and T"):
+            ExperimentSpec.from_config(p)
+
+    def test_out_key_sets_the_output_directory(self, tmp_path):
+        p = tmp_path / "run.cfg"
+        p.write_text(CONFIG + f"out = {tmp_path / 'runs'}\n")
+        assert ExperimentSpec.from_config(p).out_dir == tmp_path / "runs"
+
+    def test_run_keys_are_the_run_config_fields(self):
+        """README: every RunConfig field but record_snapshots is a config key."""
+        run_keys = {key for key, rule in CONFIG_KEYS.items() if rule.spec_field is None}
+        assert run_keys == {f.name for f in fields(RunConfig)} - {"record_snapshots"}
 
     def test_missing_equals(self, tmp_path):
         p = tmp_path / "run.cfg"
@@ -369,7 +437,8 @@ class TestMainCli:
         assert fields[0] == "asyrevel_gau" and len(fields) == 6
 
     @pytest.mark.parametrize("line", ["compute_dist = bogus", "latency_dist = bogus",
-                                      "scheme = bogus", "eval_every = 0"])
+                                      "scheme = bogus", "eval_every = 0",
+                                      "dataset = synthetic:bogus"])
     def test_bad_config_value_is_one_error_line(self, tmp_path, capsys, line):
         cfgp = tmp_path / "run.cfg"
         cfgp.write_text(CONFIG + line + "\n")
@@ -381,18 +450,21 @@ class TestMainCli:
     EDGE_CONFIG = ("algorithm = asyrevel_gau\nq = 4\nT = 64\nseed = 7\n"
                    "dataset = synthetic:noisy\nn = 64\nd = 16\nn_test = 64\n")
     EDGE_ACCEPTED = {"T = 0", "lam_eff = 0", "tau = 0", "seed = 0", "latency = 0",
-                     "stop_loss = -1", "stop_loss = 0", "n_test = 0"}
+                     "stop_loss = -1", "stop_loss = 0", "n_test = 0",
+                     # the command line's --out overrides the key
+                     "out = abc", "out = nan", "out = inf", "out = -1", "out = 0"}
 
     @pytest.mark.parametrize("line", [
         f"{key} = {value}"
-        for key in [*_RUN_KEYS, "p", "straggler", "n", "d", "n_test"]
-        for value in ("abc", "nan", "inf", "-1", "0")
+        for key in CONFIG_KEYS
+        for value in ("abc", "nan", "inf", "-1", "0") + ((10**18,) if key in ("n", "d", "n_test") else ())
     ] + ["clock = wall", "base_compute = 1", "eta = 1e300", "T = 1e3", "tau = 1.5",
-         "p = 0.5,0.5,a,b"])
+         "p = 0.5,0.5,a,b", "p = 0.5,0.5,0,0", "straggler = 5:1.5", "eta ="])
     def test_config_edge_runs_or_is_one_error_line(self, tmp_path, capsys, line):
         """Each value either trains (the few in EDGE_ACCEPTED) or ends in one
         error line with exit 2: a failed cast, a value `validate` rejects, an
-        unknown key, or a run that diverges (eta = 1e300)."""
+        unknown key, an empty value, a size too large to allocate (10**18
+        rows or features), or a run that diverges (eta = 1e300)."""
         cfgp = tmp_path / "run.cfg"
         cfgp.write_text(self.EDGE_CONFIG + line + "\n")
         rc = main(["train", "--config", str(cfgp), "--out", str(tmp_path / "out")])
@@ -419,6 +491,23 @@ class TestMainCli:
         err = capsys.readouterr().err.splitlines()
         assert rc == 2
         assert len(err) == 1 and err[0].startswith(f"error: {line}: not used with dataset")
+
+    @pytest.mark.parametrize("name, content, error", [
+        ("d.libsvm", f"1 1:1\n0 {2**62}:2\n".encode(), f"feature index {2**62} is too large"),
+        ("d.libsvm", f"1 1:1\n0 {10**20}:2\n".encode(), f"feature index {10**20} is too large"),
+        ("train-images-idx3-ubyte", struct.pack(">II", 0x00000803, 4),
+         "IDX header ends before its 3 dimensions"),
+    ], ids=["libsvm_index_2e62", "libsvm_index_1e20", "idx_short_header"])
+    def test_oversized_or_truncated_file_is_one_error_line(self, tmp_path, capsys,
+                                                           name, content, error):
+        data = tmp_path / name
+        data.write_bytes(content)
+        fmt = "idx" if name.startswith("train") else "libsvm"
+        cfgp = tmp_path / "run.cfg"
+        cfgp.write_text(f"algorithm = nonfed\nq = 2\nT = 8\ndataset = {data}\nformat = {fmt}\n")
+        rc = main(["train", "--config", str(cfgp), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err.splitlines()
+        assert rc == 2 and len(err) == 1 and err[0].startswith(f"error: {data}: {error}")
 
     def test_idx_pair_with_zero_one_labels_trains_and_audits(self, tmp_path, capsys):
         images, _ = _write_idx_pair(tmp_path, n=40, labels_of=_zero_one)

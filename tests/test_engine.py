@@ -3,6 +3,7 @@ import pytest
 
 from revelight.cli import synthetic_pair
 from revelight.engine import (
+    ALGORITHMS,
     RunConfig,
     matched_schedule,
     measure_comm,
@@ -45,6 +46,17 @@ class TestRunConfig:
     def test_unknown_algorithm(self):
         with pytest.raises(ConfigError):
             _cfg(algorithm="sgd").validate()
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    @pytest.mark.parametrize("q, head_q, width", [(8, 4, 1), (2, 4, 1), (4, 2, 1), (4, 4, 2)],
+                             ids=["q_above_data", "q_below_data", "head_q", "head_width"])
+    def test_party_mismatch_fails_at_start(self, bench_data, algorithm, q, head_q, width):
+        """The config's q, the data's blocks and the head's parties (and the
+        local and head output widths) must agree before anything runs."""
+        train, _ = bench_data(4)
+        gm = GlobalModel(kind="logistic", q=head_q, party_output_dim=width)
+        with pytest.raises(ConfigError, match="parties disagree"):
+            run_algorithm(_cfg(algorithm=algorithm, q=q, T=64), train, LocalModel(), gm)
 
     def test_wrong_runner(self, bench_data, glm_models):
         train, test = bench_data(4)
@@ -147,6 +159,12 @@ class TestAsyRevel:
             train, lm, gm,
         )
         assert 0 < m.rows[-1].staleness <= 4
+
+    def test_constant_latency_keeps_the_bound(self, bench_data, glm_models):
+        train, test = bench_data(4)
+        lm, gm = glm_models(4)
+        m = run_asyrevel(_cfg(T=512, tau=3, latency=0.6), train, lm, gm, test)
+        assert m.rows[-1].t == 512 and 0 < max(r.staleness for r in m.rows) <= 3
 
     def test_zero_latency_has_zero_staleness(self, bench_data, glm_models):
         train, test = bench_data(4)
@@ -288,15 +306,14 @@ class TestTig:
         assert frame_bytes(3) > frame_bytes(2)  # strictly greater once odim > 2
 
     def test_mlp_chain_rule_matches_finite_differences(self):
-        from revelight.engine import _local_param_gradient
-        from revelight.models import local_forward
+        from revelight.models import local_forward, local_param_gradient
 
         rng = np.random.default_rng(11)
         lm = LocalModel(kind="mlp", layer_sizes=(5, 2))
         x = rng.standard_normal(4)
         w = rng.standard_normal(lm.param_dim(4)) * 0.5
         upstream = rng.standard_normal(2)
-        grad = _local_param_gradient(lm, w, x, upstream)
+        grad = local_param_gradient(lm, w, x, upstream)
         eps = 1e-6
         for j in rng.choice(w.size, size=10, replace=False):
             e = np.zeros_like(w)

@@ -885,6 +885,11 @@ class TestDelayModel:
         b = dm.compute_time(2, 5)
         assert a == b and a > 0
 
+    def test_constant_latency(self):
+        """The default latency model: every message takes exactly the mean."""
+        dm = DelayModel(1, [1.0, 1.0], latency=0.7)
+        assert {dm.latency_time(m, k) for m in (1, 2) for k in range(50)} == {0.7}
+
     def test_latency_uniform_range(self):
         dm = DelayModel(1, [1.0], latency=0.5, latency_dist="uniform")
         vals = [dm.latency_time(1, k) for k in range(200)]
