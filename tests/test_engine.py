@@ -5,6 +5,7 @@ from revelight.cli import synthetic_pair
 from revelight.engine import (
     ALGORITHMS,
     RunConfig,
+    evaluate_loss,
     matched_schedule,
     measure_comm,
     run_algorithm,
@@ -42,6 +43,10 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match="infeasible"):
             _cfg(latency=0.3, tau=1).validate()
         _cfg(latency=0.3, tau=3).validate()
+
+    @pytest.mark.parametrize("algorithm", ["synrevel", "nonfed", "tig"])
+    def test_staleness_rule_binds_only_asynchronous_runs(self, algorithm):
+        _cfg(algorithm=algorithm, latency=0.6, tau=0).validate()
 
     def test_unknown_algorithm(self):
         with pytest.raises(ConfigError):
@@ -194,6 +199,24 @@ class TestAsyRevel:
         )
         assert m.reached and m.events_to_target < 8192
         assert m.rows[-1].loss <= 0.62
+
+
+class TestFinalRow:
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_run_ends_on_a_row_at_its_last_event(self, bench_data, glm_models, algorithm):
+        """T = 300 is not a multiple of eval_every = 128, and the last row
+        still holds the loss at the final parameters."""
+        train, test = bench_data(4)
+        lm, gm = glm_models(4)
+        m = run_algorithm(_cfg(algorithm=algorithm, T=300, eval_every=128), train, lm, gm, test)
+        assert [r.t for r in m.rows] == [0, 128, 256, 300]
+        assert m.final_loss == evaluate_loss(m.final_w0, m.final_w, train, 5e-5, lm, gm)
+
+    def test_synchronous_run_ends_on_its_last_round(self, bench_data, glm_models):
+        train, test = bench_data(4)
+        lm, gm = glm_models(4)
+        m = run_synrevel(_cfg(algorithm="synrevel", T=299, eval_every=128), train, lm, gm, test)
+        assert [r.t for r in m.rows] == [0, 128, 256, 300]
 
 
 class TestEquivalences:

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -776,6 +778,34 @@ class QueueMachine(RuleBasedStateMachine):
 QueueMachine.TestCase.settings = settings(max_examples=200, stateful_step_count=40,
                                           deadline=None)
 TestQueueMachine = QueueMachine.TestCase
+
+
+@st.composite
+def deep_queues(draw):
+    """(tau, nondecreasing send counts, delivered serials, processed count):
+    up to 200 unprocessed messages, and a processed count within 3 of where
+    the deadline rule starts to press."""
+    tau = draw(st.integers(0, 127))
+    steps = draw(st.lists(st.integers(0, 3), max_size=200))
+    counts = list(itertools.accumulate(steps, initial=draw(st.integers(0, 50))))[1:]
+    delivered = draw(st.sets(st.integers(1, len(counts)))) if counts else set()
+    edge = min((s - i for i, s in enumerate(counts)), default=0) + tau
+    return tau, counts, delivered, edge + draw(st.integers(-3, 3))
+
+
+class TestDeadlinePressure:
+    @settings(max_examples=500, deadline=None)
+    @given(deep_queues())
+    def test_equals_the_full_scan(self, case):
+        tau, counts, delivered, processed = case
+        queue, ref = StalenessQueue(tau), ListStalenessQueue(tau)
+        for serial, count in enumerate(counts, 1):
+            queue.send(serial, count)
+            ref.send(serial, count)
+        for serial in sorted(delivered):
+            queue.deliver(serial, f"m{serial}")
+            ref.deliver(serial, f"m{serial}")
+        assert queue._deadline_pressure(processed) == ref._deadline_pressure(processed)
 
 
 class TestAudit:

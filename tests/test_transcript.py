@@ -254,6 +254,61 @@ class TestStrictReader:
             self._read(tmp_path, self.GOOD * 36 + self.GOOD.replace('"up"', '"in"') + self.GOOD)
         assert len(self._read(tmp_path, self.GOOD * 50)) == 50
 
+    SIZES = (300, 4096, 1 << 16, 1 << 20)
+
+    @pytest.fixture(scope="class")
+    def protocol_jsonl(self, tmp_path_factory):
+        X, y = make_synthetic("noisy", 64, 8, seed=3)
+        data = PartitionedDataset.from_matrix(X, y, [2, 2, 2, 2])
+        cfg = RunConfig(algorithm="asyrevel_gau", q=4, T=300, tau=3, latency=0.6,
+                        latency_dist="uniform", seed=3)
+        transcript = run_algorithm(cfg, data, LocalModel(),
+                                   GlobalModel(kind="logistic", q=4)).transcript
+        path = tmp_path_factory.mktemp("chunks") / "t.jsonl"
+        transcript.to_jsonl(path)
+        return path
+
+    @staticmethod
+    def _chunk_lengths(path, size) -> list[int]:
+        """Lines per chunk when the reader reads `path` `size` characters at a time."""
+        with open(path) as fh:
+            return [len(chunk) for chunk in iter(lambda: fh.readlines(size), [])]
+
+    def test_chunk_size_changes_nothing_read(self, protocol_jsonl, monkeypatch):
+        names = ("time", "direction", "variant", "party", "sample", "seq", "nbytes",
+                 "values", "offsets")
+        reads = []
+        for size in self.SIZES + (fedproto._READ_CHUNK,):
+            monkeypatch.setattr(fedproto, "_READ_CHUNK", size)
+            reads.append(Transcript.from_jsonl(protocol_jsonl))
+        assert len(reads[0]) == 64 * 4 + 2 * 300
+        assert self._chunk_lengths(protocol_jsonl, 300)[0] < 5  # many chunks at the least
+        for got in reads[1:]:
+            for name in names:
+                assert np.array_equal(got.column(name), reads[0].column(name)), name
+            for direction in ("up", "down"):
+                assert got.total_bytes(direction) == reads[0].total_bytes(direction)
+
+    @pytest.mark.parametrize("size", SIZES)
+    def test_bad_line_at_a_chunk_edge_is_named_at_every_size(self, protocol_jsonl, tmp_path,
+                                                             monkeypatch, size):
+        """At `size`, one bad line opens the last chunk and another closes the
+        first; each is named the same way whatever size the reader uses."""
+        lines = protocol_jsonl.read_text().splitlines(keepends=True)
+        chunks = self._chunk_lengths(protocol_jsonl, size)
+        for number in (len(lines) - chunks[-1] + 1, chunks[0]):
+            bad = list(lines)
+            bad[number - 1] = bad[number - 1].replace('"dir": "up"', '"dir": "in"', 1).replace(
+                '"dir": "down"', '"dir": "left"', 1)
+            assert bad[number - 1] != lines[number - 1]
+            path = tmp_path / "bad.jsonl"
+            path.write_text("".join(bad))
+            for read_size in self.SIZES:
+                monkeypatch.setattr(fedproto, "_READ_CHUNK", read_size)
+                with pytest.raises(ParseError) as err:
+                    Transcript.from_jsonl(path)
+                assert str(err.value) == f'{path}:{number}: "dir" is not "up" or "down"'
+
     def test_two_objects_split_over_two_lines(self, tmp_path):
         """Parsed as one array the chunk would hold two valid objects, but
         line 1 is not a JSON object on its own."""
