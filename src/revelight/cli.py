@@ -56,17 +56,19 @@ def _label(path, lineno: int, text: str) -> int:
     return int(value)
 
 
-def _features(path, lineno: int, toks: list[str]) -> dict[int, float]:
-    """A line's `idx:val` tokens as {idx: val}, a repeated index keeping its last
-    value: parsed in bulk, or token by token to name the first bad token."""
-    try:
-        if set(map(str.count, toks, itertools.repeat(":"))) <= {1}:
-            fields = ":".join(toks).split(":")
-            feats = dict(zip(map(int, fields[::2]), map(float, fields[1::2])))
-            if min(feats, default=1) >= 1:
-                return feats
-    except ValueError:
-        pass
+def _features(path, lineno: int, toks: list[str]):
+    """A line's `idx:val` tokens as indices and values: arrays when each token is one pair
+    and the indices rise from 1 up (numpy reads text as int() and float() do), else lists
+    read token by token, naming the first bad token; a repeated index keeps its last value."""
+    if set(map(str.count, toks, itertools.repeat(":"))) <= {1}:
+        fields = ":".join(toks).split(":")
+        try:
+            idx = np.array(fields[::2], dtype=np.int64)
+            vals = np.array(fields[1::2], dtype=np.float64)
+            if idx[0] >= 1 and np.logical_and.reduce(idx[1:] > idx[:-1]):
+                return idx, vals
+        except (ValueError, OverflowError):
+            pass
     feats = {}
     for tok in toks:
         try:
@@ -77,7 +79,7 @@ def _features(path, lineno: int, toks: list[str]) -> dict[int, float]:
         if idx < 1:
             raise ParseError(f"{path}:{lineno}: feature index {idx} must be >= 1")
         feats[idx] = val
-    return feats
+    return list(feats), list(feats.values())
 
 
 def _data_lines(path):
@@ -97,14 +99,15 @@ def load_libsvm(path) -> tuple[np.ndarray, np.ndarray]:
         label, *toks = line.split()
         labels.append(_label(path, lineno, label))
         rows.append(_features(path, lineno, toks))
-    cells = np.repeat(np.arange(len(rows)), list(map(len, rows)))
+    idx, vals = zip(([], []), *rows)  # led by an empty row, so a file without rows concatenates
+    cells = np.repeat(np.arange(len(rows)), list(map(len, idx[1:])))
     try:
-        cols = np.fromiter(itertools.chain.from_iterable(rows), np.int64, cells.size)
+        cols = np.concatenate([np.asarray(part, np.int64) for part in idx])
         X = np.zeros((len(rows), cols.max(initial=0)))
     except (OverflowError, ValueError, MemoryError):
-        top = max(itertools.chain.from_iterable(rows))
+        top = max(itertools.chain.from_iterable(idx))
         raise ParseError(f"{path}: feature index {top} is too large for a dense matrix") from None
-    X[cells, cols - 1] = list(itertools.chain.from_iterable(map(dict.values, rows)))
+    X[cells, cols - 1] = np.concatenate(vals)
     return X, np.array(labels)
 
 
@@ -236,23 +239,25 @@ def _straggler(text: str) -> tuple[int, float]:
 
 class ConfigKey(NamedTuple):
     """A key's cast, the ExperimentSpec field it sets (None: the RunConfig
-    field of its name, checked by RunConfig.validate), its least value, the
-    one dataset kind that reads it ("synthetic" or "file"; None: both) and
-    the algorithms that never read it."""
+    field of its name, checked by RunConfig.validate), its least value, the one
+    dataset kind ("synthetic" or "file") and the one head kind that read it
+    (None: every kind) and the algorithms that never read it."""
 
     cast: Callable[[str], object]
     spec_field: str | None = None
     least: int | None = None
     dataset_kind: str | None = None
     ignored_by: tuple[str, ...] = ()
+    head_kind: str | None = None
 
 
 _OFF_WIRE = ("nonfed", "tig")  # send nothing through the network model
+_HEAD = "logistic"  # the parameter-free head every `train` run builds
 
 # the config grammar, in the order the keys are read
 CONFIG_KEYS = {
     "algorithm": ConfigKey(str), "q": ConfigKey(int), "T": ConfigKey(int),
-    "eta": ConfigKey(float), "eta_server": ConfigKey(float),
+    "eta": ConfigKey(float), "eta_server": ConfigKey(float, head_kind="softmax_fcn"),
     "mu": ConfigKey(float, ignored_by=("tig",)), "lam_eff": ConfigKey(float),
     "tau": ConfigKey(int, ignored_by=("synrevel", *_OFF_WIRE)), "seed": ConfigKey(int),
     "scheme": ConfigKey(str, ignored_by=("asyrevel_gau", "asyrevel_uni", "tig")),
@@ -292,6 +297,8 @@ class ExperimentSpec:
                 raise ConfigError(f"{key} = {text}: not used with dataset = {dataset}")
             if algorithm in rule.ignored_by:
                 raise ConfigError(f"{key} = {text}: not used with algorithm = {algorithm}")
+            if rule.head_kind not in (None, _HEAD):
+                raise ConfigError(f"{key} = {text}: not used with head = {_HEAD}")
             try:
                 value = rule.cast(text)
             except ValueError as exc:
@@ -342,7 +349,7 @@ def run_experiment(spec: ExperimentSpec) -> dict:
     algorithms only), and print the summary line."""
     spec.out_dir.mkdir(parents=True, exist_ok=True)
     train, test = spec.load()
-    metrics = run_algorithm(spec.cfg, train, LocalModel(), GlobalModel(q=spec.cfg.q), test)
+    metrics = run_algorithm(spec.cfg, train, LocalModel(), GlobalModel(_HEAD, q=spec.cfg.q), test)
     paths = {"metrics": spec.out_dir / f"metrics_{spec.cfg.algorithm}_{spec.cfg.seed}.csv"}
     metrics.to_csv(paths["metrics"])
     if metrics.transcript is not None:

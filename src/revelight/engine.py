@@ -247,7 +247,7 @@ class _Recorder:
         self.transcript, self.params = transcript, params
         self.every = cfg.eval_every or data.n
         self.metrics = RunMetrics(transcript=transcript)
-        self.last_v = [0.0] * (cfg.q + 1)
+        self.last_v = [None] * (cfg.q + 1)  # each party's last update, the head at 0
         self.updates = [0] * (cfg.q + 1)  # update count per party, the head at 0
         self.max_stal = 0
         self.stopped = False
@@ -257,7 +257,7 @@ class _Recorder:
     def note_update(self, party: int, v: np.ndarray | None) -> None:
         """Count one update of `party` (0 the head); None means no update."""
         if v is not None:
-            self.last_v[party] = float(np.dot(v, v))
+            self.last_v[party] = v
             self.updates[party] += 1
 
     def advance(self, t: int, vtime: float) -> None:
@@ -278,9 +278,8 @@ class _Recorder:
         acc = evaluate_accuracy(w0, w, self.test, self.lm, self.gm)
         bu = self.transcript.total_bytes("up") if self.transcript else 0
         bd = self.transcript.total_bytes("down") if self.transcript else 0
-        self.metrics.rows.append(MetricsRow(
-            t, vtime, loss, acc, bu, bd, self.max_stal, float(sum(self.last_v)),
-        ))
+        gnorm2 = sum(0.0 if v is None else float(np.dot(v, v)) for v in self.last_v)
+        self.metrics.rows.append(MetricsRow(t, vtime, loss, acc, bu, bd, self.max_stal, gnorm2))
         if self.cfg.record_snapshots:
             self.metrics.snapshots.append((t, np.copy(w0), [np.copy(wm) for wm in w]))
         if self.cfg.stop_loss is not None and loss <= self.cfg.stop_loss:
@@ -471,14 +470,9 @@ def _centralized_start(cfg: RunConfig, data: PartitionedDataset, local_model: Lo
                        global_model: GlobalModel):
     """Initial w0 and blocks w of a run without parties, and the warm
     (n, q*k) output cache that mirrors the protocol's warm-up: row i is
-    sample i's flat head input, built from the same per-row forward passes."""
+    sample i's flat head input, the party blocks' outputs side by side."""
     w0, w = _init_run(cfg, data, local_model, global_model)
-    cache = np.array([
-        np.concatenate([local_forward(local_model, w[m], data.blocks[m][i])
-                        for m in range(cfg.q)])
-        for i in range(data.n)
-    ])
-    return w0, w, cache
+    return w0, w, np.concatenate(_party_outputs(w, data, local_model), axis=1)
 
 
 def _centralized_events(cfg: RunConfig, n: int):

@@ -52,7 +52,7 @@ def sample_direction(scheme: str, dim: int, rng: np.random.Generator) -> Directi
         raise DomainError(f"unknown scheme {scheme!r}")
     u = rng.standard_normal(dim)
     if scheme == SPHERE:
-        u = u / np.linalg.norm(u)
+        u = u / np.sqrt(u.dot(u))  # np.linalg.norm's formula, without its wrapper
     return Direction(u=u, scheme=scheme)
 
 
@@ -136,7 +136,7 @@ def two_point_head(head: GlobalModel, w0: np.ndarray, row: np.ndarray, m: int,
 def reject_nonfinite(v: np.ndarray, party: int, step: int) -> None:
     """Raise ProtocolError when update v of party (0 for the server's head)
     holds a non-finite value; the message names the party and its step."""
-    if not np.isfinite(v).all():
+    if not np.logical_and.reduce(np.isfinite(v)):
         who = f"party {party}: non-finite update" if party else "server: non-finite head update"
         raise ProtocolError(f"{who} rejected at step {step}")
 

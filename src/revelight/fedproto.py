@@ -454,7 +454,7 @@ class DelayModel:
             return 0.0
         if self.latency_dist == "constant":
             return self.latency
-        return float(self._latency.at(party, step).uniform(0.0, 2.0 * self.latency))
+        return self._latency.at(party, step).random() * (2.0 * self.latency)  # = uniform(0, 2 * latency)
 
 
 class StalenessQueue:
@@ -543,6 +543,7 @@ class PartyNode:
         self.directions = streams.Stream(seed, streams.DIRECTION)
         self.steps = 0          # activation counter, addresses the streams
         self.pending = None     # outstanding (sample, direction, g0, g1)
+        self._outputs = (None, None)  # (w, block outputs): apply_reply's new w makes them stale
 
     def start_step(self, sample: int | None = None) -> Upload:
         """Sample an index, perturb, and build the upload (one outstanding).
@@ -559,8 +560,14 @@ class PartyNode:
         self.pending = (i, u, g0, g1)
         return Upload(self.id, i, c, c_hat, k)
 
+    def block_outputs(self) -> np.ndarray:
+        """The (n, k) outputs on the whole block at w, one forward pass per w."""
+        if self._outputs[0] is not self.w:
+            self._outputs = (self.w, local_forward(self.model, self.w, self.X))
+        return self._outputs[1]
+
     def warm_upload(self, sample: int) -> Upload:
-        c = local_forward(self.model, self.w, self.X[sample])
+        c = self.block_outputs()[sample]
         return Upload(self.id, sample, c, c, -1)
 
     def apply_reply(self, reply: Reply) -> np.ndarray:
@@ -661,17 +668,13 @@ def warmup_cache(parties: list[PartyNode], server: ServerNode,
     """Every party uploads its initial output for every sample.
 
     Each upload is logged in `transcript` at time 0, so it counts in the
-    byte totals; then the party's n outputs fill its cells at once, stamped 0.
+    byte totals; then the party's block outputs fill its cells at once, stamped 0.
     """
     cache, record = server.cache, transcript.record
     for party in parties:
-        outputs = []
-        for i in range(cache.n):
-            upload = party.warm_upload(i)
+        for upload in map(party.warm_upload, range(cache.n)):
             record(0.0, "up", upload)
-            outputs.append(upload.c)
-        if outputs:
-            cache.put_party(party.id, np.concatenate(outputs).reshape(cache.n, -1), stamp=0)
+        cache.put_party(party.id, party.block_outputs(), stamp=0)
     return cache
 
 

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import streams
 from .errors import DomainError, ShapeError
 
 
@@ -146,18 +147,25 @@ class GlobalModel:
 
 def local_forward(model: LocalModel, w_m: np.ndarray, X: np.ndarray) -> np.ndarray:
     """Evaluate one party's local model on a feature row, giving the output
-    vector c, or on an (n, dbar) row matrix, giving the (n, output_dim) outputs.
+    vector c, or on an (n, dbar) row matrix, giving the (n, output_dim)
+    outputs.  Row i of those is the call on X[i], bit for bit: a matrix
+    product sums in another order than the one-row kernel, so each layer
+    takes the stacked product, which runs that kernel on every row.
 
     Linear is the inner product; mlp applies the layer recursion
     u_l = relu(W_l u_{l-1} + b_l) with a linear last layer.  w_m and X are
-    float64 arrays, as PartyNode and PartitionedDataset.from_matrix keep them:
-    the per-row calls of the warm-up and of every event convert nothing.
+    float64 arrays, as PartyNode and PartitionedDataset.from_matrix keep them.
     """
     if model.kind == "linear":
         if w_m.size != X.shape[-1]:
             raise ShapeError(f"linear model: dim(w)={w_m.size} != dim(x)={X.shape[-1]}")
-        return X.dot(w_m[:, None])
+        return _row_products(X, w_m[:, None])
     return _layer_outputs(model, w_m, X)[-1]
+
+
+def _row_products(X: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """X.dot(M) for a row X; row by row, by the stacked product, for a row matrix."""
+    return X.dot(M) if X.ndim == 1 else np.matmul(X[:, None, :], M)[:, 0, :]
 
 
 def _layer_outputs(model: LocalModel, w_m: np.ndarray, X: np.ndarray) -> list[np.ndarray]:
@@ -170,7 +178,7 @@ def _layer_outputs(model: LocalModel, w_m: np.ndarray, X: np.ndarray) -> list[np
     outs = [X]
     layers = model.layers(w_m, dbar)
     for l, (W, b) in enumerate(layers):
-        u = outs[-1].dot(W.T) + b
+        u = _row_products(outs[-1], W.T) + b
         outs.append(u if l == len(layers) - 1 else np.maximum(u, 0.0))
     return outs
 
@@ -219,7 +227,7 @@ def global_value(model: GlobalModel, w0: np.ndarray, feats: np.ndarray, label) -
     if model.kind == "logistic":
         if y not in (-1, 1):
             raise DomainError(f"logistic label must be +/-1, got {label!r}")
-        return _softplus(-y * float(feats.sum()))
+        return _softplus(-y * float(np.add.reduce(feats)))
     if not 0 <= y < model.classes:
         raise DomainError(f"label {label!r} outside [0, {model.classes})")
     logits = feats @ _head_matrix(model, w0, feats.size)
@@ -242,7 +250,7 @@ def head_gradients(model: GlobalModel, w0: np.ndarray, feats: np.ndarray, label,
     odim = model.party_output_dim
     if model.kind == "logistic":
         y = int(label)
-        sig = 1.0 / (1.0 + np.exp(y * float(feats.sum())))
+        sig = 1.0 / (1.0 + np.exp(y * float(np.add.reduce(feats))))
         return np.full(odim, -y * sig), None
     # softmax cross-entropy: d/dlogits = softmax(logits) - onehot(label)
     W = _head_matrix(model, w0, feats.size)
@@ -290,11 +298,11 @@ def head_predictions(model: GlobalModel, w0: np.ndarray, C: list[np.ndarray]) ->
 
 
 def nonconvex_reg(w: np.ndarray) -> float:
-    """Bounded even regularizer sum_j w_j^2 / (1 + w_j^2): in [0, dim(w)) while
-    every w_j^2 is finite; past |w_j| ~ 1.3e154 the square overflows and it is nan."""
-    w = np.asarray(w, dtype=np.float64)
+    """Bounded even regularizer sum_j w_j^2 / (1 + w_j^2) of a float64 vector: in
+    [0, dim(w)) while every w_j^2 is finite; past |w_j| ~ 1.3e154 the square
+    overflows and it is nan."""
     sq = w * w
-    return float((sq / (1.0 + sq)).sum())
+    return float(np.add.reduce(sq / (1.0 + sq)))
 
 
 def partition_features(d_total: int, q: int) -> list[int]:
@@ -316,8 +324,6 @@ def init_state(
 ) -> tuple[np.ndarray, list[np.ndarray]]:
     """Seeded initial float64 parameters (w0, [w_1, ..., w_q]), w0 empty for
     a parameter-free head: one stream per block so layouts replay."""
-    from . import streams
-
     w = [
         local_model.init_params(data.block_dims[m], streams.stream(seed, streams.INIT, party=m + 1))
         for m in range(data.q)

@@ -9,7 +9,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np
 import pytest
 
-from revelight.cli import synthetic_pair
+from revelight.cli import _label, synthetic_pair
 from revelight.errors import DomainError, ParseError
 from revelight.estimator import _direction_matrix, dim_factor
 from revelight.models import GlobalModel, LocalModel
@@ -113,7 +113,9 @@ def smoothed_grad_mc_quadratic_oneshot(H, b, w, mu, scheme, draws, rng: np.rando
 
 
 # The libsvm loader before its bulk parse: one token at a time into a dict
-# per line.  It is the reference `cli.load_libsvm` is checked against.
+# per line, with the program's label rule and its refusal of an index too
+# large for a dense matrix.  It is the reference `cli.load_libsvm` is checked
+# against.
 
 
 def load_libsvm_reference(path) -> tuple[np.ndarray, np.ndarray]:
@@ -125,10 +127,7 @@ def load_libsvm_reference(path) -> tuple[np.ndarray, np.ndarray]:
             if not line or line.startswith("#"):
                 continue
             parts = line.split()
-            try:
-                labels.append(int(float(parts[0])))
-            except ValueError as exc:
-                raise ParseError(f"{path}:{lineno}: bad label {parts[0]!r}") from exc
+            labels.append(_label(path, lineno, parts[0]))
             feats = {}
             for tok in parts[1:]:
                 try:
@@ -141,7 +140,10 @@ def load_libsvm_reference(path) -> tuple[np.ndarray, np.ndarray]:
                 feats[idx] = val
                 max_idx = max(max_idx, idx)
             rows.append(feats)
-    X = np.zeros((len(rows), max_idx))
+    try:
+        X = np.zeros((len(rows), max_idx))
+    except (OverflowError, ValueError, MemoryError):
+        raise ParseError(f"{path}: feature index {max_idx} is too large for a dense matrix") from None
     for i, feats in enumerate(rows):
         for idx, val in feats.items():
             X[i, idx - 1] = val

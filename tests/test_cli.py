@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import revelight
@@ -53,6 +53,20 @@ _LIBSVM_LINE = st.one_of(
         st.lists(st.sampled_from([" ", "  ", "\t"]), min_size=6, max_size=6)),
 )
 _BAD_TOKENS = ["oops", "1:2:3", ":5", "3:", "1:x", "0:1", "-2:1"]
+
+# More lines for the reference test: valid pairs with repeats likely, indices
+# below 1 or past int64, tokens that are not one idx:val pair, and labels
+# that are not integers.
+_EDGE_TOKEN = st.one_of(
+    st.builds(lambda idx, v: f"{idx}:{v!r}", st.integers(1, 6), st.floats(width=64)),
+    st.builds("{}:{}".format, st.sampled_from([0, -1, -30, 2**62, 2**63, 10**20]),
+              st.sampled_from(["1", "-0.5", "nan"])),
+    st.sampled_from(["1:2:3 4", "oops", ":5", "3:", "1:x", "4", "1_0:2", "+3:1", "2:1_5",
+                     "0x1:2", "3:Infinity", "3:.5", "3:1e400"]),
+)
+_EDGE_LINE = st.builds(lambda label, toks: " ".join([label, *toks]),
+                       st.sampled_from(["1", "-1", "+1", "0", "1.0", "2e0", "1.5", "x"]),
+                       st.lists(_EDGE_TOKEN, max_size=7))
 
 
 class TestLibsvm:
@@ -112,14 +126,19 @@ class TestLibsvm:
             load_libsvm(p)
         assert str(got.value) == str(want.value)
 
-    @settings(max_examples=150, deadline=None,
+    @settings(max_examples=400, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(lines=st.lists(_LIBSVM_LINE, max_size=8),
+    @given(lines=st.lists(_LIBSVM_LINE | _EDGE_LINE, max_size=8),
            bad=st.none() | st.tuples(st.integers(0, 8), st.sampled_from(_BAD_TOKENS)))
+    # pairs miscounted across tokens, and rising indices that start below 1
+    @example(lines=["1 1:2:3 4"], bad=None)
+    @example(lines=["1 0:1 2:3"], bad=None)
     def test_matches_reference(self, tmp_path, lines, bad):
         """Comments, blank and label-only lines, unsorted and repeated indices,
-        signs and exponents: the same bytes, shape and labels as the
-        token-by-token reference, or the same error for a bad token."""
+        signs and exponents, indices below 1 or past int64, tokens that are not
+        one idx:val pair and non-integral labels, so lines the array path reads
+        and lines it leaves to the token path: the same bytes, shape and labels
+        as the token-by-token reference, or the same error."""
         if bad is not None:
             at, tok = bad
             lines = lines[:at] + [f"1 2:0.5 {tok}"] + lines[at:]
@@ -514,6 +533,17 @@ class TestMainCli:
             assert err == [f"error: {line}: not used with algorithm = {algorithm}"]
         else:
             assert rc == 0 and not err
+
+    @pytest.mark.parametrize("algorithm", ["asyrevel_gau", "nonfed"])
+    def test_eta_server_is_one_error_line(self, tmp_path, capsys, algorithm):
+        """train always builds the parameter-free logistic head, which has no
+        step size to set."""
+        cfgp = tmp_path / "run.cfg"
+        cfgp.write_text(self.EDGE_CONFIG.replace("asyrevel_gau", algorithm) + "eta_server = 0.5\n")
+        rc = main(["train", "--config", str(cfgp), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err.splitlines()
+        assert rc == 2
+        assert err == ["error: eta_server = 0.5: not used with head = logistic"]
 
     def test_summary_is_the_last_event(self, tmp_path, capsys):
         """eval_every defaults to the 18 training rows, so event T = 8 is no

@@ -185,6 +185,19 @@ class TestWarmup:
         assert (transcript.column("variant") == "upload").all()
         assert (transcript.column("seq") == -1).all()
 
+    def test_warm_upload_after_a_step_carries_the_new_output(self):
+        """A party's block outputs are kept per w: a step moves w, so a later
+        warm upload is the forward pass at the new w, not the cached one."""
+        data, lm, _, parties, server, transcript = _tiny_setup()
+        warmup_cache(parties, server, transcript)
+        party = parties[0]
+        before = party.warm_upload(3).c.copy()
+        party.apply_reply(server.handle_upload(party.start_step(sample=3)))
+        up = party.warm_upload(3)
+        direct = local_forward(lm, party.w, data.blocks[0][3])
+        assert np.array_equal(up.c, direct) and np.array_equal(up.c_hat, direct)
+        assert not np.array_equal(up.c, before)
+
     def test_one_upload_and_one_record_per_cell(self, monkeypatch):
         """The counts a traced benchmark run checks: n*q warm uploads, and
         n*q + 2T transcript records over a whole asynchronous run."""

@@ -55,6 +55,22 @@ class TestLocalForward:
         w = np.array([-1.0, 0.0, 5.0, 0.25])
         assert local_forward(m, w, np.array([2.0]))[0] == 0.25
 
+    @settings(deadline=None, max_examples=120)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(0, 64), d=st.integers(1, 40),
+           scale=st.floats(-3.0, 3.0).map(lambda e: 10.0**e),
+           sizes=st.sampled_from([(), (1,), (2,), (8, 1), (5, 2), (3, 4, 2), (16,)]))
+    def test_row_matrix_gives_the_row_calls_bits(self, seed, n, d, scale, sizes):
+        """Row i of the call on a row matrix is the call on row i, bit for bit,
+        for linear and mlp models (sizes () is linear)."""
+        m = LocalModel(kind="mlp", layer_sizes=sizes) if sizes else LocalModel()
+        rng = np.random.default_rng(seed)
+        X = rng.standard_normal((n, d))
+        w = rng.standard_normal(m.param_dim(d)) * scale
+        out = local_forward(m, w, X)
+        assert out.shape == (n, m.output_dim)
+        for i in range(n):
+            assert np.array_equal(out[i], local_forward(m, w, X[i]))
+
 
 class TestGlobalValue:
     def test_symmetry_point(self):
@@ -228,6 +244,9 @@ class TestBatchedEvaluation:
     def _check(self, w0, w, data, lm, gm, lam, exact_rows):
         C = [local_forward(lm, w[m], data.blocks[m]) for m in range(data.q)]
         assert all(Cm.shape == (data.n, lm.output_dim) for Cm in C)
+        # evaluation scores exactly the outputs the protocol's per-row calls give
+        assert all(np.array_equal(C[m][i], local_forward(lm, w[m], data.blocks[m][i]))
+                   for m in range(data.q) for i in range(data.n))
         rows = [global_value(gm, w0, np.concatenate([Cm[i] for Cm in C]), data.labels[i])
                 for i in range(data.n)]
         batched = head_losses(gm, w0, C, data.labels)
