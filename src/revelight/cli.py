@@ -239,7 +239,7 @@ def _straggler(text: str) -> tuple[int, float]:
 
 class ConfigKey(NamedTuple):
     """A key's cast, the ExperimentSpec field it sets (None: the RunConfig
-    field of its name, checked by RunConfig.validate), its least value, the one
+    field of its name, which RunConfig checks), its least value, the one
     dataset kind ("synthetic" or "file") and the one head kind that read it
     (None: every kind) and the algorithms that never read it."""
 
@@ -308,13 +308,11 @@ class ExperimentSpec:
             (spec_kwargs if rule.spec_field else run_kwargs)[rule.spec_field or key] = value
         if kv:
             raise ConfigError(f"unknown config keys: {', '.join(sorted(kv))}")
-        cfg = RunConfig(**run_kwargs)
         if seed_override is not None:
-            cfg.seed = seed_override
+            run_kwargs["seed"] = seed_override
         if out_override is not None:
             spec_kwargs["out_dir"] = Path(out_override)
-        cfg.validate()
-        return cls(cfg=cfg, **spec_kwargs)
+        return cls(cfg=RunConfig(**run_kwargs), **spec_kwargs)
 
     def load(self):
         """Partitioned (train, test); file labels in {0, 1} become -1/+1."""

@@ -62,10 +62,10 @@ ALGORITHMS = ("asyrevel_gau", "asyrevel_uni", "synrevel", "nonfed", "tig")
 _REPLY, _DELIVER, _FINISH = 0, 1, 2
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
     """Everything that determines a run: two runs with equal configs produce
-    byte-identical trajectories and transcripts."""
+    byte-identical trajectories and transcripts.  It is checked when built."""
 
     algorithm: str
     q: int
@@ -86,6 +86,9 @@ class RunConfig:
     stop_loss: float | None = None
     record_snapshots: bool = False
 
+    def __post_init__(self) -> None:
+        self.validate()
+
     def validate(self) -> None:
         for key, allowed in (("algorithm", ALGORITHMS), ("scheme", SCHEMES),
                              ("compute_dist", COMPUTE_DISTS), ("latency_dist", LATENCY_DISTS)):
@@ -105,8 +108,7 @@ class RunConfig:
             raise ConfigError("head step size must be positive")
         if self.lam_eff < 0 or self.latency < 0:
             raise ConfigError("regularizer weight and latency must be nonnegative")
-        if self.seed < 0:
-            raise ConfigError("seed must be nonnegative")
+        streams.check_seed(self.seed)
         if self.tau < 0:
             raise ConfigError("delay bound must be nonnegative")
         if self.p is not None:
@@ -340,7 +342,6 @@ def run_asyrevel(cfg: RunConfig, data: PartitionedDataset, local_model: LocalMod
     oracles use; otherwise activations emerge from the per-party compute
     clocks at the configured rates.
     """
-    cfg.validate()
     if cfg.algorithm not in ("asyrevel_gau", "asyrevel_uni"):
         raise ConfigError(f"run_asyrevel got algorithm {cfg.algorithm!r}")
     parties, server, rec = _start_protocol(cfg, data, local_model, global_model, test_data)
@@ -441,7 +442,6 @@ def run_synrevel(cfg: RunConfig, data: PartitionedDataset, local_model: LocalMod
     """Synchronous rounds: all parties compute on the shared sampled index,
     a barrier waits for the slowest, the server answers every party from the
     same-round outputs (staleness identically zero), then updates apply."""
-    cfg.validate()
     parties, server, rec = _start_protocol(cfg, data, local_model, global_model, test_data)
     transcript = rec.transcript
     delay = DelayModel(cfg.seed, cfg.party_means(), cfg.compute_dist)
@@ -505,7 +505,6 @@ def run_nonfederated(cfg: RunConfig, data: PartitionedDataset, local_model: Loca
     Reuses per-(sample, block) output memoization, so with zero latency the
     trajectory is bit-identical to the federated run under shared streams.
     """
-    cfg.validate()
     w0, w, cache = _centralized_start(cfg, data, local_model, global_model)
     scheme = cfg.direction_scheme
     rec = _Recorder(cfg, data, test_data, local_model, global_model, None, lambda: (w0, w))
@@ -548,7 +547,6 @@ def run_tig_baseline(cfg: RunConfig, data: PartitionedDataset, local_model: Loca
     black-box models are unsupported by construction: without an exposed
     gradient there is nothing to transmit.
     """
-    cfg.validate()
     if local_model.black_box or global_model.black_box:
         raise UnsupportedModelError(
             "TIG baseline needs differentiable models with gradients exposed; "
@@ -598,7 +596,6 @@ RUNNERS = {
 
 
 def run_algorithm(cfg: RunConfig, data, local_model, global_model, test_data=None) -> RunMetrics:
-    cfg.validate()
     return RUNNERS[cfg.algorithm](cfg, data, local_model, global_model, test_data)
 
 

@@ -22,6 +22,7 @@ import itertools
 import json
 import operator
 import struct
+import sys
 from array import array
 from dataclasses import dataclass
 
@@ -67,32 +68,35 @@ def frame_bytes(n_floats: int) -> int:
     return HEADER_BYTES + 8 * n_floats
 
 
+def _check_header(party, sample, seq, c_size: int = 0, c_hat_size: int = 0) -> None:
+    """Raise ShapeError unless a frame holds party, sample and seq (4 signed
+    bytes each) and vectors c and c_hat of one length (2 bytes).  The fast
+    path is one chained comparison: `Transcript.record` runs it on every row."""
+    if (INT32_MIN <= party <= INT32_MAX and INT32_MIN <= sample <= INT32_MAX
+            and INT32_MIN <= seq <= INT32_MAX and c_size == c_hat_size <= MAX_VECTOR):
+        return
+    for name, value in (("party", party), ("sample", sample), ("seq", seq)):
+        if not INT32_MIN <= value <= INT32_MAX:
+            raise ShapeError(f"{name} {value} does not fit the frame's 4-byte field")
+    if c_size != c_hat_size:
+        raise ShapeError("upload vectors c and c_hat must have equal length")
+    raise ShapeError(f"upload vector length {c_size} exceeds the frame limit {MAX_VECTOR}")
+
+
 def encode_message(msg) -> bytes:
     """Encode one message as a length-prefixed binary frame."""
-    if isinstance(msg, (Upload, Reply)):
-        for name in ("party", "sample", "seq"):
-            value = getattr(msg, name)
-            if not INT32_MIN <= value <= INT32_MAX:
-                raise ShapeError(f"{name} {value} does not fit the frame's 4-byte field")
     if isinstance(msg, Upload):
-        c = np.asarray(msg.c, dtype=np.float64)
-        c_hat = np.asarray(msg.c_hat, dtype=np.float64)
-        if c.shape != c_hat.shape:
-            raise ShapeError("upload vectors c and c_hat must have equal length")
-        if c.size > MAX_VECTOR:
-            raise ShapeError(f"upload vector length {c.size} exceeds the frame limit {MAX_VECTOR}")
-        floats = np.concatenate([c, c_hat])
-        head = _HEAD.pack(
-            HEADER_BYTES - 4 + 8 * floats.size, UPLOAD_TAG,
-            msg.party, msg.sample, msg.seq, c.size,
-        )
+        c = np.asarray(msg.c, dtype=np.float64).reshape(-1)
+        c_hat = np.asarray(msg.c_hat, dtype=np.float64).reshape(-1)
+        _check_header(msg.party, msg.sample, msg.seq, c.size, c_hat.size)
+        tag, veclen, floats = UPLOAD_TAG, c.size, np.concatenate([c, c_hat])
     elif isinstance(msg, Reply):
-        floats = np.array([msg.h, msg.h_bar], dtype=np.float64)
-        head = _HEAD.pack(
-            HEADER_BYTES - 4 + 16, REPLY_TAG, msg.party, msg.sample, msg.seq, 2
-        )
+        _check_header(msg.party, msg.sample, msg.seq)
+        tag, veclen, floats = REPLY_TAG, 2, np.array([msg.h, msg.h_bar], dtype=np.float64)
     else:
         raise DomainError(f"cannot encode {type(msg).__name__}")
+    head = _HEAD.pack(HEADER_BYTES - 4 + 8 * floats.size, tag, msg.party, msg.sample, msg.seq,
+                      veclen)
     return head + floats.astype("<f8").tobytes()
 
 
@@ -191,17 +195,15 @@ class Transcript:
 
     def record(self, time: float, direction: str, msg) -> None:
         """Log one message with the size of its frame, which `frame_bytes`
-        gives without encoding it."""
+        gives without encoding it; a message no frame holds raises ShapeError, adding no row."""
         if isinstance(msg, Upload):
-            c, c_hat = msg.c.tolist(), msg.c_hat.tolist()
-            if len(c) != len(c_hat):
-                raise ShapeError("upload vectors c and c_hat must have equal length")
-            self._append(time, direction, "upload", msg.party, msg.sample, msg.seq, c + c_hat)
+            variant, c, c_hat = "upload", msg.c.tolist(), msg.c_hat.tolist()
         elif isinstance(msg, Reply):
-            self._append(time, direction, "reply", msg.party, msg.sample, msg.seq,
-                         [msg.h, msg.h_bar])
+            variant, c, c_hat = "reply", [msg.h], [msg.h_bar]
         else:
             raise DomainError(f"cannot record {type(msg).__name__}")
+        _check_header(msg.party, msg.sample, msg.seq, len(c), len(c_hat))
+        self._append(time, direction, variant, msg.party, msg.sample, msg.seq, c + c_hat)
 
     def record_raw(self, time, direction, variant, party, sample, seq, payload) -> None:
         """Log baseline traffic: the payload is flattened to float64."""
@@ -255,7 +257,8 @@ class Transcript:
 
         Every line must be an object with exactly the eight keys `to_jsonl`
         writes: dir "up" or "down", variant a string, time a number, party,
-        sample, seq and bytes integers, payload a flat list of numbers.
+        sample, seq and bytes integers, payload a flat list of numbers, and
+        bytes the `frame_bytes` of the payload.
         Raises ParseError("<path>:<line>: ...") for the first line that is not.
         """
         t = cls()
@@ -279,8 +282,9 @@ class Transcript:
         self._bytes["up"] += up
         self._bytes["down"] += sum(nbytes) - up
         self._time.extend(time)
-        self._direction.extend(dirs)
-        self._variant.extend(variants)
+        # one shared str per distinct value, not json's fresh one per row
+        self._direction.extend(map(sys.intern, dirs))
+        self._variant.extend(map(sys.intern, variants))
         self._ints.extend(ints)
         ends = itertools.accumulate(sizes, initial=self._offsets[-1])
         next(ends)  # the current end is already there
@@ -346,9 +350,11 @@ def _columns(objs: list):
     values = list(itertools.chain.from_iterable(payload))
     if not _only(values, {int, float}):
         raise ParseError('"payload" is not a flat list of numbers')
+    sizes = list(map(len, payload))
+    if nbytes != list(map(frame_bytes, sizes)):
+        raise ParseError('"bytes" is not the frame size of the payload')
     try:
-        return (array("d", time), dirs, variants, array("q", ints), list(map(len, payload)),
-                array("d", values))
+        return (array("d", time), dirs, variants, array("q", ints), sizes, array("d", values))
     except OverflowError as exc:
         raise ParseError(f"a number is out of range ({exc})") from None
 
@@ -380,14 +386,16 @@ class ServerCache:
             raise ProtocolError(f"unknown party id {party}")
         return party_columns(party, self.k)
 
-    def _check_width(self, party: int, width: int) -> None:
-        if width != self.k:
-            raise ProtocolError(f"party {party} output has {width} values, the head takes {self.k}")
+    def check_width(self, party: int, *widths: int) -> None:
+        """Every output party sends is k values wide, the head's input per party."""
+        for width in widths:
+            if width != self.k:
+                raise ProtocolError(f"party {party} output has {width} values, "
+                                    f"the head takes {self.k}")
 
     def put(self, sample: int, party: int, c: np.ndarray, stamp: int) -> None:
         cols = self.cols(sample, party)
-        c = np.asarray(c)
-        self._check_width(party, c.size)
+        self.check_width(party, np.size(c))
         old = self.stamp[sample, party - 1]
         if stamp < old:
             raise ProtocolError(f"cache stamp would decrease for sample {sample}, party {party}")
@@ -401,7 +409,7 @@ class ServerCache:
         party's output for sample i, and every cell gets `stamp`."""
         if not 1 <= party <= self.q:
             raise ProtocolError(f"unknown party id {party}")
-        self._check_width(party, outputs.shape[1])
+        self.check_width(party, outputs.shape[1])
         stamps = self.stamp[:, party - 1]
         down = np.flatnonzero(stamps > stamp)
         if down.size:
@@ -624,7 +632,7 @@ class ServerNode:
             raise ProtocolError(f"a synchronous round needs one upload from each of parties "
                                 f"1..{self.cache.q} in order, got {parties}")
         for up in uploads:
-            self._check_width(up)
+            self.cache.check_width(up.party, np.size(up.c), np.size(up.c_hat))
         w0, fresh = self.w0, np.concatenate([up.c for up in uploads])
         steps = [self._step(up, w0, fresh) for up in uploads]
         v0s = [v0 for _, v0 in steps if v0 is not None]
@@ -632,14 +640,6 @@ class ServerNode:
         if v0s:
             self.w0 = w0 - self.eta0 * self.last_v0
         return [reply for reply, _ in steps]
-
-    def _check_width(self, upload: Upload) -> None:
-        k = self.cache.k
-        if np.size(upload.c) != k or np.size(upload.c_hat) != k:
-            raise ProtocolError(
-                f"party {upload.party} sent outputs of {np.size(upload.c)} and "
-                f"{np.size(upload.c_hat)} values, the head takes {k}"
-            )
 
     def _step(self, upload: Upload, w0: np.ndarray, fresh=None):
         """Two-point step at head parameters w0 against the cached outputs,
@@ -650,7 +650,7 @@ class ServerNode:
         i, m = upload.sample, upload.party
         cache = self.cache
         cols = cache.cols(i, m)
-        self._check_width(upload)
+        cache.check_width(m, np.size(upload.c), np.size(upload.c_hat))
         row = cache.row(i) if fresh is None else fresh.copy()
         row[cols] = upload.c
         u0 = head_direction(self.scheme, w0.size, self.directions, self.uploads_seen)
@@ -714,28 +714,18 @@ def audit_transcript(transcript: Transcript, dims: list[int], d0: int = 0,
     reply = variants == "reply"
     size = np.diff(transcript.column("offsets"))
     two = (upload & (size > 0)) | (reply & (size == 2))
+    # one row per payload vector: its entry, length and the entry's own length
     first = np.where(upload, size // 2, np.where(two, 1, size))
-    second = np.where(upload, size - size // 2, 1)  # read only where `two`
-
-    def too_long(length):
-        return length > max_output_dim
-
-    def parameter_shaped(length):
-        own = (upload & (length == max_output_dim)) | (reply & (length == 1))
-        return np.isin(length, blocked) & ~own
-
-    bad_first = too_long(first) | parameter_shaped(first)
-    bad_second = two & (too_long(second) | parameter_shaped(second))
-    hits = np.flatnonzero(bad_first | bad_second)
-    vectors = 1 + two
+    length = np.stack([first, np.where(upload, size - first, 1)], axis=1)[
+        np.stack([np.ones_like(two), two], axis=1)]
+    entry = np.repeat(np.arange(size.size), 1 + two)
+    own = np.where(upload, max_output_dim, np.where(reply, 1, -1))[entry]
+    hits = np.flatnonzero((length > max_output_dim) | (np.isin(length, blocked) & (length != own)))
     if not hits.size:
-        return AuditReport(True, int(vectors.sum()))
-    idx = int(hits[0])
-    length = int(first[idx] if bad_first[idx] else second[idx])
-    checked = int(vectors[:idx].sum()) + (1 if bad_first[idx] else 2)
-    where = f"entry {idx} ({variants[idx]}, party {transcript.column('party')[idx]})"
-    if length > max_output_dim:
-        return AuditReport(False, checked, idx, f"{where}: payload vector length {length} "
-                                                f"exceeds max local output dim {max_output_dim}")
-    return AuditReport(False, checked, idx, f"{where}: payload vector length {length} "
-                                            f"matches a parameter block dimension")
+        return AuditReport(True, length.size)
+    checked = int(hits[0]) + 1
+    idx, length = int(entry[checked - 1]), int(length[checked - 1])
+    why = (f"exceeds max local output dim {max_output_dim}" if length > max_output_dim
+           else "matches a parameter block dimension")
+    return AuditReport(False, checked, idx, f"entry {idx} ({variants[idx]}, party "
+                       f"{transcript.column('party')[idx]}): payload vector length {length} {why}")

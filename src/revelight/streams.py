@@ -28,6 +28,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import DomainError
+
 # Stream purposes.  Values are part of the reproducibility contract: changing
 # them changes every trajectory.
 INIT = 1          # parameter initialization
@@ -41,9 +43,14 @@ SPLIT = 8         # train/test fold shuffling
 TRIAL = 9         # verification trial instances
 
 
+def check_seed(seed: int) -> None:
+    """A seed is the Philox key, an integer in [0, 2**64)."""
+    if not 0 <= seed < 2**64:
+        raise DomainError(f"seed {seed} is outside [0, 2**64)")
+
+
 def _philox(seed: int, purpose: int, party: int, step: int) -> np.random.Philox:
-    if seed < 0:
-        raise ValueError("seed must be nonnegative")
+    check_seed(seed)
     # an explicit uint64 array: a list mixing ints and np.uint64 would pass
     # through float64 and merge addresses above 2**53
     counter = np.array([0, step, party, purpose], dtype=np.uint64)
@@ -69,11 +76,9 @@ class Stream:
     position of the previous one, so each instance has one owner.
     """
 
-    __slots__ = ("seed", "purpose", "_bits", "_gen", "_state", "_counter")
+    __slots__ = ("_bits", "_gen", "_state", "_counter")
 
     def __init__(self, seed: int, purpose: int) -> None:
-        self.seed = seed
-        self.purpose = purpose
         self._bits = _philox(seed, purpose, 0, 0)
         self._gen = np.random.Generator(self._bits)
         self._state = self._bits.state

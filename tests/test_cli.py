@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import revelight
 from conftest import load_libsvm_reference
+from revelight import cli
 from revelight.cli import (
     CONFIG_KEYS,
     ExperimentSpec,
@@ -27,9 +28,10 @@ from revelight.cli import (
     split_tenfold,
     synthetic_pair,
 )
-from revelight.engine import RunConfig
+from revelight.engine import CommRow, RunConfig
 from revelight.errors import ConfigError, FormatError, ParseError, UsageError
 from revelight.models import partition_features
+from revelight.verify import BoundReport
 
 
 def _number_text(value: float, form: int) -> str:
@@ -657,6 +659,50 @@ class TestMainCli:
     def test_out_of_range_flag_is_one_error_line(self, capsys, argv, error):
         assert main(argv) == 2
         assert capsys.readouterr().err.splitlines() == [f"error: {error}"]
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    @pytest.mark.parametrize("command", ["verify", "speedup", "bench-comm", "train",
+                                         "train_config_seed"])
+    def test_seed_outside_the_stream_key_is_one_error_line(self, tmp_path, capsys, command,
+                                                           seed):
+        """A seed is a Philox key, an integer in [0, 2**64), on every path
+        that takes one: a flag of each command, or the seed key of a config."""
+        cfgp = tmp_path / "run.cfg"
+        in_config = command == "train_config_seed"
+        cfgp.write_text(self.EDGE_CONFIG.replace("seed = 7", f"seed = {seed if in_config else 7}"))
+        argv = {
+            "verify": ["verify", "--trials", "1", "--out", str(tmp_path)],
+            "speedup": ["speedup", "--parties", "1", "--events", "4"],
+            "bench-comm": ["bench-comm", "--blocks", "4", "--events", "8"],
+            "train": ["train", "--config", str(cfgp), "--out", str(tmp_path / "out")],
+        }[command.replace("_config_seed", "")]
+        assert main(argv if in_config else [*argv, "--seed", str(seed)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: seed {seed} is outside [0, 2**64)"]
+
+    def test_failed_bound_check_is_exit_1_and_one_error_line(self, tmp_path, capsys,
+                                                             monkeypatch):
+        def one_report(scheme, **kwargs):
+            return BoundReport.make(f"stub[{scheme}]", 2.0 if scheme == "sphere" else 0.5,
+                                    1.0, 0.0)
+        monkeypatch.setattr(cli, "check_smoothing_bounds", lambda scheme, **kw: [
+            one_report(scheme)])
+        monkeypatch.setattr(cli, "check_unbiasedness", one_report)
+        assert main(["verify", "--out", str(tmp_path)]) == 1
+        out, err = capsys.readouterr()
+        assert err.splitlines() == ["error: 2 of 4 bound checks failed"]
+        assert "bound checks passed" not in out
+
+    @pytest.mark.parametrize("ratios", [[2.0, 1.5], [0.9, 2.0]], ids=["falling", "not_above_1"])
+    def test_failed_ratio_check_is_exit_1_and_one_error_line(self, capsys, monkeypatch, ratios):
+        monkeypatch.setattr(cli, "_bench_pair", lambda block_dim, seed, events: (None, None))
+        monkeypatch.setattr(cli, "measure_comm", lambda pairs, per_message_overhead: [
+            CommRow(label, bd, 100, int(100 * r), r, r)
+            for (label, bd, _, _), r in zip(pairs, ratios, strict=True)])
+        assert main(["bench-comm", "--blocks", "16,64"]) == 1
+        out, err = capsys.readouterr()
+        assert out.splitlines()[0] == "block_dim,asy_bytes,tig_bytes,byte_ratio,cost_ratio"
+        assert err.splitlines() == ["error: communication ratios not >1 and monotone"]
 
     def test_train_missing_config(self, tmp_path, capsys):
         rc = main(["train", "--config", str(tmp_path / "nope.cfg")])

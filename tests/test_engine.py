@@ -48,6 +48,11 @@ class TestRunConfig:
     def test_staleness_rule_binds_only_asynchronous_runs(self, algorithm):
         _cfg(algorithm=algorithm, latency=0.6, tau=0).validate()
 
+    def test_construction_checks_the_config(self):
+        """No caller has to remember `validate`: an invalid config is never built."""
+        with pytest.raises(ConfigError, match="need at least one party"):
+            RunConfig(algorithm="asyrevel_gau", q=0, T=8)
+
     def test_unknown_algorithm(self):
         with pytest.raises(ConfigError):
             _cfg(algorithm="sgd").validate()

@@ -424,8 +424,11 @@ class TestServerHandleUpload:
         cached = server.cache.values.copy()
         # the last party: a round is checked whole before its first step
         up = Upload(server.cache.q, 1, np.array(c), np.array(c_hat), 0)
-        with pytest.raises(ProtocolError, match="the head takes 1"):
+        with pytest.raises(ProtocolError) as err:
             self._answer(server, entry, up)
+        # the cache's one width rule, c checked before c_hat
+        width = next(len(v) for v in (c, c_hat) if len(v) != 1)
+        assert str(err.value) == f"party {server.cache.q} output has {width} values, the head takes 1"
         assert np.array_equal(server.cache.values, cached) and server.uploads_seen == 0
 
     def test_party_slices_of_a_wider_head(self):

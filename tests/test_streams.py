@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from revelight import streams
 from revelight.engine import RunConfig, run_asyrevel
+from revelight.errors import DomainError
 
 uint64 = st.integers(0, 2**64 - 1)
 purposes = st.integers(1, 9)
@@ -51,6 +52,21 @@ class TestStream:
     def test_negative_seed_rejected(self):
         with pytest.raises(ValueError):
             streams.Stream(-1, streams.SAMPLE)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, -2**70, 2**70])
+    def test_seed_outside_the_key_is_one_domain_error(self, seed):
+        """Every way in, a run config included, takes the one rule of `streams`."""
+        message = f"seed {seed} is outside [0, 2**64)"
+        for build in (lambda: streams.stream(seed, streams.DATA),
+                      lambda: streams.Stream(seed, streams.SAMPLE),
+                      lambda: RunConfig(algorithm="nonfed", q=1, T=1, seed=seed)):
+            with pytest.raises(DomainError) as err:
+                build()
+            assert str(err.value) == message
+
+    def test_largest_seed_is_a_key(self):
+        assert streams.stream(2**64 - 1, streams.DATA).integers(2**62) == \
+            streams.Stream(2**64 - 1, streams.DATA).at(0, 0).integers(2**62)
 
 
 def test_uploads_follow_party_streams(bench_data, glm_models):

@@ -4,8 +4,10 @@ entry's vector lengths.  Both references take rows that `rows` rebuilds from
 the transcript's columns.  With both kept here, any byte of output or field
 of a report that moves is caught."""
 
+import itertools
 import json
 import math
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -16,13 +18,14 @@ from hypothesis import strategies as st
 from revelight import fedproto
 from revelight.cli import make_synthetic
 from revelight.engine import RunConfig, run_algorithm
-from revelight.errors import ParseError
+from revelight.errors import ParseError, ShapeError
 from revelight.fedproto import (
     AuditReport,
     Reply,
     Transcript,
     Upload,
     audit_transcript,
+    encode_message,
     frame_bytes,
 )
 from revelight.models import GlobalModel, LocalModel, PartitionedDataset
@@ -101,16 +104,20 @@ special = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e16, 1e-5, 0.1, 1e22,
                            1.7976931348623157e308, math.nan, math.inf, -math.inf])
 floats = st.one_of(st.floats(width=64), special)
 ints = st.one_of(st.integers(-2**62, 2**62), st.sampled_from([-2**62, 2**62, -1, 0]))
+# the frame's 4-byte party, sample and seq fields, which `record` applies
+int32s = st.one_of(st.integers(-2**31, 2**31 - 1), st.sampled_from([-2**31, 2**31 - 1, -1, 0]))
 directions = st.sampled_from(["up", "down"])
 vectors = st.lists(floats, max_size=4)
 
 
 @st.composite
 def messages(draw):
-    """(how, args, reference entry): one record, reply or record_raw call."""
+    """(how, args, reference entry): one record, reply or record_raw call.
+    Ids of a recorded Upload or Reply fit the frame; baseline rows need not."""
     how = draw(st.sampled_from(["upload", "reply", "raw"]))
     time, direction = draw(floats), draw(directions)
-    party, sample, seq = draw(ints), draw(ints), draw(ints)
+    ids = int32s if how in ("upload", "reply") else ints
+    party, sample, seq = draw(ids), draw(ids), draw(ids)
     if how == "upload":
         c = draw(vectors)
         c_hat = draw(st.lists(floats, min_size=len(c), max_size=len(c)))
@@ -205,6 +212,42 @@ class TestRecord:
         assert transcript.total_bytes("up") == transcript.total_bytes("down") == frame_bytes(2)
 
 
+outside_int32 = st.one_of(st.integers(2**31, 2**80), st.integers(-2**80, -2**31 - 1))
+
+
+@st.composite
+def unframeable(draw):
+    """An Upload or Reply with an id outside int32 or an upload vector longer
+    than the 2-byte length field, the other ids inside int32."""
+    fields = {name: draw(int32s) for name in ("party", "sample", "seq")}
+    bad = draw(st.sampled_from(["party", "sample", "seq", "length"]))
+    if bad == "length":
+        c = np.zeros(draw(st.integers(0x10000, 70000)))
+        return Upload(fields["party"], fields["sample"], c, c, fields["seq"])
+    fields[bad] = draw(outside_int32)
+    if draw(st.booleans()):
+        return Reply(fields["party"], fields["sample"], 0.5, 0.25, fields["seq"])
+    c = np.zeros(draw(st.integers(0, 3)))
+    return Upload(fields["party"], fields["sample"], c, c, fields["seq"])
+
+
+class TestRecordFrameLimits:
+    @settings(max_examples=200, deadline=None)
+    @given(unframeable(), directions)
+    def test_refuses_what_the_codec_refuses(self, msg, direction):
+        transcript = Transcript()
+        transcript.record(0.0, "up", Upload(1, 0, np.ones(1), np.ones(1), 0))
+        with pytest.raises(ShapeError) as codec:
+            encode_message(msg)
+        with pytest.raises(ShapeError) as recorded:
+            transcript.record(1.0, direction, msg)
+        assert str(recorded.value) == str(codec.value)
+        assert len(transcript) == 1 and transcript.column("offsets").tolist() == [0, 2]
+        assert transcript.column("values").tolist() == [1.0, 1.0]
+        assert transcript.total_bytes("up") == frame_bytes(2)
+        assert transcript.total_bytes("down") == 0
+
+
 class TestStrictReader:
     GOOD = ('{"time": 0.0, "dir": "up", "variant": "upload", "party": 1, "sample": 0, '
             '"seq": -1, "payload": [0.5, 0.5], "bytes": 35}\n')
@@ -238,12 +281,16 @@ class TestStrictReader:
         '"seq": 9, "payload": [0.5, 0.5], "bytes": 35}',
         '{"time": 0.0, "dir": "up", "variant": "upload", "party": 1, "sample": 0, '
         '"seq": 9223372036854775808, "payload": [0.5, 0.5], "bytes": 35}',
+        '{"time": 0.0, "dir": "up", "variant": "upload", "party": 1, "sample": 0, '
+        '"seq": 9, "payload": [0.5, 0.5], "bytes": 123456789}',
+        '{"time": 0.0, "dir": "up", "variant": "upload", "party": 1, "sample": 0, '
+        '"seq": 9, "payload": [0.5, 0.5, 0.5, 0.5, 0.5], "bytes": 35}',
         '[1, 2, 3, 4, 5, 6, 7, 8]',
         '',
     ], ids=["object_payload", "string_payload", "nested_payload", "bool_payload",
             "truncated", "missing_key", "extra_key", "bad_dir", "variant_not_str",
-            "time_not_number", "party_not_int", "seq_beyond_int64", "not_an_object",
-            "blank_line"])
+            "time_not_number", "party_not_int", "seq_beyond_int64", "bytes_not_frame_size",
+            "bytes_of_a_shorter_payload", "not_an_object", "blank_line"])
     def test_bad_line_is_named(self, tmp_path, line):
         with pytest.raises(ParseError, match=r"t\.jsonl:3: "):
             self._read(tmp_path, self.GOOD * 2 + line + "\n" + self.GOOD)
@@ -289,17 +336,26 @@ class TestStrictReader:
             for direction in ("up", "down"):
                 assert got.total_bytes(direction) == reads[0].total_bytes(direction)
 
+    # a rule a line can break, how to break it, and the reader's message
+    BREAKS = {
+        "dir": (lambda line: line.replace('"dir": "up"', '"dir": "in"', 1).replace(
+            '"dir": "down"', '"dir": "left"', 1), '"dir" is not "up" or "down"'),
+        "bytes": (lambda line: re.sub(r'"bytes": (\d+)', lambda m: f'"bytes": {int(m[1]) + 8}',
+                                      line), '"bytes" is not the frame size of the payload'),
+    }
+
     @pytest.mark.parametrize("size", SIZES)
     def test_bad_line_at_a_chunk_edge_is_named_at_every_size(self, protocol_jsonl, tmp_path,
                                                              monkeypatch, size):
         """At `size`, one bad line opens the last chunk and another closes the
-        first; each is named the same way whatever size the reader uses."""
+        first; each, breaking each rule in BREAKS, is named the same way
+        whatever size the reader uses."""
         lines = protocol_jsonl.read_text().splitlines(keepends=True)
         chunks = self._chunk_lengths(protocol_jsonl, size)
-        for number in (len(lines) - chunks[-1] + 1, chunks[0]):
+        edges = (len(lines) - chunks[-1] + 1, chunks[0])
+        for (breaks, message), number in itertools.product(self.BREAKS.values(), edges):
             bad = list(lines)
-            bad[number - 1] = bad[number - 1].replace('"dir": "up"', '"dir": "in"', 1).replace(
-                '"dir": "down"', '"dir": "left"', 1)
+            bad[number - 1] = breaks(bad[number - 1])
             assert bad[number - 1] != lines[number - 1]
             path = tmp_path / "bad.jsonl"
             path.write_text("".join(bad))
@@ -307,7 +363,7 @@ class TestStrictReader:
                 monkeypatch.setattr(fedproto, "_READ_CHUNK", read_size)
                 with pytest.raises(ParseError) as err:
                     Transcript.from_jsonl(path)
-                assert str(err.value) == f'{path}:{number}: "dir" is not "up" or "down"'
+                assert str(err.value) == f"{path}:{number}: {message}"
 
     def test_two_objects_split_over_two_lines(self, tmp_path):
         """Parsed as one array the chunk would hold two valid objects, but
