@@ -46,13 +46,16 @@ IDX_LABEL_MAGIC = 0x00000801
 
 
 def _label(path, lineno: int, text: str) -> int:
-    """An integral label as read: "+1", "-1" and "1.0" read, "1.5" does not."""
+    """An integral label within int64 as read: "+1", "-1" and "1.0" read,
+    "1.5" and "1e20" do not.  Every dataset label is read through it."""
     try:
         value = float(text)
     except ValueError as exc:
         raise ParseError(f"{path}:{lineno}: bad label {text!r}") from exc
     if not value.is_integer():
         raise ParseError(f"{path}:{lineno}: label {text!r} is not an integer")
+    if not -2**63 <= value < 2**63:
+        raise ParseError(f"{path}:{lineno}: label {text!r} is outside int64")
     return int(value)
 
 
@@ -83,13 +86,16 @@ def _features(path, lineno: int, toks: list[str]):
 
 
 def _data_lines(path):
-    """(lineno, stripped line) for each line of a text dataset file that is
-    neither blank nor a `#` comment."""
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if line and not line.startswith("#"):
-                yield lineno, line
+    """(lineno, stripped line) for each line of a UTF-8 text file (a config
+    or a text dataset) that is neither blank nor a `#` comment."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.strip()
+                if line and not line.startswith("#"):
+                    yield lineno, line
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
 def load_libsvm(path) -> tuple[np.ndarray, np.ndarray]:
@@ -113,20 +119,19 @@ def load_libsvm(path) -> tuple[np.ndarray, np.ndarray]:
 
 def load_csv(path) -> tuple[np.ndarray, np.ndarray]:
     """Dense CSV, the label in the last column: float64 rows, int labels."""
-    rows = []
+    rows, labels = [], []
     for lineno, line in _data_lines(path):
-        toks = line.split(",")
+        *toks, label = line.split(",")
         try:
             rows.append([float(tok) for tok in toks])
         except ValueError as exc:
             raise ParseError(f"{path}:{lineno}: non-numeric field") from exc
-        if len(rows) > 1 and len(rows[-1]) != len(rows[0]):
-            raise ParseError(f"{path}:{lineno}: expected {len(rows[0])} fields")
-        _label(path, lineno, toks[-1].strip())
+        if len(rows[-1]) != len(rows[0]):
+            raise ParseError(f"{path}:{lineno}: expected {len(rows[0]) + 1} fields")
+        labels.append(_label(path, lineno, label.strip()))
     if not rows:
         raise ParseError(f"{path}: empty file")
-    arr = np.array(rows)
-    return arr[:, :-1], arr[:, -1].astype(int)
+    return np.array(rows), np.array(labels)
 
 
 def _read_idx(path, expect_magic: int) -> np.ndarray:
@@ -185,12 +190,12 @@ def make_synthetic(kind: str, n: int, d: int, seed: int, *,
     planted margin.
     """
     rng = streams.stream(seed, streams.DATA)
-    w_star = rng.standard_normal(d)
-    w_star /= np.linalg.norm(w_star)
     try:
+        w_star = rng.standard_normal(d)
         X = rng.standard_normal((n, d))
     except ValueError as exc:  # numpy's "array is too big", raised before allocating
         raise MemoryError(f"{n} x {d} synthetic features: {exc}") from None
+    w_star /= np.linalg.norm(w_star)
     raw = X @ w_star
     if kind == "separable":
         y = np.where(raw >= 0, 1, -1)
@@ -326,19 +331,17 @@ class ExperimentSpec:
 
 
 def parse_config(path) -> dict[str, str]:
-    """Flat `key = value` lines; `#` starts a comment; blank lines ignored."""
+    """Flat `key = value` lines of UTF-8 text; `#` starts a comment, also
+    after a value; blank lines ignored."""
     out = {}
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected key = value")
-            key, val = (part.strip() for part in line.split("=", 1))
-            if not key or not val:
-                raise ConfigError(f"{path}:{lineno}: empty key or value")
-            out[key] = val
+    for lineno, line in _data_lines(path):
+        line = line.split("#", 1)[0]
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected key = value")
+        key, val = (part.strip() for part in line.split("=", 1))
+        if not key or not val:
+            raise ConfigError(f"{path}:{lineno}: empty key or value")
+        out[key] = val
     return out
 
 

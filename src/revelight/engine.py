@@ -33,8 +33,6 @@ from .estimator import (
     two_point_head,
 )
 from .fedproto import (
-    COMPUTE_DISTS,
-    LATENCY_DISTS,
     DelayModel,
     PartyNode,
     ServerNode,
@@ -57,6 +55,8 @@ from .models import (
 )
 
 ALGORITHMS = ("asyrevel_gau", "asyrevel_uni", "synrevel", "nonfed", "tig")
+COMPUTE_DISTS = ("constant", "exponential")
+LATENCY_DISTS = ("constant", "uniform")
 
 # heap event kinds, in tie-break priority order at equal times
 _REPLY, _DELIVER, _FINISH = 0, 1, 2
@@ -349,8 +349,7 @@ def run_asyrevel(cfg: RunConfig, data: PartitionedDataset, local_model: LocalMod
         return _run_serialized(cfg, parties, server, rec, schedule)
     transcript = rec.transcript
 
-    delay = DelayModel(cfg.seed, cfg.party_means(), cfg.compute_dist, cfg.latency,
-                       cfg.latency_dist)
+    delay = DelayModel(cfg)
     queue = StalenessQueue(cfg.tau)
     heap: list = []
     sent = 0  # uploads sent; the latest upload's serial
@@ -444,7 +443,7 @@ def run_synrevel(cfg: RunConfig, data: PartitionedDataset, local_model: LocalMod
     same-round outputs (staleness identically zero), then updates apply."""
     parties, server, rec = _start_protocol(cfg, data, local_model, global_model, test_data)
     transcript = rec.transcript
-    delay = DelayModel(cfg.seed, cfg.party_means(), cfg.compute_dist)
+    delay = DelayModel(cfg)
     samples = streams.Stream(cfg.seed, streams.SAMPLE)
 
     vtime = 0.0
@@ -483,7 +482,7 @@ def _centralized_events(cfg: RunConfig, n: int):
     activation follows its previous one by a compute time drawn at (party,
     step), and its sample is the SAMPLE stream's draw at (party, step).
     """
-    delay = DelayModel(cfg.seed, cfg.party_means(), cfg.compute_dist)
+    delay = DelayModel(cfg)
     samples = streams.Stream(cfg.seed, streams.SAMPLE)
     heap = [(delay.compute_time(m, 0), m) for m in range(1, cfg.q + 1)]
     heapq.heapify(heap)

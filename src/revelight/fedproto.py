@@ -25,6 +25,7 @@ import struct
 import sys
 from array import array
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -34,15 +35,15 @@ from .estimator import (client_block_zoe, head_direction, reject_nonfinite, samp
                         two_point_client, two_point_head)
 from .models import GlobalModel, LocalModel, local_forward, party_columns
 
+if TYPE_CHECKING:
+    from .engine import RunConfig
+
 _HEAD = struct.Struct("<IBiiiH")
 HEADER_BYTES = _HEAD.size  # 19
 UPLOAD_TAG = 0
 REPLY_TAG = 1
 MAX_VECTOR = 0xFFFF  # the header's 2-byte vector length
 INT32_MIN, INT32_MAX = -2**31, 2**31 - 1  # the header's 4-byte party, sample, seq
-
-COMPUTE_DISTS = ("constant", "exponential")
-LATENCY_DISTS = ("constant", "uniform")
 
 
 @dataclass(slots=True)
@@ -378,12 +379,18 @@ class ServerCache:
         self.stamp = -np.ones((n, q), dtype=np.int64)
         self.cold = n * q
 
-    def cols(self, sample: int, party: int) -> slice:
-        """Party's columns of the flat row; rejects an unknown sample or party."""
+    def _check_sample(self, sample: int) -> None:
         if not 0 <= sample < self.n:
             raise ProtocolError(f"unknown sample id {sample}")
+
+    def _check_party(self, party: int) -> None:
         if not 1 <= party <= self.q:
             raise ProtocolError(f"unknown party id {party}")
+
+    def cols(self, sample: int, party: int) -> slice:
+        """Party's columns of the flat row; rejects an unknown sample or party."""
+        self._check_sample(sample)
+        self._check_party(party)
         return party_columns(party, self.k)
 
     def check_width(self, party: int, *widths: int) -> None:
@@ -407,8 +414,7 @@ class ServerCache:
     def put_party(self, party: int, outputs: np.ndarray, stamp: int) -> None:
         """`put` for every sample at once: row i of the (n, k) `outputs` is
         party's output for sample i, and every cell gets `stamp`."""
-        if not 1 <= party <= self.q:
-            raise ProtocolError(f"unknown party id {party}")
+        self._check_party(party)
         self.check_width(party, outputs.shape[1])
         stamps = self.stamp[:, party - 1]
         down = np.flatnonzero(stamps > stamp)
@@ -421,48 +427,39 @@ class ServerCache:
 
     def row(self, sample: int) -> np.ndarray:
         """A copy of row `sample`: the flat head input of q*k values."""
-        if not 0 <= sample < self.n:
-            raise ProtocolError(f"unknown sample id {sample}")
+        self._check_sample(sample)
         if self.cold and self.stamp[sample].min() < 0:
             party = int(np.argmax(self.stamp[sample] < 0)) + 1
             raise ProtocolError(f"cache cell ({sample}, {party}) not warmed")
         return self.values[sample].copy()
 
 
-@dataclass
 class DelayModel:
-    """Compute-time and latency model for the simulated protocol; both are
-    drawn from the counter-based streams so timings replay exactly.  The
-    model owns its run's seed, the COMPUTE and LATENCY streams built from it
-    and the mean compute time of each party, and addresses a draw by
-    (party, step)."""
+    """Compute-time and latency model of a run, built from its checked
+    RunConfig; both are drawn from the counter-based streams so timings
+    replay exactly.  The model owns the COMPUTE and LATENCY streams of the
+    config's seed and the mean compute time of each party, and addresses a
+    draw by (party, step)."""
 
-    seed: int
-    means: list[float]            # mean compute time of party m at means[m - 1]
-    compute: str = "constant"     # one of COMPUTE_DISTS
-    latency: float = 0.0          # mean one-way latency, virtual units
-    latency_dist: str = "constant"  # one of LATENCY_DISTS
-
-    def __post_init__(self) -> None:
-        if self.compute not in COMPUTE_DISTS:
-            raise DomainError(f"unknown compute-time model {self.compute!r}")
-        if self.latency_dist not in LATENCY_DISTS:
-            raise DomainError(f"unknown latency model {self.latency_dist!r}")
-        self._compute = streams.Stream(self.seed, streams.COMPUTE)
-        self._latency = streams.Stream(self.seed, streams.LATENCY)
+    def __init__(self, cfg: RunConfig) -> None:
+        self.cfg = cfg
+        self.means = cfg.party_means()  # mean compute time of party m at means[m - 1]
+        self._compute = streams.Stream(cfg.seed, streams.COMPUTE)
+        self._latency = streams.Stream(cfg.seed, streams.LATENCY)
 
     def compute_time(self, party: int, step: int) -> float:
         mean = self.means[party - 1]
-        if self.compute == "constant":
+        if self.cfg.compute_dist == "constant":
             return mean
         return float(self._compute.at(party, step).exponential(mean))
 
     def latency_time(self, party: int, step: int) -> float:
-        if self.latency <= 0:
+        latency = self.cfg.latency
+        if latency <= 0:
             return 0.0
-        if self.latency_dist == "constant":
-            return self.latency
-        return self._latency.at(party, step).random() * (2.0 * self.latency)  # = uniform(0, 2 * latency)
+        if self.cfg.latency_dist == "constant":
+            return latency
+        return self._latency.at(party, step).random() * (2.0 * latency)  # = uniform(0, 2 * latency)
 
 
 class StalenessQueue:

@@ -8,11 +8,18 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from revelight.cli import _label, synthetic_pair
 from revelight.errors import DomainError, ParseError
 from revelight.estimator import _direction_matrix, dim_factor
 from revelight.models import GlobalModel, LocalModel
+
+# Every Hypothesis test draws the same examples on every run and keeps no
+# example database, so the whole suite is seeded; each test's own settings
+# (max_examples, deadline) apply on top of this profile.
+settings.register_profile("seeded", derandomize=True, database=None)
+settings.load_profile("seeded")
 
 
 @pytest.fixture(scope="session")

@@ -1,8 +1,12 @@
+import io
 import json
 import os
 import struct
 import subprocess
 import sys
+import tempfile
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import fields
 from pathlib import Path
 
@@ -104,6 +108,20 @@ class TestLibsvm:
             load_libsvm(p)
         assert str(err.value) == f"{p}:2: label '{label}' is not an integer"
 
+    @pytest.mark.parametrize("label", ["1e20", "-1e19", str(2**63)])
+    def test_label_outside_int64(self, tmp_path, label):
+        p = tmp_path / "d.libsvm"
+        p.write_text(f"1 1:1\n{label} 1:2\n")
+        with pytest.raises(ParseError) as err:
+            load_libsvm(p)
+        assert str(err.value) == f"{p}:2: label '{label}' is outside int64"
+
+    def test_least_int64_label_reads(self, tmp_path):
+        p = tmp_path / "d.libsvm"
+        p.write_text(f"{-2**63} 1:1\n")
+        y = load_libsvm(p)[1]
+        assert y.dtype == np.int64 and y.tolist() == [-2**63]
+
     @pytest.mark.parametrize("index", [2**62, 10**20])
     def test_oversized_index(self, tmp_path, index):
         """An index numpy cannot size a matrix for, refused before allocating."""
@@ -188,7 +206,8 @@ class TestCsv:
     def test_integral_label_forms(self, tmp_path):
         p = tmp_path / "d.csv"
         p.write_text("0.5,+1\n0.5,-1\n0.5,1.0\n0.5,0\n")
-        assert load_csv(p)[1].tolist() == [1, -1, 1, 0]
+        y = load_csv(p)[1]
+        assert y.dtype == np.int64 and y.tolist() == [1, -1, 1, 0]
 
     @pytest.mark.parametrize("label", ["1.5", "0.9", "inf"])
     def test_non_integral_label(self, tmp_path, label):
@@ -197,6 +216,15 @@ class TestCsv:
         with pytest.raises(ParseError) as err:
             load_csv(p)
         assert str(err.value) == f"{p}:2: label '{label}' is not an integer"
+
+    def test_label_outside_int64(self, tmp_path):
+        """The label column is read by the label rule, not cast from floats,
+        so 1e20 is refused rather than wrapped to -2**63."""
+        p = tmp_path / "d.csv"
+        p.write_text("0.5,1\n0.5,1e20\n")
+        with pytest.raises(ParseError) as err:
+            load_csv(p)
+        assert str(err.value) == f"{p}:2: label '1e20' is outside int64"
 
 
 def _zero_one(n):
@@ -479,14 +507,16 @@ class TestMainCli:
     @pytest.mark.parametrize("line", [
         f"{key} = {value}"
         for key in CONFIG_KEYS
-        for value in ("abc", "nan", "inf", "-1", "0") + ((10**18,) if key in ("n", "d", "n_test") else ())
+        for value in ("abc", "nan", "inf", "-1", "0")
+        + ((10**18, 10**20) if key in ("n", "d", "n_test") else ())
     ] + ["clock = wall", "base_compute = 1", "eta = 1e300", "T = 1e3", "tau = 1.5",
          "p = 0.5,0.5,a,b", "p = 0.5,0.5,0,0", "straggler = 5:1.5", "eta ="])
     def test_config_edge_runs_or_is_one_error_line(self, tmp_path, capsys, line):
         """Each value either trains (the few in EDGE_ACCEPTED) or ends in one
         error line with exit 2: a failed cast, a value `validate` rejects, an
         unknown key, an empty value, a size too large to allocate (10**18
-        rows or features), or a run that diverges (eta = 1e300)."""
+        rows or features) or past numpy's dimension limit (10**20), or a run
+        that diverges (eta = 1e300)."""
         cfgp = tmp_path / "run.cfg"
         cfgp.write_text(self.EDGE_CONFIG + line + "\n")
         rc = main(["train", "--config", str(cfgp), "--out", str(tmp_path / "out")])
@@ -578,6 +608,27 @@ class TestMainCli:
         rc = main(["train", "--config", str(cfgp), "--out", str(tmp_path / "out")])
         err = capsys.readouterr().err.splitlines()
         assert rc == 2 and len(err) == 1 and err[0].startswith(f"error: {data}: {error}")
+
+    @pytest.mark.parametrize("name, content, error", [
+        ("run.cfg", None, ": not UTF-8 text (invalid start byte)"),
+        ("d.libsvm", b"1 1:1\n-1 1:\xff\n", ": not UTF-8 text (invalid start byte)"),
+        ("d.csv", b"1,1\n\xff,-1\n", ": not UTF-8 text (invalid start byte)"),
+        ("d.libsvm", b"1 1:1\n1e20 1:2\n", ":2: label '1e20' is outside int64"),
+        ("d.csv", b"1,1\n2,1e20\n", ":2: label '1e20' is outside int64"),
+    ], ids=["config_not_utf8", "libsvm_not_utf8", "csv_not_utf8", "libsvm_label_1e20",
+            "csv_label_1e20"])
+    def test_bad_text_input_is_one_error_line(self, tmp_path, capsys, name, content, error):
+        data = tmp_path / name
+        cfgp = tmp_path / "run.cfg"
+        cfg = b"algorithm = nonfed\nq = 1\nT = 8\n"
+        if content is None:
+            cfgp.write_bytes(cfg + b"# \xff\n")
+        else:
+            data.write_bytes(content)
+            cfgp.write_bytes(cfg + f"dataset = {data}\nformat = {name[2:]}\n".encode())
+        rc = main(["train", "--config", str(cfgp), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: {data}{error}"]
 
     def test_idx_pair_with_zero_one_labels_trains_and_audits(self, tmp_path, capsys):
         images, _ = _write_idx_pair(tmp_path, n=40, labels_of=_zero_one)
@@ -795,3 +846,81 @@ class TestMainCli:
         multiple of the training-set size."""
         assert main(["speedup", *argv]) == 0
         assert capsys.readouterr().out.splitlines() == ["q,time,speedup", *rows]
+
+
+# A valid value for each key of CONFIG_KEYS (a key added there needs one
+# here), the hostile values a config may hold instead, and the lines of a
+# small dataset file with the hostile labels, tokens and bytes it may hold.
+# T stays at most 32, so a config that trains runs in a fraction of a second.
+_VALID = {
+    "algorithm": [b"asyrevel_gau", b"asyrevel_uni", b"synrevel", b"nonfed", b"tig"],
+    "q": [b"1", b"2", b"3"], "T": [b"1", b"8", b"32"], "eta": [b"0.001"],
+    "eta_server": [b"0.5"], "mu": [b"0.001"], "lam_eff": [b"0.00005"], "tau": [b"2", b"4"],
+    "seed": [b"0", b"3"], "scheme": [b"gaussian", b"sphere"],
+    "compute_dist": [b"constant", b"exponential"], "latency": [b"0", b"0.6"],
+    "latency_dist": [b"constant", b"uniform"], "eval_every": [b"4"], "stop_loss": [b"0.5"],
+    "p": [b"0.5,0.5"], "straggler": [b"1:2"],
+    "dataset": [b"synthetic:noisy", b"synthetic:separable", b"FILE"],
+    "format": [b"libsvm", b"csv"], "n": [b"16"], "d": [b"4"], "n_test": [b"0", b"8"],
+    "out": [b"o"],
+}
+_HOSTILE = [b"abc", b"nan", b"inf", b"-inf", b"-1", b"0", str(10**20).encode(), b"\xff"]
+_HOSTILE_T = [v for v in _HOSTILE if v != str(10**20).encode()]  # a huge T would just run
+_LABELS = ([b"0", b"1", b"-1"], [b"2", b"1.5", b"1e20", b"nan", b"x", b"\xff"])
+_FIELDS = {
+    "libsvm": ([b"1:0.5", b"2:-1", b"3:2"],
+               [b"0:1", b"1:nan", b"1:inf", str(10**20).encode() + b":1", b"x", b"1:\xff"]),
+    "csv": ([b"0.5", b"-1", b"2"], [b"nan", b"inf", b"1e20", b"x", b"", b"\xff"]),
+}
+
+
+def _dataset_file(data, fmt: str) -> bytes:
+    """10-20 rows of three features and a label, then up to two cells made hostile."""
+    fields, bad_fields = _FIELDS[fmt]
+    rows = [[data.draw(st.sampled_from(_LABELS[0]))] + fields
+            for _ in range(data.draw(st.integers(10, 20)))]
+    for _ in range(data.draw(st.integers(0, 2))):
+        row = data.draw(st.sampled_from(rows))
+        cell = data.draw(st.integers(0, 3))
+        row[cell] = data.draw(st.sampled_from(_LABELS[1] if cell == 0 else bad_fields))
+    if fmt == "csv":
+        return b"".join(b",".join(row[1:] + row[:1]) + b"\n" for row in rows)
+    return b"".join(b" ".join(row) + b"\n" for row in rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_hostile_config_runs_or_is_one_error_line(data):
+    """A train config from CONFIG_KEYS (algorithm, q and T, plus up to four
+    other keys and, half the time, a dataset) with up to two values made
+    hostile, and for a file dataset a libsvm or csv file with up to two
+    hostile cells: the run ends in exit 0 with nothing on stderr, or in exit
+    2 with one `error:` line, never in a traceback.  A warning counts as a
+    line of stderr."""
+    optional = [key for key in CONFIG_KEYS if key not in ("algorithm", "q", "T", "dataset")]
+    keys = ["algorithm", "q", "T", *data.draw(st.sets(st.sampled_from(optional), max_size=4))]
+    if data.draw(st.booleans()):
+        keys.append("dataset")
+    config = {key: data.draw(st.sampled_from(_VALID[key])) for key in keys}
+    for key in data.draw(st.sets(st.sampled_from(keys), max_size=2)):
+        config[key] = data.draw(st.sampled_from(_HOSTILE_T if key == "T" else _HOSTILE))
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        if config.get("dataset") == b"FILE":
+            fmt = config.get("format", b"libsvm").decode("utf-8", "replace")
+            path = tmp / "data.txt"
+            path.write_bytes(_dataset_file(data, fmt if fmt in _FIELDS else "libsvm"))
+            config["dataset"] = str(path).encode()
+        cfgp = tmp / "run.cfg"
+        cfgp.write_bytes(b"".join(key.encode() + b" = " + value + b"\n"
+                                  for key, value in config.items()))
+        err = io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, \
+                redirect_stdout(io.StringIO()), redirect_stderr(err):
+            warnings.simplefilter("always")
+            rc = main(["train", "--config", str(cfgp), "--out", str(tmp / "out")])
+    lines = err.getvalue().splitlines() + [str(w.message) for w in caught]
+    if rc == 0:
+        assert lines == []
+    else:
+        assert rc == 2 and len(lines) == 1 and lines[0].startswith("error: ")

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from revelight.cli import synthetic_pair
 from revelight.engine import (
@@ -222,6 +224,60 @@ class TestFinalRow:
         lm, gm = glm_models(4)
         m = run_synrevel(_cfg(algorithm="synrevel", T=299, eval_every=128), train, lm, gm, test)
         assert [r.t for r in m.rows] == [0, 128, 256, 300]
+
+
+def transcript_staleness(transcript) -> list[int]:
+    """Each answered upload's staleness, read from the transcript alone.
+
+    The server writes one `down` row per upload it processes, so an upload's
+    send count is the number of `down` rows before its `up` row, its
+    processing count the number before the `down` row of the same (party,
+    seq), and its staleness the difference.  Asserts on the way that every
+    reply follows its upload and carries its sample, that a party's upload
+    k follows the reply to its upload k - 1, that every upload is answered
+    and that time never decreases.  Warm-up uploads (seq -1) are not
+    answered and are skipped.
+    """
+    down = transcript.column("direction") == "down"
+    downs_before = np.cumsum(down) - down
+    party, sample, seq = (transcript.column(key).tolist() for key in ("party", "sample", "seq"))
+    assert np.all(np.diff(transcript.column("time")) >= 0)
+    sent, answered, staleness = {}, set(), []
+    for row in np.flatnonzero(np.array(seq) >= 0).tolist():
+        key = (party[row], seq[row])
+        if not down[row]:
+            assert key not in sent and (key[1] == 0 or (key[0], key[1] - 1) in answered), row
+            sent[key] = row
+            continue
+        up = sent.pop(key)  # a KeyError is a reply without an earlier upload
+        assert sample[up] == sample[row], row
+        answered.add(key)
+        staleness.append(int(downs_before[row] - downs_before[up]))
+    assert not sent, f"unanswered uploads {sorted(sent)}"
+    return staleness
+
+
+class TestTranscriptStaleness:
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), q=st.integers(2, 8), T=st.integers(200, 800),
+           latency=st.floats(0.6, 5.0), latency_dist=st.sampled_from(["constant", "uniform"]),
+           compute_dist=st.sampled_from(["constant", "exponential"]),
+           algorithm=st.sampled_from(["asyrevel_gau", "asyrevel_uni"]),
+           seed=st.integers(0, 2**32))
+    def test_transcript_fixes_each_uploads_staleness(self, bench_data, glm_models, data, q, T,
+                                                     latency, latency_dist, compute_dist,
+                                                     algorithm, seed):
+        """At tau = q - 1 the staleness the transcript shows stays within tau,
+        and its maximum is the one the recorder reports."""
+        straggler = data.draw(st.none() | st.tuples(st.integers(1, q), st.just(2.0)))
+        cfg = _cfg(algorithm=algorithm, q=q, T=T, tau=q - 1, latency=latency,
+                   latency_dist=latency_dist, compute_dist=compute_dist, straggler=straggler,
+                   seed=seed)
+        train, _ = bench_data(q, n=64, d=16, n_test=0)
+        m = run_asyrevel(cfg, train, *glm_models(q))
+        staleness = transcript_staleness(m.transcript)
+        assert len(staleness) == T
+        assert max(staleness) == m.rows[-1].staleness <= q - 1
 
 
 class TestEquivalences:

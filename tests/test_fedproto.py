@@ -13,6 +13,7 @@ from hypothesis.stateful import (
 )
 
 from revelight import streams
+from revelight.engine import RunConfig
 from revelight.errors import DecodeError, DomainError, ProtocolError, ShapeError
 from revelight.estimator import SPHERE
 from revelight.fedproto import (
@@ -919,25 +920,29 @@ class TestTranscript:
         assert transcript.total_bytes("down") == 0
 
 
+def _delay_model(q: int, **kw) -> DelayModel:
+    return DelayModel(RunConfig(algorithm="asyrevel_gau", q=q, T=1, tau=q - 1, **kw))
+
+
 class TestDelayModel:
     def test_constant_compute(self):
-        dm = DelayModel(1, [1.4, 0.25], compute="constant")
-        assert dm.compute_time(1, 0) == 1.4 and dm.compute_time(2, 3) == 0.25
+        dm = _delay_model(2, seed=1, straggler=(1, 1.4), compute_dist="constant")
+        assert dm.compute_time(1, 0) == 1.4 and dm.compute_time(2, 3) == 1.0
         assert dm.compute_time(1, 9) == 1.4
 
     def test_exponential_is_deterministic_per_address(self):
-        dm = DelayModel(7, [1.0, 1.0], compute="exponential")
+        dm = _delay_model(2, seed=7, compute_dist="exponential")
         a = dm.compute_time(2, 5)
         b = dm.compute_time(2, 5)
         assert a == b and a > 0
 
     def test_constant_latency(self):
         """The default latency model: every message takes exactly the mean."""
-        dm = DelayModel(1, [1.0, 1.0], latency=0.7)
+        dm = _delay_model(2, seed=1, latency=0.7)
         assert {dm.latency_time(m, k) for m in (1, 2) for k in range(50)} == {0.7}
 
     def test_latency_uniform_range(self):
-        dm = DelayModel(1, [1.0], latency=0.5, latency_dist="uniform")
+        dm = _delay_model(1, seed=1, latency=0.5, latency_dist="uniform")
         vals = [dm.latency_time(1, k) for k in range(200)]
         assert all(0 <= v <= 1.0 for v in vals)
         assert 0.3 < np.mean(vals) < 0.7
