@@ -219,10 +219,10 @@ def synthetic_pair(kind: str, n_train: int, n_test: int, d: int, q: int, seed: i
 
 
 def split_tenfold(X: np.ndarray, y: np.ndarray, block_dims: list[int], seed: int):
-    """Hold out the first of ten shuffled folds of the rows for testing, the
-    training rows in file order; both parts are partitioned by block_dims."""
+    """Hold out the first of ten shuffled folds of the rows (at least one) for
+    testing, the training rows in file order; both parts split by block_dims."""
     order = streams.stream(seed, streams.SPLIT).permutation(len(y))
-    test_idx = order[:len(y) // 10]
+    test_idx = order[:max(1, len(y) // 10)]
     train_idx = np.setdiff1d(order, test_idx)
     train = PartitionedDataset.from_matrix(X[train_idx], y[train_idx], block_dims)
     test = PartitionedDataset.from_matrix(X[test_idx], y[test_idx], block_dims)
@@ -398,7 +398,7 @@ def _bench_pair(block_dim: int, seed: int, events: int):
     X, y = make_synthetic("noisy", 64, block_dim * 2, seed)
     data = PartitionedDataset.from_matrix(X, y, [block_dim, block_dim])
     lm, gm = LocalModel(), GlobalModel(kind="logistic", q=2)
-    base = dict(q=2, T=events, eta=1e-3, mu=1e-3, lam_eff=5e-5, seed=seed)
+    base = dict(q=2, T=events, seed=seed)
     asy = run_asyrevel(RunConfig(algorithm="asyrevel_gau", **base), data, lm, gm)
     tig = run_tig_baseline(RunConfig(algorithm="tig", **base), data, lm, gm)
     return asy, tig
@@ -446,7 +446,7 @@ def _cmd_speedup(args) -> int:
         train, test = synthetic_pair("noisy", args.n, 256, d, q, args.seed)
         # one row at event 0 and one at event T, whose time is the run's
         cfg = RunConfig(algorithm="asyrevel_gau", q=q, T=args.events, eval_every=args.events,
-                        eta=1e-3, mu=1e-3, lam_eff=5e-5, seed=args.seed)
+                        seed=args.seed)
         metrics = run_asyrevel(cfg, train, LocalModel(), GlobalModel(kind="logistic", q=q), test)
         times[q] = metrics.final_vtime
     speed = compute_speedup(times)

@@ -318,15 +318,8 @@ def _start_protocol(cfg: RunConfig, data: PartitionedDataset, local_model: Local
     transcript that holds the warm-up uploads."""
     transcript = Transcript()
     w0, w = _init_run(cfg, data, local_model, global_model)
-    scheme = cfg.direction_scheme
-    parties = [
-        PartyNode(m + 1, data.blocks[m], local_model, w[m],
-                  mu=cfg.mu, eta=cfg.eta, lam_eff=cfg.lam_eff,
-                  scheme=scheme, seed=cfg.seed)
-        for m in range(cfg.q)
-    ]
-    server = ServerNode(global_model, w0, data.labels, data.n, cfg.q,
-                        mu=cfg.mu, eta0=cfg.eta0, scheme=scheme, seed=cfg.seed)
+    parties = [PartyNode(m + 1, data.blocks[m], local_model, w[m], cfg) for m in range(cfg.q)]
+    server = ServerNode(global_model, w0, data.labels, cfg)
     warmup_cache(parties, server, transcript)
     return parties, server, _Recorder(cfg, data, test_data, local_model, global_model,
                                       transcript, lambda: (server.w0, [p.w for p in parties]))
@@ -365,7 +358,7 @@ def run_asyrevel(cfg: RunConfig, data: PartitionedDataset, local_model: LocalMod
             (upload, lat), send_count, _ser = nxt
             rec.max_stal = max(rec.max_stal, server.uploads_seen - send_count)
             reply = server.handle_upload(upload)
-            transcript.record(now, "down", reply)
+            transcript.record(now, reply)
             rec.note_update(0, server.last_v0)
             # the reply travels the same (party, seq) link as its upload
             heapq.heappush(heap, (now + lat, _REPLY, upload.party, reply))
@@ -377,7 +370,7 @@ def run_asyrevel(cfg: RunConfig, data: PartitionedDataset, local_model: LocalMod
                 continue  # event budget exhausted; party idles
             party = parties[idx - 1]
             upload = party.start_step()
-            transcript.record(now, "up", upload)
+            transcript.record(now, upload)
             sent += 1
             lat = delay.latency_time(idx, upload.seq)
             queue.send(sent, server.uploads_seen)
@@ -409,9 +402,9 @@ def _run_serialized(cfg, parties, server, rec, schedule) -> RunMetrics:
         clocks[m - 1] += means[m - 1]
         now = clocks[m - 1]
         upload = party.start_step(sample=i)
-        transcript.record(now, "up", upload)
+        transcript.record(now, upload)
         reply = server.handle_upload(upload)
-        transcript.record(now, "down", reply)
+        transcript.record(now, reply)
         rec.note_update(0, server.last_v0)
         rec.note_update(m, party.apply_reply(reply))
         rec.advance(t, now)
@@ -453,10 +446,10 @@ def run_synrevel(cfg: RunConfig, data: PartitionedDataset, local_model: LocalMod
         uploads = [party.start_step(sample=i) for party in parties]
         vtime += max(delay.compute_time(m, r) for m in range(1, cfg.q + 1)) + 2 * cfg.latency
         for up in uploads:
-            transcript.record(vtime, "up", up)
+            transcript.record(vtime, up)
         replies = server.answer_round(uploads)
         for reply in replies:
-            transcript.record(vtime, "down", reply)
+            transcript.record(vtime, reply)
         rec.note_update(0, server.last_v0)
         for party, reply in zip(parties, replies):
             rec.note_update(party.id, party.apply_reply(reply))

@@ -194,13 +194,13 @@ class Transcript:
         self._variant.append(variant)
         self._offsets.append(len(self._values))
 
-    def record(self, time: float, direction: str, msg) -> None:
-        """Log one message with the size of its frame, which `frame_bytes`
+    def record(self, time: float, msg) -> None:
+        """Log an Upload up or a Reply down with its frame size, which `frame_bytes`
         gives without encoding it; a message no frame holds raises ShapeError, adding no row."""
         if isinstance(msg, Upload):
-            variant, c, c_hat = "upload", msg.c.tolist(), msg.c_hat.tolist()
+            direction, variant, c, c_hat = "up", "upload", msg.c.tolist(), msg.c_hat.tolist()
         elif isinstance(msg, Reply):
-            variant, c, c_hat = "reply", [msg.h], [msg.h_bar]
+            direction, variant, c, c_hat = "down", "reply", [msg.h], [msg.h_bar]
         else:
             raise DomainError(f"cannot record {type(msg).__name__}")
         _check_header(msg.party, msg.sample, msg.seq, len(c), len(c_hat))
@@ -534,21 +534,19 @@ class StalenessQueue:
 class PartyNode:
     """One feature-holding party: owns its block, parameters, and directions."""
 
-    def __init__(self, party_id, X_block, local_model: LocalModel, w, *,
-                 mu, eta, lam_eff, scheme, seed):
+    def __init__(self, party_id, X_block, local_model: LocalModel, w, cfg: RunConfig):
         self.id = party_id
         self.X = X_block
         self.model = local_model
         self.w = np.asarray(w, dtype=np.float64)
-        self.mu = mu
-        self.eta = eta
-        self.lam_eff = lam_eff
-        self.scheme = scheme
-        self.samples = streams.Stream(seed, streams.SAMPLE)
-        self.directions = streams.Stream(seed, streams.DIRECTION)
+        self.mu = cfg.mu
+        self.eta = cfg.eta
+        self.lam_eff = cfg.lam_eff
+        self.scheme = cfg.direction_scheme
+        self.samples = streams.Stream(cfg.seed, streams.SAMPLE)
+        self.directions = streams.Stream(cfg.seed, streams.DIRECTION)
         self.steps = 0          # activation counter, addresses the streams
         self.pending = None     # outstanding (sample, direction, g0, g1)
-        self._outputs = (None, None)  # (w, block outputs): apply_reply's new w makes them stale
 
     def start_step(self, sample: int | None = None) -> Upload:
         """Sample an index, perturb, and build the upload (one outstanding).
@@ -565,14 +563,7 @@ class PartyNode:
         self.pending = (i, u, g0, g1)
         return Upload(self.id, i, c, c_hat, k)
 
-    def block_outputs(self) -> np.ndarray:
-        """The (n, k) outputs on the whole block at w, one forward pass per w."""
-        if self._outputs[0] is not self.w:
-            self._outputs = (self.w, local_forward(self.model, self.w, self.X))
-        return self._outputs[1]
-
-    def warm_upload(self, sample: int) -> Upload:
-        c = self.block_outputs()[sample]
+    def warm_upload(self, sample: int, c: np.ndarray) -> Upload:
         return Upload(self.id, sample, c, c, -1)
 
     def apply_reply(self, reply: Reply) -> np.ndarray:
@@ -594,18 +585,18 @@ class PartyNode:
 
 
 class ServerNode:
-    """Label holder: evaluates the head against cached party outputs."""
+    """Label holder: evaluates the head against cached party outputs, one
+    cache row per label and the head's q parties."""
 
-    def __init__(self, global_model: GlobalModel, w0, labels, n, q, *,
-                 mu, eta0, scheme, seed):
+    def __init__(self, global_model: GlobalModel, w0, labels, cfg: RunConfig):
         self.model = global_model
         self.w0 = np.asarray(w0, dtype=np.float64)
         self.labels = labels
-        self.cache = ServerCache(n, q, global_model.party_output_dim)
-        self.mu = mu
-        self.eta0 = eta0
-        self.scheme = scheme
-        self.directions = streams.Stream(seed, streams.SERVER_DIRECTION)
+        self.cache = ServerCache(len(labels), global_model.q, global_model.party_output_dim)
+        self.mu = cfg.mu
+        self.eta0 = cfg.eta0
+        self.scheme = cfg.direction_scheme
+        self.directions = streams.Stream(cfg.seed, streams.SERVER_DIRECTION)
         self.uploads_seen = 0
         self.last_v0: np.ndarray | None = None
 
@@ -664,14 +655,15 @@ def warmup_cache(parties: list[PartyNode], server: ServerNode,
                  transcript: Transcript) -> ServerCache:
     """Every party uploads its initial output for every sample.
 
-    Each upload is logged in `transcript` at time 0, so it counts in the
-    byte totals; then the party's block outputs fill its cells at once, stamped 0.
+    One forward pass per party; each output row is an upload logged in
+    `transcript` at time 0, then the matrix fills its cells at once, stamped 0.
     """
     cache, record = server.cache, transcript.record
     for party in parties:
-        for upload in map(party.warm_upload, range(cache.n)):
-            record(0.0, "up", upload)
-        cache.put_party(party.id, party.block_outputs(), stamp=0)
+        outputs = local_forward(party.model, party.w, party.X)
+        for upload in map(party.warm_upload, range(cache.n), outputs):
+            record(0.0, upload)
+        cache.put_party(party.id, outputs, stamp=0)
     return cache
 
 

@@ -320,6 +320,13 @@ class TestSynthetic:
         both = np.vstack([rows, np.hstack(test.blocks)])
         assert np.array_equal(np.sort(both, axis=0), np.sort(X, axis=0))
 
+    @pytest.mark.parametrize("n, held_out", [(0, 0), (1, 1), (3, 1), (9, 1), (10, 1), (19, 1),
+                                             (20, 2)])
+    def test_tenfold_split_holds_out_at_least_one_row(self, n, held_out):
+        X, y = np.arange(2.0 * n).reshape(n, 2), np.ones(n)
+        train, test = split_tenfold(X, y, [1, 1], seed=0)
+        assert (test.n, train.n) == (held_out, n - held_out)
+
 
 CONFIG = """
 # benchmark run
@@ -591,6 +598,23 @@ class TestMainCli:
                 (tmp_path / "out" / "metrics_nonfed_0.csv").read_text().splitlines()[1:]]
         assert [r[0] for r in rows] == ["0", "8"]
         assert summary[2] == rows[-1][3] != rows[0][3]
+
+    def _train_on_rows(self, tmp_path, rows: int) -> int:
+        data = tmp_path / "d.libsvm"
+        data.write_text("".join(f"{(-1) ** i} 1:{i + 1}\n" for i in range(rows)))
+        cfgp = tmp_path / "run.cfg"
+        cfgp.write_text(f"algorithm = asyrevel_gau\nq = 1\nT = 8\ndataset = {data}\n"
+                        "format = libsvm\n")
+        return main(["train", "--config", str(cfgp), "--out", str(tmp_path / "out")])
+
+    def test_three_rows_test_on_one(self, tmp_path, capsys):
+        assert self._train_on_rows(tmp_path, 3) == 0
+        accuracy = capsys.readouterr().out.strip().splitlines()[-1].split(",")[3]
+        assert accuracy in ("0", "1")
+
+    def test_one_row_leaves_no_training_set(self, tmp_path, capsys):
+        assert self._train_on_rows(tmp_path, 1) == 2
+        assert capsys.readouterr().err.splitlines() == ["error: the training set has no samples"]
 
     @pytest.mark.parametrize("name, content, error", [
         ("d.libsvm", f"1 1:1\n0 {2**62}:2\n".encode(), f"feature index {2**62} is too large"),

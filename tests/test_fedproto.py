@@ -15,7 +15,6 @@ from hypothesis.stateful import (
 from revelight import streams
 from revelight.engine import RunConfig
 from revelight.errors import DecodeError, DomainError, ProtocolError, ShapeError
-from revelight.estimator import SPHERE
 from revelight.fedproto import (
     DelayModel,
     PartyNode,
@@ -145,23 +144,49 @@ class TestCodec:
             assert isinstance(out, (Upload, Reply))
 
 
-def _tiny_setup(n=6, d=8, q=2, seed=5, scheme=SPHERE, mu=0.05, eta=0.1, lam=1e-3):
+def _sphere_run(q: int, **fields) -> RunConfig:
+    """A config whose nodes draw sphere directions (asyrevel_uni pins the scheme)."""
+    return RunConfig(algorithm="asyrevel_uni", q=q, T=0, **fields)
+
+
+def _nodes(cfg: RunConfig, gm: GlobalModel, w0, labels, blocks=()):
+    """One party per feature block, party m starting at w = 0.1 (m - 1), and
+    the server, all built from `cfg`."""
+    lm = LocalModel()
+    parties = [PartyNode(m + 1, X, lm, np.full(X.shape[1], 0.1 * m), cfg)
+               for m, X in enumerate(blocks)]
+    return parties, ServerNode(gm, w0, labels, cfg)
+
+
+def _tiny_setup(n=6, seed=5):
+    d, q = 8, 2
     rng = np.random.default_rng(seed)
     X = rng.standard_normal((n, d))
     y = rng.choice([-1, 1], size=n)
-    dims = [d // q] * q
-    data = PartitionedDataset.from_matrix(X, y, dims)
-    lm = LocalModel()
+    data = PartitionedDataset.from_matrix(X, y, [d // q] * q)
     gm = GlobalModel(kind="logistic", q=q)
-    transcript = Transcript()
-    parties = [
-        PartyNode(m + 1, data.blocks[m], lm, np.zeros(dims[m]) + 0.1 * m,
-                  mu=mu, eta=eta, lam_eff=lam, scheme=scheme, seed=seed)
-        for m in range(q)
-    ]
-    server = ServerNode(gm, np.zeros(0), y, n, q, mu=mu, eta0=eta / q,
-                        scheme=scheme, seed=seed)
-    return data, lm, gm, parties, server, transcript
+    cfg = _sphere_run(q, mu=0.05, eta=0.1, lam_eff=1e-3, seed=seed)
+    parties, server = _nodes(cfg, gm, np.zeros(0), y, data.blocks)
+    return data, LocalModel(), gm, parties, server, Transcript()
+
+
+class TestNodesFromRunConfig:
+    def test_server_cache_is_one_row_per_label_and_q_k_columns(self):
+        gm = GlobalModel(kind="softmax_fcn", q=3, party_output_dim=2, classes=2)
+        cfg = _sphere_run(3, eta_server=0.5, seed=3)
+        _, server = _nodes(cfg, gm, np.zeros(gm.d0), np.array([0, 1, 1, 0, 1]))
+        assert server.cache.values.shape == (5, 3 * 2) and server.cache.stamp.shape == (5, 3)
+        assert (server.mu, server.eta0, server.scheme) == (cfg.mu, 0.5, "sphere")
+        # a sample past the labels is the cache's error, not an index error at the labels
+        with pytest.raises(ProtocolError, match="unknown sample id 5"):
+            server.handle_upload(Upload(1, 5, np.zeros(2), np.zeros(2), 0))
+
+    def test_party_takes_the_run_s_step_sizes_and_direction_scheme(self):
+        # asyrevel_gau pins gaussian directions whatever `scheme` says
+        cfg = RunConfig(algorithm="asyrevel_gau", q=2, T=0, scheme="sphere", mu=0.2, eta=0.3,
+                        lam_eff=0.4, seed=9)
+        party = PartyNode(1, np.ones((3, 2)), LocalModel(), np.zeros(2), cfg)
+        assert (party.mu, party.eta, party.lam_eff, party.scheme) == (0.2, 0.3, 0.4, "gaussian")
 
 
 class TestWarmup:
@@ -186,19 +211,6 @@ class TestWarmup:
         assert (transcript.column("variant") == "upload").all()
         assert (transcript.column("seq") == -1).all()
 
-    def test_warm_upload_after_a_step_carries_the_new_output(self):
-        """A party's block outputs are kept per w: a step moves w, so a later
-        warm upload is the forward pass at the new w, not the cached one."""
-        data, lm, _, parties, server, transcript = _tiny_setup()
-        warmup_cache(parties, server, transcript)
-        party = parties[0]
-        before = party.warm_upload(3).c.copy()
-        party.apply_reply(server.handle_upload(party.start_step(sample=3)))
-        up = party.warm_upload(3)
-        direct = local_forward(lm, party.w, data.blocks[0][3])
-        assert np.array_equal(up.c, direct) and np.array_equal(up.c_hat, direct)
-        assert not np.array_equal(up.c, before)
-
     def test_one_upload_and_one_record_per_cell(self, monkeypatch):
         """The counts a traced benchmark run checks: n*q warm uploads, and
         n*q + 2T transcript records over a whole asynchronous run."""
@@ -219,8 +231,9 @@ class TestWarmup:
 
     def test_wrong_output_width_raises_as_put(self):
         data, _, _, parties, _, transcript = _tiny_setup()
-        server = ServerNode(GlobalModel(kind="logistic", q=2, party_output_dim=2), np.zeros(0),
-                            data.labels, data.n, 2, mu=0.05, eta0=0.05, scheme=SPHERE, seed=5)
+        _, server = _nodes(_sphere_run(2, mu=0.05, seed=5),
+                           GlobalModel(kind="logistic", q=2, party_output_dim=2), np.zeros(0),
+                           data.labels)
         with pytest.raises(ProtocolError) as put:
             ServerCache(data.n, 2, 2).put(0, 1, np.ones(1), stamp=0)
         with pytest.raises(ProtocolError) as warm:
@@ -377,8 +390,8 @@ class TestServerHandleUpload:
         # an infinite party output makes the softmax head value NaN
         gm = GlobalModel(kind="softmax_fcn", q=2, party_output_dim=1, classes=2)
         w0 = np.random.default_rng(0).standard_normal(gm.d0)
-        server = ServerNode(gm, w0, np.array([0, 1, 0]), 3, 2, mu=0.1, eta0=0.1,
-                            scheme=SPHERE, seed=3)
+        _, server = _nodes(_sphere_run(2, mu=0.1, eta_server=0.1, seed=3), gm, w0,
+                           np.array([0, 1, 0]))
         for i in range(3):
             for m in (1, 2):
                 server.cache.put(i, m, np.array([0.5]), stamp=0)
@@ -436,8 +449,8 @@ class TestServerHandleUpload:
         # k = 2: party m's output sits at columns 2(m-1), 2m - 1 of the flat row
         gm = GlobalModel(kind="softmax_fcn", q=3, party_output_dim=2, classes=2)
         w0 = np.random.default_rng(1).standard_normal(gm.d0)
-        server = ServerNode(gm, w0, np.array([0, 1]), 2, 3, mu=0.1, eta0=0.0,
-                            scheme=SPHERE, seed=3)
+        _, server = _nodes(_sphere_run(3, mu=0.1, eta_server=0.5, seed=3), gm, w0,
+                           np.array([0, 1]))
         outs = {m: np.array([m, -m / 2.0]) for m in (1, 2, 3)}
         for m, c in outs.items():
             server.cache.put(1, m, c, stamp=0)
@@ -462,8 +475,7 @@ def _head_server(q=3):
     """A warm server with a softmax head, so w0 is trainable."""
     gm = GlobalModel(kind="softmax_fcn", q=q, party_output_dim=1, classes=2)
     w0 = np.random.default_rng(2).standard_normal(gm.d0)
-    server = ServerNode(gm, w0, np.array([0, 1]), 2, q, mu=0.1, eta0=0.5,
-                        scheme=SPHERE, seed=3)
+    _, server = _nodes(_sphere_run(q, mu=0.1, eta_server=0.5, seed=3), gm, w0, np.array([0, 1]))
     for m in range(1, q + 1):
         server.cache.put(1, m, np.array([0.1 * m]), stamp=0)
     return server
@@ -556,12 +568,9 @@ class TestClientStep:
         X = rng.standard_normal((n, d))
         y = rng.choice([-1, 1], size=n)
         data = PartitionedDataset.from_matrix(X, y, [d])
-        lm = LocalModel()
         gm = GlobalModel(kind="logistic", q=1)
-        party = PartyNode(1, data.blocks[0], lm, np.zeros(d),
-                          mu=mu, eta=eta, lam_eff=lam, scheme=SPHERE, seed=seed)
-        server = ServerNode(gm, np.zeros(0), y, n, 1, mu=mu, eta0=eta,
-                            scheme=SPHERE, seed=seed)
+        cfg = _sphere_run(1, mu=mu, eta=eta, lam_eff=lam, seed=seed)
+        (party,), server = _nodes(cfg, gm, np.zeros(0), y, data.blocks)
         warmup_cache([party], server, Transcript())
         for t in range(50):
             reply = server.handle_upload(party.start_step())
@@ -832,9 +841,9 @@ class TestAudit:
         for t in range(20):
             party = parties[t % 2]
             up = party.start_step()
-            transcript.record(float(t), "up", up)
+            transcript.record(float(t), up)
             reply = server.handle_upload(up)
-            transcript.record(float(t), "down", reply)
+            transcript.record(float(t), reply)
             party.apply_reply(reply)
         report = audit_transcript(transcript, dims=[4, 4], max_output_dim=1)
         assert report.ok
@@ -872,8 +881,8 @@ class TestAudit:
 
     def test_output_length_equal_to_a_block_dimension_passes(self):
         transcript = Transcript()
-        transcript.record(0.0, "up", Upload(1, 0, np.zeros(3), np.ones(3), 0))
-        transcript.record(0.0, "down", Reply(1, 0, 0.1, 0.2, 0))
+        transcript.record(0.0, Upload(1, 0, np.zeros(3), np.ones(3), 0))
+        transcript.record(0.0, Reply(1, 0, 0.1, 0.2, 0))
         assert audit_transcript(transcript, dims=[3, 5], max_output_dim=3).ok
         assert not audit_transcript(transcript, dims=[3, 5], max_output_dim=4).ok
 
@@ -883,9 +892,9 @@ class TestTranscript:
         _, _, _, parties, server, transcript = _tiny_setup()
         warmup_cache(parties, server, transcript)
         up = parties[0].start_step()
-        transcript.record(1.5, "up", up)
+        transcript.record(1.5, up)
         reply = server.handle_upload(up)
-        transcript.record(1.5, "down", reply)
+        transcript.record(1.5, reply)
         path = tmp_path / "t.jsonl"
         transcript.to_jsonl(path)
         back = Transcript.from_jsonl(path)
@@ -902,16 +911,24 @@ class TestTranscript:
     ], ids=["upload_dim1", "upload_dim3", "reply"])
     def test_record_bytes_equal_encoded_frame(self, msg):
         transcript = Transcript()
-        transcript.record(0.0, "up", msg)
+        transcript.record(0.0, msg)
         assert transcript.column("nbytes").tolist() == [len(encode_message(msg))]
+
+    def test_record_direction_follows_the_message_type(self):
+        transcript = Transcript()
+        transcript.record(0.0, Upload(1, 0, np.zeros(3), np.ones(3), 0))
+        transcript.record(0.0, Reply(1, 0, 0.1, 0.2, 0))
+        assert transcript.column("direction").tolist() == ["up", "down"]
+        assert transcript.total_bytes("up") == frame_bytes(6)
+        assert transcript.total_bytes("down") == frame_bytes(2)
 
     def test_record_rejects_unequal_upload_halves(self):
         with pytest.raises(ShapeError):
-            Transcript().record(0.0, "up", Upload(1, 0, np.zeros(2), np.zeros(3), 0))
+            Transcript().record(0.0, Upload(1, 0, np.zeros(2), np.zeros(3), 0))
 
     def test_record_rejects_non_message(self):
         with pytest.raises(DomainError):
-            Transcript().record(0.0, "up", np.zeros(2))
+            Transcript().record(0.0, np.zeros(2))
 
     def test_total_bytes_by_direction(self):
         _, _, _, parties, server, transcript = _tiny_setup()

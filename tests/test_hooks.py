@@ -12,17 +12,22 @@ source, without importing the rest of the benchmark.
 import ast
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 TRACING = PERFBENCH / "tracing.py"
 
 
-def _targets() -> list[tuple[str, str]]:
+def _tracing():
     spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
-    return [(module, attr) for module, attr, _ in tracing.TARGETS]
+    return tracing
+
+
+def _targets() -> list[tuple[str, str]]:
+    return [(module, attr) for module, attr, _ in _tracing().TARGETS]
 
 
 def test_every_hook_point_resolves():
@@ -39,6 +44,31 @@ def test_every_hook_point_resolves():
         if not found:
             missing.append(f"{module}.{attr}")
     assert not missing
+
+
+def test_special_wrappers_fit_their_targets():
+    """The tracer's `_wrap_pop` calls pop_next(queue, processed_count), reads
+    the send count at out[1] and the queue's `pending`; `_wrap_run` reads
+    cfg.algorithm from run_algorithm's first argument and looks it up in
+    DRIVERS."""
+    from revelight import engine
+    from revelight.fedproto import StalenessQueue
+
+    positional = inspect.Parameter.POSITIONAL_OR_KEYWORD
+    pop = inspect.signature(StalenessQueue.pop_next).parameters.values()
+    assert [(p.name, p.kind) for p in pop] == [("self", positional),
+                                               ("processed_count", positional)]
+    run = next(iter(inspect.signature(engine.run_algorithm).parameters.values()))
+    assert (run.name, run.kind) == ("cfg", positional)
+    assert set(engine.ALGORITHMS) <= set(_tracing().DRIVERS)
+
+    queue = StalenessQueue(tau=2)
+    queue.send(1, 3)
+    queue.deliver(1, "msg")
+    assert list(queue.pending) == [1]
+    out = queue.pop_next(4)
+    assert out[1] == 3 and out == ("msg", 3, 1) and not queue.pending
+    assert queue.pop_next(4) is None
 
 
 def _program_module(node) -> str | None:

@@ -113,9 +113,11 @@ vectors = st.lists(floats, max_size=4)
 @st.composite
 def messages(draw):
     """(how, args, reference entry): one record, reply or record_raw call.
-    Ids of a recorded Upload or Reply fit the frame; baseline rows need not."""
+    Ids of a recorded Upload or Reply fit the frame; baseline rows need not.
+    `record` sends an Upload up and a Reply down; a baseline row takes any
+    direction."""
     how = draw(st.sampled_from(["upload", "reply", "raw"]))
-    time, direction = draw(floats), draw(directions)
+    time = draw(floats)
     ids = int32s if how in ("upload", "reply") else ints
     party, sample, seq = draw(ids), draw(ids), draw(ids)
     if how == "upload":
@@ -124,13 +126,13 @@ def messages(draw):
         msg = Upload(party, sample, np.array(c, dtype=np.float64),
                      np.array(c_hat, dtype=np.float64), seq)
         payload = np.concatenate([msg.c, msg.c_hat])
-        return "record", (time, direction, msg), _Entry(time, direction, "upload", party,
-                                                         sample, seq, payload)
+        return "record", (time, msg), _Entry(time, "up", "upload", party, sample, seq, payload)
     if how == "reply":
         h, h_bar = draw(floats), draw(floats)
         msg = Reply(party, sample, h, h_bar, seq)
-        return "record", (time, direction, msg), _Entry(time, direction, "reply", party,
-                                                         sample, seq, np.array([h, h_bar]))
+        return "record", (time, msg), _Entry(time, "down", "reply", party, sample, seq,
+                                             np.array([h, h_bar]))
+    direction = draw(directions)
     variant = draw(st.one_of(st.sampled_from(["tig_output", "tig_grad", "upload", "reply"]),
                              st.text(max_size=6)))
     payload = np.array(draw(st.lists(floats, max_size=5)), dtype=np.float64)
@@ -202,10 +204,10 @@ class TestRecord:
         with pytest.raises(KeyError):
             transcript.record_raw(0.0, "sideways", "tig_output", 1, 0, 0, [3.0])
         with pytest.raises(TypeError):
-            transcript.record(0.0, "up", Upload(1.5, 0, np.zeros(1), np.zeros(1), 0))
+            transcript.record(0.0, Upload(1.5, 0, np.zeros(1), np.zeros(1), 0))
         with pytest.raises(OverflowError):
             transcript.record_raw(0.0, "down", "tig_grad", 2**63, 0, 0, [3.0])
-        transcript.record(1.0, "down", Reply(1, 0, 0.5, 0.25, 0))
+        transcript.record(1.0, Reply(1, 0, 0.5, 0.25, 0))
         assert len(transcript) == 2
         assert [e.payload.tolist() for e in rows(transcript)] == [[1.0, 2.0], [0.5, 0.25]]
         assert transcript.column("offsets").tolist() == [0, 2, 4]
@@ -233,14 +235,14 @@ def unframeable(draw):
 
 class TestRecordFrameLimits:
     @settings(max_examples=200, deadline=None)
-    @given(unframeable(), directions)
-    def test_refuses_what_the_codec_refuses(self, msg, direction):
+    @given(unframeable())
+    def test_refuses_what_the_codec_refuses(self, msg):
         transcript = Transcript()
-        transcript.record(0.0, "up", Upload(1, 0, np.ones(1), np.ones(1), 0))
+        transcript.record(0.0, Upload(1, 0, np.ones(1), np.ones(1), 0))
         with pytest.raises(ShapeError) as codec:
             encode_message(msg)
         with pytest.raises(ShapeError) as recorded:
-            transcript.record(1.0, direction, msg)
+            transcript.record(1.0, msg)
         assert str(recorded.value) == str(codec.value)
         assert len(transcript) == 1 and transcript.column("offsets").tolist() == [0, 2]
         assert transcript.column("values").tolist() == [1.0, 1.0]
