@@ -147,30 +147,32 @@ def reject_nonfinite(v: np.ndarray, party: int, step: int) -> None:
 CHUNK_ROWS = 8192
 
 
-def _direction_matrix(scheme: str, dim: int, draws: int, rng: np.random.Generator) -> np.ndarray:
-    U = rng.standard_normal((draws, dim))
-    if scheme == SPHERE:
-        U /= np.linalg.norm(U, axis=1, keepdims=True)
-    return U
-
-
 def _direction_chunks(scheme: str, dim: int, draws: int, rng: np.random.Generator):
-    """The rows of _direction_matrix(scheme, dim, draws, rng) in blocks of at
-    most CHUNK_ROWS.  The generator fills rows in order and each row is
-    normalized on its own, so the blocks stack to that matrix bit for bit."""
-    for start in range(0, draws, CHUNK_ROWS):
-        yield _direction_matrix(scheme, dim, min(CHUNK_ROWS, draws - start), rng)
+    """`draws` directions in blocks U of at most CHUNK_ROWS rows, each with
+    the same rows P of a work buffer one column wider.  The generator fills
+    rows in order and each row is normalized on its own, so the blocks stack
+    to the one-shot (draws, dim) matrix bit for bit.  Every block is written
+    into the same two buffers: a pair is valid only until the next one.  A
+    sphere block's squares go to P's last dim columns (np.linalg.norm's
+    formula for real input, without its conj() copy)."""
+    rows = min(CHUNK_ROWS, draws)
+    U_buf, P_buf = np.empty((rows, dim)), np.empty((rows, dim + 1))
+    for left in range(draws, 0, -CHUNK_ROWS):  # rows still to draw, at most `rows` a block
+        U, P = rng.standard_normal(out=U_buf[:left]), P_buf[:left]
+        if scheme == SPHERE:
+            U /= np.sqrt(np.add.reduce(np.multiply(U, U, out=P[:, 1:]), axis=1, keepdims=True))
+        yield U, P
 
 
 def _mean_stderr(blocks):
     """Mean and standard error (ddof 1) over the rows of the blocks, merged
     block by block with the pairwise update of Chan, Golub and LeVeque
-    (1979), so no more than one block is held."""
+    (1979), so no more than one block is held; each block is overwritten."""
     n, mean, m2 = 0, 0.0, 0.0
     for x in blocks:
         k = x.shape[0]
         bmean = x.mean(axis=0)
-        bm2 = ((x - bmean) ** 2).sum(axis=0)
+        bm2 = np.square(np.subtract(x, bmean, out=x), out=x).sum(axis=0)
         if n == 0:
             mean, m2 = bmean, bm2
         else:
@@ -183,10 +185,11 @@ def _mean_stderr(blocks):
 
 def _value_changes(H, b, w, mu, scheme, draws, rng: np.random.Generator):
     """For each block U of directions, yield U and f(w + mu*u) - f(w) =
-    mu*g'u + 0.5*mu^2*u'Hu per row u, with g = Hw + b and f(w) = 0.5 w'Hw + b'w."""
+    mu*g'u + 0.5*mu^2*u'Hu per row u, with g = Hw + b and f(w) = 0.5 w'Hw + b'w;
+    U is valid only until the next block, and the caller may overwrite it."""
     G = np.column_stack([H @ w + b, H])  # one product gives g'u and Hu
-    for U in _direction_chunks(scheme, w.size, draws, rng):
-        P = U @ G
+    for U, P in _direction_chunks(scheme, w.size, draws, rng):
+        np.matmul(U, G, out=P)
         yield U, mu * P[:, 0] + 0.5 * mu * mu * np.einsum("kd,kd->k", P[:, 1:], U)
 
 
@@ -199,7 +202,7 @@ def require_draws(draws: int) -> None:
 def smoothed_value_mc_quadratic(H, b, w, mu, scheme, draws, rng: np.random.Generator):
     """Monte-Carlo mean and standard error of f(w + mu*u) over fresh
     directions, for f(w) = 0.5 w'Hw + b'w.  Directions are drawn and reduced
-    CHUNK_ROWS at a time."""
+    CHUNK_ROWS at a time into one reused pair of buffers."""
     require_draws(draws)
     f0 = 0.5 * float(w @ H @ w) + float(b @ w)
     changes = _value_changes(H, b, w, mu, scheme, draws, rng)
@@ -214,9 +217,11 @@ def smoothed_grad_mc_quadratic(H, b, w, mu, scheme, draws, rng: np.random.Genera
     The per-draw function-value difference has the closed form
     mu*(Hw + b)'u + 0.5*mu^2*u'Hu, which lets verification sweeps run with
     matrix products instead of a Python loop over draws; directions are
-    drawn and reduced CHUNK_ROWS at a time.
+    drawn and reduced CHUNK_ROWS at a time, each block's estimates written
+    over its directions.
     """
     require_draws(draws)
     factor = dim_factor(scheme, w.size)
     changes = _value_changes(H, b, w, mu, scheme, draws, rng)
-    return _mean_stderr((factor / mu) * delta[:, None] * U for U, delta in changes)
+    return _mean_stderr(np.multiply((factor / mu) * delta[:, None], U, out=U)
+                        for U, delta in changes)

@@ -22,7 +22,6 @@ import itertools
 import json
 import operator
 import struct
-import sys
 from array import array
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -30,7 +29,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import streams
-from .errors import DecodeError, DomainError, ParseError, ProtocolError, ShapeError
+from .errors import ConfigError, DecodeError, DomainError, ParseError, ProtocolError, ShapeError
 from .estimator import (client_block_zoe, head_direction, reject_nonfinite, sample_direction,
                         two_point_client, two_point_head)
 from .models import GlobalModel, LocalModel, local_forward, party_columns
@@ -132,7 +131,7 @@ def decode_message(data: bytes):
 
 # The JSONL keys, in the order every line writes them.
 _KEYS = ("time", "dir", "variant", "party", "sample", "seq", "payload", "bytes")
-_INTS = ("party", "sample", "seq", "nbytes")  # int64 columns, kept four to a row
+_INTS = ("party", "sample", "seq")  # int64 columns, kept three to a row
 _READ_CHUNK = 1 << 15  # characters of lines per json.loads call; see from_jsonl
 _WRITE_ROWS = 1024      # rows per formatted block in to_jsonl
 _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
@@ -148,68 +147,85 @@ def _json_numbers(values) -> list[str]:
 class Transcript:
     """Append-only record of everything that crossed the wire, kept as columns.
 
-    One row per message: time (float64), direction and variant (str), party,
-    sample, seq and nbytes (int64, the four of a row side by side in one
-    buffer), and the payload, whose values sit in one flat float64 buffer at
-    values[offsets[i]:offsets[i + 1]].  No object is kept per message, and
-    `column` is the only way to read the rows back: it hands out copies of
-    whole columns.
+    One row per message: time (float64), kind (a one-byte code into the table
+    of distinct (direction, variant) pairs), party, sample and seq (int64, the
+    three of a row side by side in one buffer), and the payload, whose values
+    sit in one flat float64 buffer at values[offsets[i]:offsets[i + 1]]; nbytes
+    is frame_bytes of the payload length.  No object is kept per message, and
+    `column` is the only way to read the rows back: copies of whole columns.
     """
 
     def __init__(self) -> None:
         self._time = array("d")
-        self._direction: list[str] = []
-        self._variant: list[str] = []
+        self._codes = array("B")  # each row's kind
+        self._kinds = {("up", "upload"): 0, ("down", "reply"): 1}  # record's two, up front
         self._ints = array("q")
         self._values = array("d")
         self._offsets = array("q", [0])
         self._bytes = {"up": 0, "down": 0}
 
     def __len__(self) -> int:
-        return len(self._direction)
+        return len(self._codes)
 
     def column(self, name: str) -> np.ndarray:
         """A copy of one column: float64 for time and values, int64 for party,
         sample, seq, nbytes and offsets (n + 1 of them), an object array of
-        str for direction and variant."""
+        str for direction and variant; any other name raises KeyError."""
         if name in _INTS:
-            return np.array(self._ints[_INTS.index(name)::4])
-        col = getattr(self, "_" + name)
-        return np.array(col, dtype=object if isinstance(col, list) else None)
+            return np.array(self._ints[_INTS.index(name)::3])
+        if name == "nbytes":
+            return HEADER_BYTES + 8 * np.diff(np.array(self._offsets))
+        if name in ("direction", "variant"):
+            table = np.array([kind[name == "variant"] for kind in self._kinds], dtype=object)
+            return table[np.array(self._codes)]
+        stored = {"time": self._time, "values": self._values, "offsets": self._offsets}
+        return np.array(stored[name])
 
-    def _append(self, time, direction, variant, party, sample, seq, values: list) -> None:
-        nbytes = frame_bytes(len(values))
+    def _append(self, time, code, kind, party, sample, seq, values: list) -> None:
         try:
             # fromlist adds the whole list or, when an item does not fit, nothing
-            self._ints.fromlist([party, sample, seq, nbytes])
+            self._ints.fromlist([party, sample, seq])
             self._time.append(time)
             self._values.fromlist(values)
-            self._bytes[direction] += nbytes
         except Exception:
-            # a value a column cannot hold, or an unknown direction: drop the partial row
-            n = len(self._direction)
-            del self._ints[4 * n:], self._time[n:], self._values[self._offsets[n]:]
+            # a value a column cannot hold: drop the partial row
+            n = len(self._codes)
+            del self._ints[3 * n:], self._time[n:], self._values[self._offsets[n]:]
             raise
-        self._direction.append(direction)
-        self._variant.append(variant)
+        if code is None:  # a new kind is kept only with its row
+            code = self._add_kinds([kind])[kind]
+        self._codes.append(code)
         self._offsets.append(len(self._values))
+        self._bytes[kind[0]] += frame_bytes(len(values))
 
     def record(self, time: float, msg) -> None:
         """Log an Upload up or a Reply down with its frame size, which `frame_bytes`
         gives without encoding it; a message no frame holds raises ShapeError, adding no row."""
         if isinstance(msg, Upload):
-            direction, variant, c, c_hat = "up", "upload", msg.c.tolist(), msg.c_hat.tolist()
+            code, kind, c, c_hat = 0, ("up", "upload"), msg.c.tolist(), msg.c_hat.tolist()
         elif isinstance(msg, Reply):
-            direction, variant, c, c_hat = "down", "reply", [msg.h], [msg.h_bar]
+            code, kind, c, c_hat = 1, ("down", "reply"), [msg.h], [msg.h_bar]
         else:
             raise DomainError(f"cannot record {type(msg).__name__}")
         _check_header(msg.party, msg.sample, msg.seq, len(c), len(c_hat))
-        self._append(time, direction, variant, msg.party, msg.sample, msg.seq, c + c_hat)
+        self._append(time, code, kind, msg.party, msg.sample, msg.seq, c + c_hat)
 
     def record_raw(self, time, direction, variant, party, sample, seq, payload) -> None:
-        """Log baseline traffic: the payload is flattened to float64."""
+        """Log baseline traffic: the payload is flattened to float64, the variant a str."""
         values = np.asarray(payload, dtype=np.float64).reshape(-1).tolist()
-        self._append(time, direction, variant, party, sample, seq, values)
+        self._bytes[direction]  # an unknown direction raises KeyError, keeping nothing
+        if not isinstance(variant, str):
+            raise DomainError(f"variant {variant!r} is not a string")
+        kind = (direction, variant)
+        self._append(time, self._kinds.get(kind), kind, party, sample, seq, values)
+
+    def _add_kinds(self, kinds) -> dict:
+        """The table, new (direction, variant) pairs coded; past 256, codes widen once to int64."""
+        for kind in dict.fromkeys(kinds):
+            self._kinds.setdefault(kind, len(self._kinds))
+        if len(self._kinds) > 0x100 and self._codes.typecode == "B":
+            self._codes = array("q", self._codes)
+        return self._kinds
 
     def total_bytes(self, direction: str) -> int:
         return self._bytes[direction]
@@ -223,22 +239,21 @@ class Transcript:
         as `_json_numbers` writes them.  Rows are formatted and written in
         blocks of _WRITE_ROWS, which bounds the text held at once.
         """
-        quoted = {s: json.dumps(s) for s in {*self._direction, *self._variant}}
+        kinds = [f'"dir": {json.dumps(d)}, "variant": {json.dumps(v)}' for d, v in self._kinds]
         offsets = self._offsets
         with open(path, "w") as fh:
             for r0 in range(0, len(self), _WRITE_ROWS):
                 r1 = min(r0 + _WRITE_ROWS, len(self))
                 base = offsets[r0]
                 vals = _json_numbers(self._values[base:offsets[r1]])
-                ints = self._ints[4 * r0:4 * r1]
+                ints = self._ints[3 * r0:3 * r1]
                 lines = [
-                    f'{{"time": {t}, "dir": {quoted[d]}, "variant": {quoted[v]}, '
-                    f'"party": {p}, "sample": {s}, "seq": {q}, '
-                    f'"payload": [{", ".join(vals[a - base:b - base])}], "bytes": {nb}}}\n'
-                    for t, d, v, p, s, q, a, b, nb in zip(
-                        _json_numbers(self._time[r0:r1]), self._direction[r0:r1],
-                        self._variant[r0:r1], ints[0::4], ints[1::4], ints[2::4],
-                        offsets[r0:r1], offsets[r0 + 1:r1 + 1], ints[3::4])
+                    f'{{"time": {t}, {kinds[k]}, "party": {p}, "sample": {s}, "seq": {q}, '
+                    f'"payload": [{", ".join(vals[a - base:b - base])}], '
+                    f'"bytes": {HEADER_BYTES + 8 * (b - a)}}}\n'
+                    for t, k, p, s, q, a, b in zip(
+                        _json_numbers(self._time[r0:r1]), self._codes[r0:r1], ints[0::3],
+                        ints[1::3], ints[2::3], offsets[r0:r1], offsets[r0 + 1:r1 + 1])
                 ]
                 fh.write("".join(lines))
 
@@ -277,15 +292,14 @@ class Transcript:
                 t._extend(*_parse_chunk(path, lines, first))
                 first += len(lines)
 
-    def _extend(self, time, dirs, variants, ints, sizes, values) -> None:
-        nbytes = ints[3::4]
+    def _extend(self, time, dirs, variants, ints, sizes, nbytes, values) -> None:
         up = sum(itertools.compress(nbytes, map("up".__eq__, dirs)))
         self._bytes["up"] += up
         self._bytes["down"] += sum(nbytes) - up
         self._time.extend(time)
-        # one shared str per distinct value, not json's fresh one per row
-        self._direction.extend(map(sys.intern, dirs))
-        self._variant.extend(map(sys.intern, variants))
+        # zip reuses its tuple once a lookup drops it, so no object is made per row
+        kinds = self._add_kinds(zip(dirs, variants))
+        self._codes.fromlist(list(map(kinds.__getitem__, zip(dirs, variants))))
         self._ints.extend(ints)
         ends = itertools.accumulate(sizes, initial=self._offsets[-1])
         next(ends)  # the current end is already there
@@ -340,12 +354,10 @@ def _columns(objs: list):
         raise ParseError('"variant" is not a string')
     if not _only(time, {int, float}):
         raise ParseError('"time" is not a number')
-    ints = [0] * (4 * len(objs))
-    for k, (key, col) in enumerate((("party", party), ("sample", sample), ("seq", seq),
-                                    ("bytes", nbytes))):
+    for key, col in (("party", party), ("sample", sample), ("seq", seq), ("bytes", nbytes)):
         if not _only(col, {int}):
             raise ParseError(f'"{key}" is not an integer')
-        ints[k::4] = col
+    ints = list(itertools.chain.from_iterable(zip(party, sample, seq)))
     if not _only(payload, {list}):
         raise ParseError('"payload" is not a list')
     values = list(itertools.chain.from_iterable(payload))
@@ -355,7 +367,8 @@ def _columns(objs: list):
     if nbytes != list(map(frame_bytes, sizes)):
         raise ParseError('"bytes" is not the frame size of the payload')
     try:
-        return (array("d", time), dirs, variants, array("q", ints), sizes, array("d", values))
+        return (array("d", time), dirs, variants, array("q", ints), sizes, nbytes,
+                array("d", values))
     except OverflowError as exc:
         raise ParseError(f"a number is out of range ({exc})") from None
 
@@ -586,9 +599,11 @@ class PartyNode:
 
 class ServerNode:
     """Label holder: evaluates the head against cached party outputs, one
-    cache row per label and the head's q parties."""
+    cache row per label and the head's q parties, which must be the run's."""
 
     def __init__(self, global_model: GlobalModel, w0, labels, cfg: RunConfig):
+        if cfg.q != global_model.q:
+            raise ConfigError(f"parties disagree: counts (q, head) {(cfg.q, global_model.q)}")
         self.model = global_model
         self.w0 = np.asarray(w0, dtype=np.float64)
         self.labels = labels
@@ -698,9 +713,9 @@ def audit_transcript(transcript: Transcript, dims: list[int], d0: int = 0,
         blocked.add(int(d0))
     # vector lengths are non-negative int64, so other dims can never match
     blocked = np.array([b for b in blocked if 0 <= b < 2**63], dtype=np.int64)
-    variants = transcript.column("variant")
-    upload = variants == "upload"
-    reply = variants == "reply"
+    variants = [variant for _, variant in transcript._kinds]
+    code = np.array(transcript._codes)
+    upload, reply = (np.array([v == name for v in variants])[code] for name in ("upload", "reply"))
     size = np.diff(transcript.column("offsets"))
     two = (upload & (size > 0)) | (reply & (size == 2))
     # one row per payload vector: its entry, length and the entry's own length
@@ -716,5 +731,5 @@ def audit_transcript(transcript: Transcript, dims: list[int], d0: int = 0,
     idx, length = int(entry[checked - 1]), int(length[checked - 1])
     why = (f"exceeds max local output dim {max_output_dim}" if length > max_output_dim
            else "matches a parameter block dimension")
-    return AuditReport(False, checked, idx, f"entry {idx} ({variants[idx]}, party "
+    return AuditReport(False, checked, idx, f"entry {idx} ({variants[code[idx]]}, party "
                        f"{transcript.column('party')[idx]}): payload vector length {length} {why}")

@@ -12,7 +12,7 @@ from hypothesis import settings
 
 from revelight.cli import _label, synthetic_pair
 from revelight.errors import DomainError, ParseError
-from revelight.estimator import _direction_matrix, dim_factor
+from revelight.estimator import CHUNK_ROWS, SPHERE, dim_factor
 from revelight.models import GlobalModel, LocalModel
 
 # Every Hypothesis test draws the same examples on every run and keeps no
@@ -60,6 +60,15 @@ def logistic_grad_sq(data, lam_eff):
     return grad_sq
 
 
+def direction_matrix(scheme: str, dim: int, draws: int, rng: np.random.Generator) -> np.ndarray:
+    """All `draws` directions at once, as one (draws, dim) matrix: the one-shot
+    draw the Monte-Carlo kernels' chunked directions stack to."""
+    U = rng.standard_normal((draws, dim))
+    if scheme == SPHERE:
+        U /= np.linalg.norm(U, axis=1, keepdims=True)
+    return U
+
+
 # Generic Monte-Carlo smoothing oracles: one Python call of f per draw.  They
 # are the references the vectorized `_quadratic` kernels are checked against.
 
@@ -71,7 +80,7 @@ def smoothed_value_mc(f, w, mu, scheme, draws, rng: np.random.Generator):
     w = np.asarray(w, dtype=np.float64)
     if mu == 0:
         return float(f(w)), 0.0
-    U = _direction_matrix(scheme, w.size, draws, rng)
+    U = direction_matrix(scheme, w.size, draws, rng)
     vals = np.array([f(w + mu * U[k]) for k in range(draws)])
     mean = float(np.mean(vals))
     stderr = float(np.std(vals, ddof=1) / np.sqrt(draws)) if draws > 1 else 0.0
@@ -89,7 +98,7 @@ def smoothed_grad_mc(f, w, mu, scheme, dim, draws, rng: np.random.Generator):
     w = np.asarray(w, dtype=np.float64)
     factor = dim_factor(scheme, dim)
     f0 = f(w)
-    U = _direction_matrix(scheme, dim, draws, rng)
+    U = direction_matrix(scheme, dim, draws, rng)
     deltas = np.array([f(w + mu * U[k]) - f0 for k in range(draws)])
     est = (factor / mu) * deltas[:, None] * U
     mean = est.mean(axis=0)
@@ -103,7 +112,7 @@ def smoothed_grad_mc(f, w, mu, scheme, dim, draws, rng: np.random.Generator):
 
 
 def smoothed_value_mc_quadratic_oneshot(H, b, w, mu, scheme, draws, rng: np.random.Generator):
-    U = _direction_matrix(scheme, w.size, draws, rng)
+    U = direction_matrix(scheme, w.size, draws, rng)
     f0 = 0.5 * float(w @ H @ w) + float(b @ w)
     g = H @ w + b
     vals = f0 + mu * (U @ g) + 0.5 * mu * mu * np.einsum("kd,kd->k", U @ H, U)
@@ -112,11 +121,58 @@ def smoothed_value_mc_quadratic_oneshot(H, b, w, mu, scheme, draws, rng: np.rand
 
 def smoothed_grad_mc_quadratic_oneshot(H, b, w, mu, scheme, draws, rng: np.random.Generator):
     factor = dim_factor(scheme, w.size)
-    U = _direction_matrix(scheme, w.size, draws, rng)
+    U = direction_matrix(scheme, w.size, draws, rng)
     g = H @ w + b
     deltas = mu * (U @ g) + 0.5 * mu * mu * np.einsum("kd,kd->k", U @ H, U)
     est = (factor / mu) * deltas[:, None] * U
     return est.mean(axis=0), est.std(axis=0, ddof=1) / np.sqrt(draws)
+
+
+# The chunked Monte-Carlo kernels as they were before their blocks shared two
+# buffers: every block of CHUNK_ROWS directions, its product and its
+# estimates in fresh arrays.  They are the bit-exact references of the
+# `_quadratic` kernels.
+
+
+def _fresh_direction_chunks(scheme, dim, draws, rng):
+    for start in range(0, draws, CHUNK_ROWS):
+        yield direction_matrix(scheme, dim, min(CHUNK_ROWS, draws - start), rng)
+
+
+def _fresh_mean_stderr(blocks):
+    n, mean, m2 = 0, 0.0, 0.0
+    for x in blocks:
+        k = x.shape[0]
+        bmean = x.mean(axis=0)
+        bm2 = ((x - bmean) ** 2).sum(axis=0)
+        if n == 0:
+            mean, m2 = bmean, bm2
+        else:
+            delta = bmean - mean
+            mean = mean + delta * (k / (n + k))
+            m2 = m2 + bm2 + delta * delta * (n * k / (n + k))
+        n += k
+    return mean, np.sqrt(m2 / (n - 1)) / np.sqrt(n)
+
+
+def _fresh_value_changes(H, b, w, mu, scheme, draws, rng):
+    G = np.column_stack([H @ w + b, H])
+    for U in _fresh_direction_chunks(scheme, w.size, draws, rng):
+        P = U @ G
+        yield U, mu * P[:, 0] + 0.5 * mu * mu * np.einsum("kd,kd->k", P[:, 1:], U)
+
+
+def smoothed_value_mc_quadratic_fresh(H, b, w, mu, scheme, draws, rng: np.random.Generator):
+    f0 = 0.5 * float(w @ H @ w) + float(b @ w)
+    changes = _fresh_value_changes(H, b, w, mu, scheme, draws, rng)
+    mean, stderr = _fresh_mean_stderr(f0 + delta for _, delta in changes)
+    return float(mean), float(stderr)
+
+
+def smoothed_grad_mc_quadratic_fresh(H, b, w, mu, scheme, draws, rng: np.random.Generator):
+    factor = dim_factor(scheme, w.size)
+    changes = _fresh_value_changes(H, b, w, mu, scheme, draws, rng)
+    return _fresh_mean_stderr((factor / mu) * delta[:, None] * U for U, delta in changes)
 
 
 # The libsvm loader before its bulk parse: one token at a time into a dict

@@ -6,7 +6,6 @@ from revelight.errors import DomainError, UsageError
 from revelight.estimator import (
     CHUNK_ROWS,
     _direction_chunks,
-    _direction_matrix,
     smoothed_value_mc_quadratic,
     GAUSSIAN,
     SPHERE,
@@ -18,8 +17,9 @@ from revelight.estimator import (
     smoothed_grad_mc_quadratic,
 )
 
-from conftest import (smoothed_grad_mc, smoothed_grad_mc_quadratic_oneshot, smoothed_value_mc,
-                      smoothed_value_mc_quadratic_oneshot)
+from conftest import (direction_matrix, smoothed_grad_mc, smoothed_grad_mc_quadratic_fresh,
+                      smoothed_grad_mc_quadratic_oneshot, smoothed_value_mc,
+                      smoothed_value_mc_quadratic_fresh, smoothed_value_mc_quadratic_oneshot)
 
 
 def _rng(tag=0):
@@ -240,9 +240,10 @@ class TestChunkedQuadraticKernels:
     def test_chunks_stack_to_the_one_shot_matrix(self, scheme):
         draws = 2 * CHUNK_ROWS + 5
         chunked, whole = _rng(40), _rng(40)
-        blocks = list(_direction_chunks(scheme, 3, draws, chunked))
+        # every block is written into one buffer, so each is copied before the next
+        blocks = [U.copy() for U, _ in _direction_chunks(scheme, 3, draws, chunked)]
         assert [len(U) for U in blocks] == [CHUNK_ROWS, CHUNK_ROWS, 5]
-        assert np.array_equal(np.concatenate(blocks), _direction_matrix(scheme, 3, draws, whole))
+        assert np.array_equal(np.concatenate(blocks), direction_matrix(scheme, 3, draws, whole))
         # both generators are left at the same point for the next draw
         assert chunked.random() == whole.random()
 
@@ -257,6 +258,17 @@ class TestChunkedQuadraticKernels:
         wmean, wse = smoothed_grad_mc_quadratic_oneshot(H, b, w, 0.1, scheme, draws, _rng(43))
         np.testing.assert_allclose(gmean, wmean, rtol=1e-12, atol=0)
         np.testing.assert_allclose(gse, wse, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("draws", [2, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1, 20000])
+    @pytest.mark.parametrize("dim", [1, 2, 8, 16])
+    @pytest.mark.parametrize("scheme", [GAUSSIAN, SPHERE])
+    def test_shared_buffers_match_fresh_blocks_bit_for_bit(self, scheme, dim, draws):
+        H, b, w = _quadratic(dim, 45)
+        got = smoothed_value_mc_quadratic(H, b, w, 0.1, scheme, draws, _rng(46))
+        assert got == smoothed_value_mc_quadratic_fresh(H, b, w, 0.1, scheme, draws, _rng(46))
+        gmean, gse = smoothed_grad_mc_quadratic(H, b, w, 0.1, scheme, draws, _rng(47))
+        wmean, wse = smoothed_grad_mc_quadratic_fresh(H, b, w, 0.1, scheme, draws, _rng(47))
+        assert np.array_equal(gmean, wmean) and np.array_equal(gse, wse)
 
     @pytest.mark.parametrize("draws", [0, 1])
     def test_fewer_than_two_draws_rejected(self, draws):

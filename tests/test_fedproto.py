@@ -13,8 +13,8 @@ from hypothesis.stateful import (
 )
 
 from revelight import streams
-from revelight.engine import RunConfig
-from revelight.errors import DecodeError, DomainError, ProtocolError, ShapeError
+from revelight.engine import RunConfig, run_algorithm
+from revelight.errors import ConfigError, DecodeError, DomainError, ProtocolError, ShapeError
 from revelight.fedproto import (
     DelayModel,
     PartyNode,
@@ -187,6 +187,17 @@ class TestNodesFromRunConfig:
                         lam_eff=0.4, seed=9)
         party = PartyNode(1, np.ones((3, 2)), LocalModel(), np.zeros(2), cfg)
         assert (party.mu, party.eta, party.lam_eff, party.scheme) == (0.2, 0.3, 0.4, "gaussian")
+
+    def test_server_refuses_a_head_for_another_party_count(self):
+        # a q=3 run's step size eta / 3 must not drive a 2-party cache
+        cfg = RunConfig(algorithm="asyrevel_gau", q=3, T=0, eta=0.3)
+        head = GlobalModel(kind="logistic", q=2)
+        with pytest.raises(ConfigError, match=r"^parties disagree: counts \(q, head\) \(3, 2\)$"):
+            ServerNode(head, np.zeros(0), np.array([1, -1]), cfg)
+        # the run refuses the same mismatch with the same error
+        data = PartitionedDataset.from_matrix(np.ones((2, 3)), np.array([1, -1]), [1, 1, 1])
+        with pytest.raises(ConfigError, match="^parties disagree: counts"):
+            run_algorithm(cfg, data, LocalModel(), head)
 
 
 class TestWarmup:

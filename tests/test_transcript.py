@@ -8,6 +8,7 @@ import itertools
 import json
 import math
 import re
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 from revelight import fedproto
 from revelight.cli import make_synthetic
 from revelight.engine import RunConfig, run_algorithm
-from revelight.errors import ParseError, ShapeError
+from revelight.errors import DomainError, ParseError, ShapeError
 from revelight.fedproto import (
     AuditReport,
     Reply,
@@ -212,6 +213,89 @@ class TestRecord:
         assert [e.payload.tolist() for e in rows(transcript)] == [[1.0, 2.0], [0.5, 0.25]]
         assert transcript.column("offsets").tolist() == [0, 2, 4]
         assert transcript.total_bytes("up") == transcript.total_bytes("down") == frame_bytes(2)
+
+
+@st.composite
+def many_kinds(draw):
+    """messages() calls with a run of record_raw rows of `wide` distinct
+    variants spliced in: with record's two, 255 or more of them make more
+    kinds than one byte codes."""
+    calls = draw(st.lists(messages(), max_size=8))
+    wide, at = draw(st.sampled_from([0, 1, 254, 255, 300])), draw(st.integers(0, len(calls)))
+    direction = draw(directions)
+    run = [("record_raw", (float(k), direction, f"v{k}", k, -k, k, [k / 2]),
+            _Entry(float(k), direction, f"v{k}", k, -k, k, np.array([k / 2])))
+           for k in range(wide)]
+    return calls[:at] + run + calls[at:]
+
+
+# every column but values and offsets (one more than the rows), and its dtype
+COLUMNS = {"time": np.float64, "direction": object, "variant": object, "party": np.int64,
+           "sample": np.int64, "seq": np.int64, "nbytes": np.int64}
+
+
+class TestRowLayout:
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(many_kinds())
+    def test_every_column_matches_the_entries(self, tmp_path, calls):
+        transcript = Transcript()
+        for how, args, _ in calls:
+            getattr(transcript, how)(*args)
+        want = [entry for _, _, entry in calls]
+        transcript.to_jsonl(tmp_path / "t.jsonl")
+        for got in (transcript, Transcript.from_jsonl(tmp_path / "t.jsonl")):
+            for name, dtype in COLUMNS.items():
+                assert got.column(name).dtype == dtype and got.column(name).shape == (len(want),)
+            assert got.column("offsets").tolist() == \
+                list(itertools.accumulate((e.payload.size for e in want), initial=0))
+            _equal_entries(rows(got), want)
+            for direction in ("up", "down"):
+                assert got.total_bytes(direction) == \
+                    sum(e.nbytes for e in want if e.direction == direction)
+
+    def test_rejected_row_leaves_no_row_and_no_kind(self):
+        transcript = Transcript()
+        for k in range(254):  # with record's two, one byte holds every code so far
+            transcript.record_raw(0.0, "up", f"v{k}", 1, 0, 0, [1.0])
+        kinds = dict(transcript._kinds)
+        with pytest.raises(KeyError):
+            transcript.record_raw(0.0, "sideways", "new", 1, 0, 0, [3.0])
+        with pytest.raises(OverflowError):
+            transcript.record_raw(0.0, "down", "new", 2**63, 0, 0, [3.0])
+        assert transcript._kinds == kinds
+        assert len(transcript) == 254 and transcript.column("values").tolist() == [1.0] * 254
+        assert transcript.total_bytes("down") == 0
+        transcript.record_raw(1.0, "down", "new", 2, 0, 0, [3.0])
+        assert transcript.column("variant")[-2:].tolist() == ["v253", "new"]
+        assert transcript.column("direction")[-2:].tolist() == ["up", "down"]
+        assert transcript.total_bytes("down") == frame_bytes(1)
+        with pytest.raises(DomainError, match="variant 3 is not a string"):
+            transcript.record_raw(2.0, "up", 3, 1, 0, 0, [3.0])  # the reader takes only str
+        assert transcript._kinds == {**kinds, ("down", "new"): len(kinds)}
+        for name in ("kind", "kinds", "bytes", "ints"):  # no internal buffer is a column
+            with pytest.raises(KeyError):
+                transcript.column(name)
+
+    def test_two_value_rows_hold_at_most_60_bytes(self, tmp_path):
+        """Time, party, sample, seq and offset take 40 bytes, the kind code 1
+        and the two values 16; only the arrays' spare room comes on top."""
+        n = 1 << 15
+        tracemalloc.start()
+        try:
+            transcript = Transcript()
+            for i in range(n):
+                transcript.record(float(i), Reply(1, i, 0.5, 0.25, i))
+            recorded = tracemalloc.get_traced_memory()[0] / n
+            transcript.to_jsonl(tmp_path / "t.jsonl")
+            del transcript
+            base = tracemalloc.get_traced_memory()[0]
+            back = Transcript.from_jsonl(tmp_path / "t.jsonl")
+            read = (tracemalloc.get_traced_memory()[0] - base) / n
+        finally:
+            tracemalloc.stop()
+        assert len(back) == n
+        assert recorded <= 60 and read <= 60, (recorded, read)
 
 
 outside_int32 = st.one_of(st.integers(2**31, 2**80), st.integers(-2**80, -2**31 - 1))
