@@ -13,7 +13,8 @@ run it copies that checkout's ``perfbench/.work/result_<workload>_<seed>_0.json`
 to ``<into>/<side>/<workload>_<seed>_<pair>.json``.  ``record`` reads those
 copies and writes, per workload and seed: every run's end-to-end metrics,
 their medians and quartiles on each side, the provenance of the runs, the
-fingerprints, and per metric the number of pairs the change won.
+fingerprints, and per metric the number of pairs the change won; it refuses
+a side whose runs ran different sources (their ``source_sha256`` differ).
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ import sys
 from pathlib import Path
 
 SIDES = ("parent", "change")
+SPEC = Path(__file__).resolve().parents[1] / "BENCHMARK.json"  # the metrics' better direction
 
 
 def run_pairs(args) -> None:
@@ -55,7 +57,9 @@ def _summary(values: list[float]) -> dict:
 
 
 def _side(results: list[dict]) -> dict:
-    """One side's runs of one workload and seed."""
+    """One side's runs of one workload and seed, all of one source."""
+    if len({r["provenance"]["source_sha256"] for r in results}) > 1:
+        sys.exit(f"{results[0]['provenance']['workload']}: one side's runs ran different sources")
     provenance = {k: v for k, v in results[0]["provenance"].items() if k != "operations"}
     metrics = sorted(results[0]["metrics"])
     runs = [{"correct": r["correct"], "attempted": r["attempted"], "failed": r["failed"],
@@ -69,7 +73,7 @@ def _side(results: list[dict]) -> dict:
 
 
 def record(args) -> None:
-    spec = json.loads(Path(args.benchmark).read_text())
+    spec = json.loads(SPEC.read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     groups: dict[tuple[str, int], dict[str, list[dict]]] = {}
     for side in SIDES:
@@ -107,7 +111,6 @@ def main(argv=None) -> int:
     rec.add_argument("--into", required=True)
     rec.add_argument("--rev", required=True, help="the parent commit the change is measured on")
     rec.add_argument("--out", required=True)
-    rec.add_argument("--benchmark", default="BENCHMARK.json")
     args = ap.parse_args(argv)
     (run_pairs if args.cmd == "run" else record)(args)
     return 0

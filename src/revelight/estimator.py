@@ -148,13 +148,12 @@ CHUNK_ROWS = 8192
 
 
 def _direction_chunks(scheme: str, dim: int, draws: int, rng: np.random.Generator):
-    """`draws` directions in blocks U of at most CHUNK_ROWS rows, each with
-    the same rows P of a work buffer one column wider.  The generator fills
-    rows in order and each row is normalized on its own, so the blocks stack
-    to the one-shot (draws, dim) matrix bit for bit.  Every block is written
-    into the same two buffers: a pair is valid only until the next one.  A
-    sphere block's squares go to P's last dim columns (np.linalg.norm's
-    formula for real input, without its conj() copy)."""
+    """`draws` directions in blocks U of at most CHUNK_ROWS rows, each paired
+    with the same rows P of a work buffer one column wider; both buffers are
+    reused, so a pair is valid only until the next.  Rows are drawn in order
+    and each is normalized on its own (a sphere block's squares go to P's last
+    dim columns: np.linalg.norm's formula for real input without its conj()
+    copy), so the blocks stack to the one-shot (draws, dim) matrix bit for bit."""
     rows = min(CHUNK_ROWS, draws)
     U_buf, P_buf = np.empty((rows, dim)), np.empty((rows, dim + 1))
     for left in range(draws, 0, -CHUNK_ROWS):  # rows still to draw, at most `rows` a block
@@ -216,9 +215,8 @@ def smoothed_grad_mc_quadratic(H, b, w, mu, scheme, draws, rng: np.random.Genera
 
     The per-draw function-value difference has the closed form
     mu*(Hw + b)'u + 0.5*mu^2*u'Hu, which lets verification sweeps run with
-    matrix products instead of a Python loop over draws; directions are
-    drawn and reduced CHUNK_ROWS at a time, each block's estimates written
-    over its directions.
+    matrix products instead of a Python loop over draws; directions are drawn
+    and reduced CHUNK_ROWS at a time, estimates written over their directions.
     """
     require_draws(draws)
     factor = dim_factor(scheme, w.size)

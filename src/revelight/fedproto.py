@@ -63,8 +63,8 @@ class Reply:
     seq: int
 
 
-def frame_bytes(n_floats: int) -> int:
-    """Size of a frame carrying n_floats payload values."""
+def frame_bytes(n_floats):
+    """Size of a frame carrying n_floats payload values (elementwise on an int array)."""
     return HEADER_BYTES + 8 * n_floats
 
 
@@ -147,12 +147,11 @@ def _json_numbers(values) -> list[str]:
 class Transcript:
     """Append-only record of everything that crossed the wire, kept as columns.
 
-    One row per message: time (float64), kind (a one-byte code into the table
-    of distinct (direction, variant) pairs), party, sample and seq (int64, the
-    three of a row side by side in one buffer), and the payload, whose values
-    sit in one flat float64 buffer at values[offsets[i]:offsets[i + 1]]; nbytes
-    is frame_bytes of the payload length.  No object is kept per message, and
-    `column` is the only way to read the rows back: copies of whole columns.
+    One row per message: time (float64), kind (one byte coding a pair of the
+    table of distinct (direction, variant) pairs), party, sample and seq (int64,
+    the three of a row side by side in one buffer), and the payload, its values
+    in one flat float64 buffer at values[offsets[i]:offsets[i + 1]]; nbytes is
+    their frame_bytes.  No object is kept per message; rows read back as `column` copies.
     """
 
     def __init__(self) -> None:
@@ -174,7 +173,7 @@ class Transcript:
         if name in _INTS:
             return np.array(self._ints[_INTS.index(name)::3])
         if name == "nbytes":
-            return HEADER_BYTES + 8 * np.diff(np.array(self._offsets))
+            return frame_bytes(np.diff(np.array(self._offsets)))
         if name in ("direction", "variant"):
             table = np.array([kind[name == "variant"] for kind in self._kinds], dtype=object)
             return table[np.array(self._codes)]
@@ -221,7 +220,7 @@ class Transcript:
 
     def _add_kinds(self, kinds) -> dict:
         """The table, new (direction, variant) pairs coded; past 256, codes widen once to int64."""
-        for kind in dict.fromkeys(kinds):
+        for kind in kinds:
             self._kinds.setdefault(kind, len(self._kinds))
         if len(self._kinds) > 0x100 and self._codes.typecode == "B":
             self._codes = array("q", self._codes)
@@ -250,7 +249,7 @@ class Transcript:
                 lines = [
                     f'{{"time": {t}, {kinds[k]}, "party": {p}, "sample": {s}, "seq": {q}, '
                     f'"payload": [{", ".join(vals[a - base:b - base])}], '
-                    f'"bytes": {HEADER_BYTES + 8 * (b - a)}}}\n'
+                    f'"bytes": {frame_bytes(b - a)}}}\n'
                     for t, k, p, s, q, a, b in zip(
                         _json_numbers(self._time[r0:r1]), self._codes[r0:r1], ints[0::3],
                         ints[1::3], ints[2::3], offsets[r0:r1], offsets[r0 + 1:r1 + 1])
@@ -298,8 +297,10 @@ class Transcript:
         self._bytes["down"] += sum(nbytes) - up
         self._time.extend(time)
         # zip reuses its tuple once a lookup drops it, so no object is made per row
-        kinds = self._add_kinds(zip(dirs, variants))
-        self._codes.fromlist(list(map(kinds.__getitem__, zip(dirs, variants))))
+        codes = list(map(self._kinds.get, zip(dirs, variants)))
+        if None in codes:  # a kind not seen before, which only a hand-written JSONL brings
+            codes = list(map(self._add_kinds(zip(dirs, variants)).get, zip(dirs, variants)))
+        self._codes.fromlist(codes)
         self._ints.extend(ints)
         ends = itertools.accumulate(sizes, initial=self._offsets[-1])
         next(ends)  # the current end is already there
@@ -357,7 +358,8 @@ def _columns(objs: list):
     for key, col in (("party", party), ("sample", sample), ("seq", seq), ("bytes", nbytes)):
         if not _only(col, {int}):
             raise ParseError(f'"{key}" is not an integer')
-    ints = list(itertools.chain.from_iterable(zip(party, sample, seq)))
+    ints = [0] * (3 * len(objs))
+    ints[0::3], ints[1::3], ints[2::3] = party, sample, seq
     if not _only(payload, {list}):
         raise ParseError('"payload" is not a list')
     values = list(itertools.chain.from_iterable(payload))
