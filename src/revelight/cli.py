@@ -320,12 +320,12 @@ class ExperimentSpec:
         return cls(cfg=RunConfig(**run_kwargs), **spec_kwargs)
 
     def load(self):
-        """Partitioned (train, test); file labels in {0, 1} become -1/+1."""
+        """Partitioned (train, test); file labels all in {0, 1} become -1/+1."""
         if self.dataset.startswith("synthetic:"):
             kind = self.dataset.split(":", 1)[1]
             return synthetic_pair(kind, self.n, self.n_test, self.d, self.cfg.q, self.cfg.seed)
         X, y = load_dataset(self.dataset, self.fmt)
-        if set(np.unique(y)) == {0, 1}:
+        if set(np.unique(y)) <= {0, 1}:
             y = 2 * y - 1
         return split_tenfold(X, y, partition_features(X.shape[1], self.cfg.q), self.cfg.seed)
 
@@ -420,7 +420,7 @@ def _ints(flag: str, text: str) -> list[int]:
 
 
 def _cmd_bench_comm(args) -> int:
-    blocks = _ints("--blocks", args.blocks)
+    blocks = sorted(_ints("--blocks", args.blocks))  # rows and the ratio check by block size
     pairs = [(f"d{bd}", bd, *_bench_pair(bd, args.seed, args.events)) for bd in blocks]
     rows = measure_comm(pairs, per_message_overhead=args.overhead)
     print("block_dim,asy_bytes,tig_bytes,byte_ratio,cost_ratio")

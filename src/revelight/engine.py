@@ -87,9 +87,6 @@ class RunConfig:
     record_snapshots: bool = False
 
     def __post_init__(self) -> None:
-        self.validate()
-
-    def validate(self) -> None:
         for key, allowed in (("algorithm", ALGORITHMS), ("scheme", SCHEMES),
                              ("compute_dist", COMPUTE_DISTS), ("latency_dist", LATENCY_DISTS)):
             if getattr(self, key) not in allowed:

@@ -39,8 +39,14 @@ if TYPE_CHECKING:
 
 _HEAD = struct.Struct("<IBiiiH")
 HEADER_BYTES = _HEAD.size  # 19
-UPLOAD_TAG = 0
-REPLY_TAG = 1
+# Every (direction, variant) pair on the wire: the protocol's two, then the
+# gradient-transmitting baseline's three.  A transcript row's kind code is its
+# pair's position here, so the protocol's two codes are also their frame tags.
+KINDS = (("up", "upload"), ("down", "reply"), ("up", "tig_output"), ("down", "tig_grad"),
+         ("down", "tig_chain"))
+UPLOAD_TAG, REPLY_TAG = 0, 1
+_CODES = {kind: code for code, kind in enumerate(KINDS)}
+_UP = tuple(direction == "up" for direction, _ in KINDS)  # by code
 MAX_VECTOR = 0xFFFF  # the header's 2-byte vector length
 INT32_MIN, INT32_MAX = -2**31, 2**31 - 1  # the header's 4-byte party, sample, seq
 
@@ -147,9 +153,9 @@ def _json_numbers(values) -> list[str]:
 class Transcript:
     """Append-only record of everything that crossed the wire, kept as columns.
 
-    One row per message: time (float64), kind (one byte coding a pair of the
-    table of distinct (direction, variant) pairs), party, sample and seq (int64,
-    the three of a row side by side in one buffer), and the payload, its values
+    One row per message: time (float64), kind (one byte, the position of its
+    (direction, variant) pair in KINDS), party, sample and seq (int64, the
+    three of a row side by side in one buffer), and the payload, its values
     in one flat float64 buffer at values[offsets[i]:offsets[i + 1]]; nbytes is
     their frame_bytes.  No object is kept per message; rows read back as `column` copies.
     """
@@ -157,7 +163,6 @@ class Transcript:
     def __init__(self) -> None:
         self._time = array("d")
         self._codes = array("B")  # each row's kind
-        self._kinds = {("up", "upload"): 0, ("down", "reply"): 1}  # record's two, up front
         self._ints = array("q")
         self._values = array("d")
         self._offsets = array("q", [0])
@@ -175,12 +180,12 @@ class Transcript:
         if name == "nbytes":
             return frame_bytes(np.diff(np.array(self._offsets)))
         if name in ("direction", "variant"):
-            table = np.array([kind[name == "variant"] for kind in self._kinds], dtype=object)
+            table = np.array([kind[name == "variant"] for kind in KINDS], dtype=object)
             return table[np.array(self._codes)]
         stored = {"time": self._time, "values": self._values, "offsets": self._offsets}
         return np.array(stored[name])
 
-    def _append(self, time, code, kind, party, sample, seq, values: list) -> None:
+    def _append(self, time, code, party, sample, seq, values: list) -> None:
         try:
             # fromlist adds the whole list or, when an item does not fit, nothing
             self._ints.fromlist([party, sample, seq])
@@ -191,40 +196,31 @@ class Transcript:
             n = len(self._codes)
             del self._ints[3 * n:], self._time[n:], self._values[self._offsets[n]:]
             raise
-        if code is None:  # a new kind is kept only with its row
-            code = self._add_kinds([kind])[kind]
         self._codes.append(code)
         self._offsets.append(len(self._values))
-        self._bytes[kind[0]] += frame_bytes(len(values))
+        self._bytes[KINDS[code][0]] += frame_bytes(len(values))
 
     def record(self, time: float, msg) -> None:
         """Log an Upload up or a Reply down with its frame size, which `frame_bytes`
         gives without encoding it; a message no frame holds raises ShapeError, adding no row."""
         if isinstance(msg, Upload):
-            code, kind, c, c_hat = 0, ("up", "upload"), msg.c.tolist(), msg.c_hat.tolist()
+            code, c, c_hat = UPLOAD_TAG, msg.c.tolist(), msg.c_hat.tolist()
         elif isinstance(msg, Reply):
-            code, kind, c, c_hat = 1, ("down", "reply"), [msg.h], [msg.h_bar]
+            code, c, c_hat = REPLY_TAG, [msg.h], [msg.h_bar]
         else:
             raise DomainError(f"cannot record {type(msg).__name__}")
         _check_header(msg.party, msg.sample, msg.seq, len(c), len(c_hat))
-        self._append(time, code, kind, msg.party, msg.sample, msg.seq, c + c_hat)
+        self._append(time, code, msg.party, msg.sample, msg.seq, c + c_hat)
 
     def record_raw(self, time, direction, variant, party, sample, seq, payload) -> None:
-        """Log baseline traffic: the payload is flattened to float64, the variant a str."""
+        """Log baseline traffic, the payload flattened to float64; a (direction,
+        variant) pair outside KINDS raises DomainError, adding no row."""
         values = np.asarray(payload, dtype=np.float64).reshape(-1).tolist()
-        self._bytes[direction]  # an unknown direction raises KeyError, keeping nothing
-        if not isinstance(variant, str):
-            raise DomainError(f"variant {variant!r} is not a string")
-        kind = (direction, variant)
-        self._append(time, self._kinds.get(kind), kind, party, sample, seq, values)
-
-    def _add_kinds(self, kinds) -> dict:
-        """The table, new (direction, variant) pairs coded; past 256, codes widen once to int64."""
-        for kind in kinds:
-            self._kinds.setdefault(kind, len(self._kinds))
-        if len(self._kinds) > 0x100 and self._codes.typecode == "B":
-            self._codes = array("q", self._codes)
-        return self._kinds
+        try:
+            code = _CODES[direction, variant]
+        except (KeyError, TypeError):  # TypeError: an unhashable direction or variant
+            raise DomainError(f"({direction!r}, {variant!r}) is not a message kind") from None
+        self._append(time, code, party, sample, seq, values)
 
     def total_bytes(self, direction: str) -> int:
         return self._bytes[direction]
@@ -238,7 +234,7 @@ class Transcript:
         as `_json_numbers` writes them.  Rows are formatted and written in
         blocks of _WRITE_ROWS, which bounds the text held at once.
         """
-        kinds = [f'"dir": {json.dumps(d)}, "variant": {json.dumps(v)}' for d, v in self._kinds]
+        kinds = [f'"dir": {json.dumps(d)}, "variant": {json.dumps(v)}' for d, v in KINDS]
         offsets = self._offsets
         with open(path, "w") as fh:
             for r0 in range(0, len(self), _WRITE_ROWS):
@@ -271,7 +267,7 @@ class Transcript:
         (12 interleaved reads each in one process, 2 CPUs, Python 3.11).
 
         Every line must be an object with exactly the eight keys `to_jsonl`
-        writes: dir "up" or "down", variant a string, time a number, party,
+        writes: dir and variant a pair of KINDS, time a number, party,
         sample, seq and bytes integers, payload a flat list of numbers, and
         bytes the `frame_bytes` of the payload.
         Raises ParseError("<path>:<line>: ...") for the first line that is not.
@@ -291,15 +287,11 @@ class Transcript:
                 t._extend(*_parse_chunk(path, lines, first))
                 first += len(lines)
 
-    def _extend(self, time, dirs, variants, ints, sizes, nbytes, values) -> None:
-        up = sum(itertools.compress(nbytes, map("up".__eq__, dirs)))
+    def _extend(self, time, codes, ints, sizes, nbytes, values) -> None:
+        up = sum(itertools.compress(nbytes, map(_UP.__getitem__, codes)))
         self._bytes["up"] += up
         self._bytes["down"] += sum(nbytes) - up
         self._time.extend(time)
-        # zip reuses its tuple once a lookup drops it, so no object is made per row
-        codes = list(map(self._kinds.get, zip(dirs, variants)))
-        if None in codes:  # a kind not seen before, which only a hand-written JSONL brings
-            codes = list(map(self._add_kinds(zip(dirs, variants)).get, zip(dirs, variants)))
         self._codes.fromlist(codes)
         self._ints.extend(ints)
         ends = itertools.accumulate(sizes, initial=self._offsets[-1])
@@ -349,10 +341,10 @@ def _columns(objs: list):
             list(map(operator.itemgetter(key), objs)) for key in _KEYS)
     except KeyError as exc:
         raise ParseError(f"missing key {exc}") from None
-    if not _only(dirs, {str}) or not set(dirs) <= {"up", "down"}:
-        raise ParseError('"dir" is not "up" or "down"')
-    if not _only(variants, {str}):
-        raise ParseError('"variant" is not a string')
+    try:  # zip reuses its tuple once a lookup drops it, so no object is made per row
+        codes = list(map(_CODES.__getitem__, zip(dirs, variants)))
+    except (KeyError, TypeError):  # TypeError: an unhashable dir or variant
+        raise ParseError('"dir" and "variant" are not a message kind') from None
     if not _only(time, {int, float}):
         raise ParseError('"time" is not a number')
     for key, col in (("party", party), ("sample", sample), ("seq", seq), ("bytes", nbytes)):
@@ -369,8 +361,7 @@ def _columns(objs: list):
     if nbytes != list(map(frame_bytes, sizes)):
         raise ParseError('"bytes" is not the frame size of the payload')
     try:
-        return (array("d", time), dirs, variants, array("q", ints), sizes, nbytes,
-                array("d", values))
+        return array("d", time), codes, array("q", ints), sizes, nbytes, array("d", values)
     except OverflowError as exc:
         raise ParseError(f"a number is out of range ({exc})") from None
 
@@ -715,9 +706,8 @@ def audit_transcript(transcript: Transcript, dims: list[int], d0: int = 0,
         blocked.add(int(d0))
     # vector lengths are non-negative int64, so other dims can never match
     blocked = np.array([b for b in blocked if 0 <= b < 2**63], dtype=np.int64)
-    variants = [variant for _, variant in transcript._kinds]
     code = np.array(transcript._codes)
-    upload, reply = (np.array([v == name for v in variants])[code] for name in ("upload", "reply"))
+    upload, reply = code == UPLOAD_TAG, code == REPLY_TAG
     size = np.diff(transcript.column("offsets"))
     two = (upload & (size > 0)) | (reply & (size == 2))
     # one row per payload vector: its entry, length and the entry's own length
@@ -733,5 +723,5 @@ def audit_transcript(transcript: Transcript, dims: list[int], d0: int = 0,
     idx, length = int(entry[checked - 1]), int(length[checked - 1])
     why = (f"exceeds max local output dim {max_output_dim}" if length > max_output_dim
            else "matches a parameter block dimension")
-    return AuditReport(False, checked, idx, f"entry {idx} ({variants[code[idx]]}, party "
+    return AuditReport(False, checked, idx, f"entry {idx} ({KINDS[code[idx]][1]}, party "
                        f"{transcript.column('party')[idx]}): payload vector length {length} {why}")

@@ -36,6 +36,9 @@ MAX_WORKERS = 8
 DIMS = (2, 4, 8, 16)
 MUS = (1e-1, 1e-2)
 
+# fit_rate_series fits the points from this fraction of the last step on.
+FIT_FROM = 0.2
+
 
 @dataclass
 class BoundReport:
@@ -53,8 +56,6 @@ class BoundReport:
 @dataclass
 class RateFit:
     slope: float
-    intercept: float
-    window: tuple[float, float]
     r2: float
 
 
@@ -150,21 +151,16 @@ def check_unbiasedness(scheme: str, M: int, seed: int = 0) -> BoundReport:
     return BoundReport.make(f"unbiasedness[{scheme},d={dim}]", tstat, 3.0, 0.0)
 
 
-def fit_rate_series(ts, values, window: tuple[float, float] = (0.2, 1.0)) -> RateFit:
-    """Least-squares slope of log(values) against log(ts) over the window.
-
-    The window is a fraction of the final step: points with
-    window[0]*max(ts) <= t <= window[1]*max(ts) are fitted.
-    """
+def fit_rate_series(ts, values) -> RateFit:
+    """Least-squares slope of log(values) against log(ts) over the points
+    with t >= FIT_FROM * max(ts)."""
     ts = np.asarray(ts, dtype=np.float64)
     values = np.asarray(values, dtype=np.float64)
     keep = (ts > 0) & (values > 0)
     ts, values = ts[keep], values[keep]
     if ts.size < 10:
         raise UsageError(f"need at least 10 positive checkpoints, got {ts.size}")
-    t_hi = float(np.max(ts))
-    lo, hi = window[0] * t_hi, window[1] * t_hi
-    sel = (ts >= lo) & (ts <= hi)
+    sel = ts >= FIT_FROM * float(np.max(ts))
     if np.count_nonzero(sel) < 10:
         raise UsageError("fewer than 10 checkpoints inside the fit window")
     x, y = np.log(ts[sel]), np.log(values[sel])
@@ -173,13 +169,13 @@ def fit_rate_series(ts, values, window: tuple[float, float] = (0.2, 1.0)) -> Rat
     ss_res = float(np.sum((y - pred) ** 2))
     ss_tot = float(np.sum((y - np.mean(y)) ** 2))
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
-    return RateFit(float(slope), float(intercept), (lo, hi), r2)
+    return RateFit(float(slope), r2)
 
 
 def fit_convergence_rate(metrics, grad_sq_fn) -> RateFit:
     """Rate-shape fit for a training run: the true squared gradient norm is
     evaluated at the recorded parameter snapshots, its running mean is fitted
-    on a log-log scale over fit_rate_series' default window.
+    on a log-log scale over fit_rate_series' window.
 
     grad_sq_fn(w0, w_blocks) must return ||grad f||^2 for the full objective;
     the run must have been made with record_snapshots=True.

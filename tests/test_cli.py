@@ -493,6 +493,16 @@ class TestMainCli:
         fields = out.split(",")
         assert fields[0] == "asyrevel_gau" and len(fields) == 6
 
+    def test_train_on_a_file_whose_labels_are_all_0(self, tmp_path, capsys):
+        data = tmp_path / "d.libsvm"
+        data.write_text("".join(f"0 1:{i % 7} 2:{i % 3} 3:1 4:{i % 5}\n" for i in range(40)))
+        cfgp = tmp_path / "run.cfg"
+        cfgp.write_text(f"algorithm = asyrevel_gau\nq = 2\nT = 16\ndataset = {data}\n"
+                        f"format = libsvm\n")
+        rc = main(["train", "--config", str(cfgp), "--out", str(tmp_path / "out")])
+        assert rc == 0, capsys.readouterr().err
+        assert capsys.readouterr().out.strip().splitlines()[-1].startswith("asyrevel_gau,")
+
     @pytest.mark.parametrize("line", ["compute_dist = bogus", "latency_dist = bogus",
                                       "scheme = bogus", "eval_every = 0",
                                       "dataset = synthetic:bogus"])
@@ -520,7 +530,7 @@ class TestMainCli:
          "p = 0.5,0.5,a,b", "p = 0.5,0.5,0,0", "straggler = 5:1.5", "eta ="])
     def test_config_edge_runs_or_is_one_error_line(self, tmp_path, capsys, line):
         """Each value either trains (the few in EDGE_ACCEPTED) or ends in one
-        error line with exit 2: a failed cast, a value `validate` rejects, an
+        error line with exit 2: a failed cast, a value `RunConfig` rejects, an
         unknown key, an empty value, a size too large to allocate (10**18
         rows or features) or past numpy's dimension limit (10**20), or a run
         that diverges (eta = 1e300)."""
@@ -778,6 +788,18 @@ class TestMainCli:
         out, err = capsys.readouterr()
         assert out.splitlines()[0] == "block_dim,asy_bytes,tig_bytes,byte_ratio,cost_ratio"
         assert err.splitlines() == ["error: communication ratios not >1 and monotone"]
+
+    def test_ratios_are_checked_in_block_size_order(self, capsys):
+        """The rows and the monotone check follow block size, not the order
+        the blocks are given in."""
+        outs = []
+        for blocks in ("64,16", "16,64"):
+            assert main(["bench-comm", "--blocks", blocks, "--events", "32"]) == 0
+            out, err = capsys.readouterr()
+            assert err == ""
+            outs.append(out)
+        assert outs[0] == outs[1]
+        assert [row.split(",")[0] for row in outs[0].splitlines()[1:]] == ["16", "64"]
 
     def test_train_missing_config(self, tmp_path, capsys):
         rc = main(["train", "--config", str(tmp_path / "nope.cfg")])

@@ -31,33 +31,33 @@ def _cfg(**kw):
 class TestRunConfig:
     def test_q_zero_rejected(self):
         with pytest.raises(ConfigError):
-            _cfg(q=0).validate()
+            _cfg(q=0)
 
     def test_p_must_sum_to_one(self):
         with pytest.raises(ConfigError):
-            _cfg(p=[0.5, 0.2, 0.2, 0.2]).validate()
+            _cfg(p=[0.5, 0.2, 0.2, 0.2])
 
     def test_straggler_factor_below_one(self):
         with pytest.raises(ConfigError):
-            _cfg(straggler=(1, 0.5)).validate()
+            _cfg(straggler=(1, 0.5))
 
     def test_latency_needs_enough_tau(self):
         with pytest.raises(ConfigError, match="infeasible"):
-            _cfg(latency=0.3, tau=1).validate()
-        _cfg(latency=0.3, tau=3).validate()
+            _cfg(latency=0.3, tau=1)
+        _cfg(latency=0.3, tau=3)
 
     @pytest.mark.parametrize("algorithm", ["synrevel", "nonfed", "tig"])
     def test_staleness_rule_binds_only_asynchronous_runs(self, algorithm):
-        _cfg(algorithm=algorithm, latency=0.6, tau=0).validate()
+        _cfg(algorithm=algorithm, latency=0.6, tau=0)
 
     def test_construction_checks_the_config(self):
-        """No caller has to remember `validate`: an invalid config is never built."""
+        """No caller has to check a config: an invalid one is never built."""
         with pytest.raises(ConfigError, match="need at least one party"):
             RunConfig(algorithm="asyrevel_gau", q=0, T=8)
 
     def test_unknown_algorithm(self):
         with pytest.raises(ConfigError):
-            _cfg(algorithm="sgd").validate()
+            _cfg(algorithm="sgd")
 
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
     @pytest.mark.parametrize("q, head_q, width", [(8, 4, 1), (2, 4, 1), (4, 2, 1), (4, 4, 2)],
@@ -347,7 +347,7 @@ class TestSynRevel:
 
     def test_q_zero_config_error(self):
         with pytest.raises(ConfigError):
-            _cfg(algorithm="synrevel", q=0).validate()
+            _cfg(algorithm="synrevel", q=0)
 
 
 class TestTig:

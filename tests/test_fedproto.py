@@ -886,7 +886,8 @@ class TestAudit:
     @pytest.mark.parametrize("variant", ["tig_output", "tig_grad", "tig_chain"])
     def test_block_dimension_one_still_flags_baseline_traffic(self, variant):
         transcript = Transcript()
-        transcript.record_raw(0.0, "down", variant, 1, 0, 0, np.zeros(1))
+        direction = "up" if variant == "tig_output" else "down"
+        transcript.record_raw(0.0, direction, variant, 1, 0, 0, np.zeros(1))
         report = audit_transcript(transcript, dims=[1, 1, 1, 1], max_output_dim=1)
         assert not report.ok and "matches a parameter block dimension" in report.reason
 

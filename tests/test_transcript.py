@@ -21,6 +21,9 @@ from revelight.cli import make_synthetic
 from revelight.engine import RunConfig, run_algorithm
 from revelight.errors import DomainError, ParseError, ShapeError
 from revelight.fedproto import (
+    KINDS,
+    REPLY_TAG,
+    UPLOAD_TAG,
     AuditReport,
     Reply,
     Transcript,
@@ -107,7 +110,6 @@ floats = st.one_of(st.floats(width=64), special)
 ints = st.one_of(st.integers(-2**62, 2**62), st.sampled_from([-2**62, 2**62, -1, 0]))
 # the frame's 4-byte party, sample and seq fields, which `record` applies
 int32s = st.one_of(st.integers(-2**31, 2**31 - 1), st.sampled_from([-2**31, 2**31 - 1, -1, 0]))
-directions = st.sampled_from(["up", "down"])
 vectors = st.lists(floats, max_size=4)
 
 
@@ -115,8 +117,8 @@ vectors = st.lists(floats, max_size=4)
 def messages(draw):
     """(how, args, reference entry): one record, reply or record_raw call.
     Ids of a recorded Upload or Reply fit the frame; baseline rows need not.
-    `record` sends an Upload up and a Reply down; a baseline row takes any
-    direction."""
+    `record` sends an Upload up and a Reply down; a `record_raw` row takes
+    any (direction, variant) pair of KINDS."""
     how = draw(st.sampled_from(["upload", "reply", "raw"]))
     time = draw(floats)
     ids = int32s if how in ("upload", "reply") else ints
@@ -133,9 +135,7 @@ def messages(draw):
         msg = Reply(party, sample, h, h_bar, seq)
         return "record", (time, msg), _Entry(time, "down", "reply", party, sample, seq,
                                              np.array([h, h_bar]))
-    direction = draw(directions)
-    variant = draw(st.one_of(st.sampled_from(["tig_output", "tig_grad", "upload", "reply"]),
-                             st.text(max_size=6)))
+    direction, variant = draw(st.sampled_from(KINDS))
     payload = np.array(draw(st.lists(floats, max_size=5)), dtype=np.float64)
     return "record_raw", (time, direction, variant, party, sample, seq, payload), \
         _Entry(time, direction, variant, party, sample, seq, payload)
@@ -202,7 +202,7 @@ class TestRecord:
     def test_rejected_row_leaves_no_trace(self):
         transcript = Transcript()
         transcript.record_raw(0.0, "up", "tig_output", 1, 0, 0, [1.0, 2.0])
-        with pytest.raises(KeyError):
+        with pytest.raises(DomainError):
             transcript.record_raw(0.0, "sideways", "tig_output", 1, 0, 0, [3.0])
         with pytest.raises(TypeError):
             transcript.record(0.0, Upload(1.5, 0, np.zeros(1), np.zeros(1), 0))
@@ -215,20 +215,6 @@ class TestRecord:
         assert transcript.total_bytes("up") == transcript.total_bytes("down") == frame_bytes(2)
 
 
-@st.composite
-def many_kinds(draw):
-    """messages() calls with a run of record_raw rows of `wide` distinct
-    variants spliced in: with record's two, 255 or more of them make more
-    kinds than one byte codes."""
-    calls = draw(st.lists(messages(), max_size=8))
-    wide, at = draw(st.sampled_from([0, 1, 254, 255, 300])), draw(st.integers(0, len(calls)))
-    direction = draw(directions)
-    run = [("record_raw", (float(k), direction, f"v{k}", k, -k, k, [k / 2]),
-            _Entry(float(k), direction, f"v{k}", k, -k, k, np.array([k / 2])))
-           for k in range(wide)]
-    return calls[:at] + run + calls[at:]
-
-
 # every column but values and offsets (one more than the rows), and its dtype
 COLUMNS = {"time": np.float64, "direction": object, "variant": object, "party": np.int64,
            "sample": np.int64, "seq": np.int64, "nbytes": np.int64}
@@ -237,7 +223,7 @@ COLUMNS = {"time": np.float64, "direction": object, "variant": object, "party": 
 class TestRowLayout:
     @settings(max_examples=60, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(many_kinds())
+    @given(st.lists(messages(), max_size=12))
     def test_every_column_matches_the_entries(self, tmp_path, calls):
         transcript = Transcript()
         for how, args, _ in calls:
@@ -255,27 +241,38 @@ class TestRowLayout:
                     sum(e.nbytes for e in want if e.direction == direction)
 
     def test_rejected_row_leaves_no_row_and_no_kind(self):
+        """A pair outside KINDS, unhashable ones too, is one DomainError naming it."""
         transcript = Transcript()
-        for k in range(254):  # with record's two, one byte holds every code so far
-            transcript.record_raw(0.0, "up", f"v{k}", 1, 0, 0, [1.0])
-        kinds = dict(transcript._kinds)
-        with pytest.raises(KeyError):
-            transcript.record_raw(0.0, "sideways", "new", 1, 0, 0, [3.0])
+        transcript.record_raw(0.0, "up", "tig_output", 1, 0, 0, [1.0])
+        for direction, variant in [("sideways", "tig_output"), ("down", "upload"), ("up", "reply"),
+                                   ("up", "tig_grad"), ("down", "new"), ("up", 3),
+                                   (["up"], "upload"), ("up", {"v": 1})]:
+            with pytest.raises(DomainError) as err:
+                transcript.record_raw(0.0, direction, variant, 1, 0, 0, [3.0])
+            assert str(err.value) == f"({direction!r}, {variant!r}) is not a message kind"
         with pytest.raises(OverflowError):
-            transcript.record_raw(0.0, "down", "new", 2**63, 0, 0, [3.0])
-        assert transcript._kinds == kinds
-        assert len(transcript) == 254 and transcript.column("values").tolist() == [1.0] * 254
+            transcript.record_raw(0.0, "down", "tig_grad", 2**63, 0, 0, [3.0])
+        assert len(transcript) == 1 and transcript.column("values").tolist() == [1.0]
         assert transcript.total_bytes("down") == 0
-        transcript.record_raw(1.0, "down", "new", 2, 0, 0, [3.0])
-        assert transcript.column("variant")[-2:].tolist() == ["v253", "new"]
-        assert transcript.column("direction")[-2:].tolist() == ["up", "down"]
+        transcript.record_raw(1.0, "down", "tig_chain", 2, 0, 0, [3.0])
+        assert transcript.column("variant").tolist() == ["tig_output", "tig_chain"]
+        assert transcript.column("direction").tolist() == ["up", "down"]
         assert transcript.total_bytes("down") == frame_bytes(1)
-        with pytest.raises(DomainError, match="variant 3 is not a string"):
-            transcript.record_raw(2.0, "up", 3, 1, 0, 0, [3.0])  # the reader takes only str
-        assert transcript._kinds == {**kinds, ("down", "new"): len(kinds)}
         for name in ("kind", "kinds", "bytes", "ints"):  # no internal buffer is a column
             with pytest.raises(KeyError):
                 transcript.column(name)
+
+    def test_kind_codes_are_positions_in_kinds_and_frame_tags(self):
+        transcript = Transcript()
+        upload, reply = Upload(1, 0, np.zeros(1), np.ones(1), 0), Reply(1, 0, 0.5, 0.25, 0)
+        transcript.record(0.0, upload)
+        transcript.record(0.0, reply)
+        for direction, variant in KINDS[2:]:
+            transcript.record_raw(0.0, direction, variant, 1, 0, 0, [1.0])
+        assert transcript._codes.tolist() == list(range(len(KINDS)))
+        assert list(zip(transcript.column("direction"), transcript.column("variant"))) == \
+            list(KINDS)
+        assert (encode_message(upload)[4], encode_message(reply)[4]) == (UPLOAD_TAG, REPLY_TAG)
 
     @staticmethod
     def _buffer_bytes(transcript) -> int:
@@ -370,6 +367,12 @@ class TestStrictReader:
         '"seq": 9, "payload": [0.5, 0.5], "bytes": 35}',
         '{"time": 0.0, "dir": "up", "variant": 3, "party": 1, "sample": 0, '
         '"seq": 9, "payload": [0.5, 0.5], "bytes": 35}',
+        '{"time": 0.0, "dir": "up", "variant": "reply", "party": 1, "sample": 0, '
+        '"seq": 9, "payload": [0.5, 0.5], "bytes": 35}',
+        '{"time": 0.0, "dir": ["up"], "variant": "upload", "party": 1, "sample": 0, '
+        '"seq": 9, "payload": [0.5, 0.5], "bytes": 35}',
+        '{"time": 0.0, "dir": "up", "variant": {"v": 1}, "party": 1, "sample": 0, '
+        '"seq": 9, "payload": [0.5, 0.5], "bytes": 35}',
         '{"time": "0.0", "dir": "up", "variant": "upload", "party": 1, "sample": 0, '
         '"seq": 9, "payload": [0.5, 0.5], "bytes": 35}',
         '{"time": 0.0, "dir": "up", "variant": "upload", "party": 1.0, "sample": 0, '
@@ -384,7 +387,7 @@ class TestStrictReader:
         '',
     ], ids=["object_payload", "string_payload", "nested_payload", "bool_payload",
             "truncated", "missing_key", "extra_key", "bad_dir", "variant_not_str",
-            "time_not_number", "party_not_int", "seq_beyond_int64", "bytes_not_frame_size",
+            "unknown_kind", "unhashable_dir", "unhashable_variant", "time_not_number", "party_not_int", "seq_beyond_int64", "bytes_not_frame_size",
             "bytes_of_a_shorter_payload", "not_an_object", "blank_line"])
     def test_bad_line_is_named(self, tmp_path, line):
         with pytest.raises(ParseError, match=r"t\.jsonl:3: "):
@@ -434,7 +437,7 @@ class TestStrictReader:
     # a rule a line can break, how to break it, and the reader's message
     BREAKS = {
         "dir": (lambda line: line.replace('"dir": "up"', '"dir": "in"', 1).replace(
-            '"dir": "down"', '"dir": "left"', 1), '"dir" is not "up" or "down"'),
+            '"dir": "down"', '"dir": "left"', 1), '"dir" and "variant" are not a message kind'),
         "bytes": (lambda line: re.sub(r'"bytes": (\d+)', lambda m: f'"bytes": {int(m[1]) + 8}',
                                       line), '"bytes" is not the frame size of the payload'),
     }
@@ -488,9 +491,8 @@ lengths = st.integers(0, 9)
 
 @st.composite
 def audit_cases(draw):
-    rows = draw(st.lists(st.tuples(
-        st.sampled_from(["upload", "reply", "tig_output", "tig_grad", "tig_chain"]),
-        lengths, st.integers(1, 4)), max_size=12))
+    rows = draw(st.lists(st.tuples(st.sampled_from(KINDS), lengths, st.integers(1, 4)),
+                         max_size=12))
     dims = draw(st.lists(st.integers(0, 10), min_size=1, max_size=4))
     return rows, dims, draw(st.integers(0, 10)), draw(st.integers(0, 4))
 
@@ -501,8 +503,8 @@ class TestAuditColumns:
     def test_equals_the_per_entry_loop(self, case):
         rows, dims, d0, max_output_dim = case
         transcript = Transcript()
-        for variant, n, party in rows:
-            transcript.record_raw(0.0, "up", variant, party, 0, 0, np.arange(n, dtype=float))
+        for (direction, variant), n, party in rows:
+            transcript.record_raw(0.0, direction, variant, party, 0, 0, np.arange(n, dtype=float))
         got = audit_transcript(transcript, dims, d0=d0, max_output_dim=max_output_dim)
         want = reference_audit(transcript, dims, d0=d0, max_output_dim=max_output_dim)
         assert (got.ok, got.checked, got.violation_index, got.reason) == \

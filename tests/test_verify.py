@@ -135,9 +135,14 @@ class TestRateFit:
         assert fit.slope == pytest.approx(0.0, abs=1e-9)
 
     def test_window_bounds(self):
+        """Only the points from a fifth of the last step on are fitted: a
+        series that follows t^-1 from 20 to 100 and t^2 below 20 has slope -1."""
         ts = np.arange(1, 101)
-        fit = fit_rate_series(ts, 1.0 / ts, window=(0.2, 1.0))
-        assert fit.window == (20.0, 100.0)
+        fit = fit_rate_series(ts, np.where(ts >= 20, 1.0 / ts, ts ** 2.0))
+        assert fit.slope == pytest.approx(-1.0, abs=1e-9)
+        assert fit.r2 == pytest.approx(1.0, abs=1e-9)
+        # one point of the other shape inside the window moves the slope
+        assert abs(fit_rate_series(ts, np.where(ts >= 21, 1.0 / ts, ts ** 2.0)).slope + 1) > 0.1
 
     def test_too_few_checkpoints(self):
         with pytest.raises(UsageError):
