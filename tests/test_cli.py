@@ -498,7 +498,7 @@ class TestMainCli:
         data.write_text("".join(f"0 1:{i % 7} 2:{i % 3} 3:1 4:{i % 5}\n" for i in range(40)))
         cfgp = tmp_path / "run.cfg"
         cfgp.write_text(f"algorithm = asyrevel_gau\nq = 2\nT = 16\ndataset = {data}\n"
-                        f"format = libsvm\n")
+                        "format = libsvm\n")
         rc = main(["train", "--config", str(cfgp), "--out", str(tmp_path / "out")])
         assert rc == 0, capsys.readouterr().err
         assert capsys.readouterr().out.strip().splitlines()[-1].startswith("asyrevel_gau,")

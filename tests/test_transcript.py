@@ -387,8 +387,8 @@ class TestStrictReader:
         '',
     ], ids=["object_payload", "string_payload", "nested_payload", "bool_payload",
             "truncated", "missing_key", "extra_key", "bad_dir", "variant_not_str",
-            "unknown_kind", "unhashable_dir", "unhashable_variant", "time_not_number", "party_not_int", "seq_beyond_int64", "bytes_not_frame_size",
-            "bytes_of_a_shorter_payload", "not_an_object", "blank_line"])
+            "unknown_kind", "unhashable_dir", "unhashable_variant", "time_not_number",
+            "party_not_int", "seq_beyond_int64", "bytes_not_frame_size", "bytes_of_a_shorter_payload", "not_an_object", "blank_line"])
     def test_bad_line_is_named(self, tmp_path, line):
         with pytest.raises(ParseError, match=r"t\.jsonl:3: "):
             self._read(tmp_path, self.GOOD * 2 + line + "\n" + self.GOOD)
