@@ -3,9 +3,9 @@ centralized counterpart, the gradient-transmitting baseline, and the
 communication measurements.
 
 One iteration is one client update event (async) or one barrier round
-(sync).  The virtual clock is a priority queue over party compute finishes,
-message deliveries, and reply arrivals; with the counter-based streams the
-whole schedule is a deterministic function of the run config.  Loss and
+(sync).  An asynchronous run is one loop over the ops of `event_schedule`,
+whose order depends only on the config's compute and latency draws and
+the staleness queue's counts, never on a value of the run.  Loss and
 accuracy are evaluated outside the protocol, so byte counts stay pure
 protocol traffic; from the event count each driver reports, one recorder
 decides when a row is due and when the run stops.
@@ -58,8 +58,9 @@ ALGORITHMS = ("asyrevel_gau", "asyrevel_uni", "synrevel", "nonfed", "tig")
 COMPUTE_DISTS = ("constant", "exponential")
 LATENCY_DISTS = ("constant", "uniform")
 
-# heap event kinds, in tie-break priority order at equal times
+# event_schedule's heap event kinds, in tie-break order at equal times, and its ops
 _REPLY, _DELIVER, _FINISH = 0, 1, 2
+START, HANDLE, APPLY = "start", "handle", "apply"
 
 
 @dataclass(frozen=True)
@@ -322,89 +323,87 @@ def _start_protocol(cfg: RunConfig, data: PartitionedDataset, local_model: Local
                                       transcript, lambda: (server.w0, [p.w for p in parties]))
 
 
+def event_schedule(cfg: RunConfig):
+    """The order of an asynchronous run's protocol steps, read off the config.
+
+    Yields (time, op, party, value): START when the party uploads (value
+    None: it draws its own sample), HANDLE when the server answers that
+    upload (value: its staleness) and APPLY when the reply reaches the
+    party.  Compute times are drawn at (party, step), latencies at (party,
+    seq), and the StalenessQueue decides from counts alone.  Lazy: nothing
+    is drawn past the op the caller stops at, nor past the T-th APPLY.
+    """
+    delay, queue = DelayModel(cfg), StalenessQueue(cfg.tau)
+    # keys (time, kind, party or serial) are unique, so no last item is compared
+    heap = [(delay.compute_time(m, 0), _FINISH, m, None) for m in range(1, cfg.q + 1)]
+    heapq.heapify(heap)
+    steps = [0] * cfg.q  # replies applied per party: its next upload's seq
+    sent = handled = applied = 0
+    while applied < cfg.T:
+        now, kind, idx, lat = heapq.heappop(heap)
+        if kind == _FINISH and sent < cfg.T:  # after T uploads, parties idle
+            yield now, START, idx, None
+            sent += 1
+            lat = delay.latency_time(idx, steps[idx - 1])
+            queue.send(sent, handled)
+            heapq.heappush(heap, (now + lat, _DELIVER, sent, (idx, lat)))
+        elif kind == _DELIVER:
+            queue.deliver(idx, lat)
+            while (nxt := queue.pop_next(handled)) is not None:
+                (m, lat), send_count, _serial = nxt
+                yield now, HANDLE, m, handled - send_count
+                handled += 1
+                # the reply travels the same (party, seq) link as its upload
+                heapq.heappush(heap, (now + lat, _REPLY, m, None))
+        elif kind == _REPLY:
+            yield now, APPLY, idx, None
+            applied += 1
+            steps[idx - 1] += 1
+            if applied < cfg.T:
+                nxt_t = now + delay.compute_time(idx, steps[idx - 1])
+                heapq.heappush(heap, (nxt_t, _FINISH, idx, None))
+
+
+def _replay_schedule(cfg: RunConfig, schedule):
+    """The ops of (party, sample) pairs run one round trip at a time, each
+    at its party's clock, which advances by the party's mean compute time."""
+    clocks, means = [0.0] * cfg.q, cfg.party_means()
+    for m, i in schedule[:cfg.T]:
+        clocks[m - 1] += means[m - 1]
+        for op, value in ((START, i), (HANDLE, 0), (APPLY, None)):
+            yield clocks[m - 1], op, m, value
+
+
 def run_asyrevel(cfg: RunConfig, data: PartitionedDataset, local_model: LocalModel,
                  global_model: GlobalModel, test_data: PartitionedDataset | None = None,
                  schedule=None) -> RunMetrics:
-    """Asynchronous run: warm-up then T client-activation events.
-
-    With `schedule` (a list of (party, sample) pairs) the protocol runs
-    serialized in that order, which is the replay hook the equivalence
-    oracles use; otherwise activations emerge from the per-party compute
-    clocks at the configured rates.
-    """
+    """Asynchronous run: warm-up, then T client-activation events in the
+    order of `event_schedule(cfg)` or, the replay hook the equivalence
+    oracles use, serialized over `schedule`'s (party, sample) pairs; a pair
+    outside parties 1..q and samples 0..n-1 raises ConfigError first."""
     if cfg.algorithm not in ("asyrevel_gau", "asyrevel_uni"):
         raise ConfigError(f"run_asyrevel got algorithm {cfg.algorithm!r}")
+    for m, i in () if schedule is None else schedule:
+        if not (1 <= m <= cfg.q and 0 <= i < data.n):
+            raise ConfigError(f"schedule pair {(m, i)} is outside parties 1..{cfg.q} "
+                              f"and samples 0..{data.n - 1}")
     parties, server, rec = _start_protocol(cfg, data, local_model, global_model, test_data)
-    if schedule is not None:
-        return _run_serialized(cfg, parties, server, rec, schedule)
-    transcript = rec.transcript
-
-    delay = DelayModel(cfg)
-    queue = StalenessQueue(cfg.tau)
-    heap: list = []
-    sent = 0  # uploads sent; the latest upload's serial
-
-    for p in parties:
-        heapq.heappush(heap, (delay.compute_time(p.id, 0), _FINISH, p.id, None))
-
-    def drain(now: float) -> None:
-        while True:
-            nxt = queue.pop_next(server.uploads_seen)
-            if nxt is None:
-                return
-            (upload, lat), send_count, _ser = nxt
-            rec.max_stal = max(rec.max_stal, server.uploads_seen - send_count)
-            reply = server.handle_upload(upload)
-            transcript.record(now, reply)
+    ops = event_schedule(cfg) if schedule is None else _replay_schedule(cfg, schedule)
+    msgs = [None] * cfg.q  # each party's outstanding upload, then its reply
+    for now, op, m, value in ops:
+        if op == START:
+            msgs[m - 1] = parties[m - 1].start_step(sample=value)
+            rec.transcript.record(now, msgs[m - 1])
+        elif op == HANDLE:
+            rec.max_stal = max(rec.max_stal, value)
+            msgs[m - 1] = server.handle_upload(msgs[m - 1])
+            rec.transcript.record(now, msgs[m - 1])
             rec.note_update(0, server.last_v0)
-            # the reply travels the same (party, seq) link as its upload
-            heapq.heappush(heap, (now + lat, _REPLY, upload.party, reply))
-
-    while rec.t < cfg.T and heap and not rec.stopped:
-        now, kind, idx, payload = heapq.heappop(heap)
-        if kind == _FINISH:
-            if sent >= cfg.T:
-                continue  # event budget exhausted; party idles
-            party = parties[idx - 1]
-            upload = party.start_step()
-            transcript.record(now, upload)
-            sent += 1
-            lat = delay.latency_time(idx, upload.seq)
-            queue.send(sent, server.uploads_seen)
-            # serials are unique, so the heap never compares the payloads
-            heapq.heappush(heap, (now + lat, _DELIVER, sent, (upload, lat)))
-        elif kind == _DELIVER:
-            queue.deliver(idx, payload)
-            drain(now)
-        else:  # _REPLY
-            party = parties[idx - 1]
-            rec.note_update(idx, party.apply_reply(payload))
+        else:
+            rec.note_update(m, parties[m - 1].apply_reply(msgs[m - 1]))
             rec.advance(rec.t + 1, now)
-            if rec.t < cfg.T and not rec.stopped:
-                nxt_t = now + delay.compute_time(idx, party.steps)
-                heapq.heappush(heap, (nxt_t, _FINISH, idx, None))
-
-    return rec.finish()
-
-
-def _run_serialized(cfg, parties, server, rec, schedule) -> RunMetrics:
-    """Replay hook: process (party, sample) pairs one round-trip at a time."""
-    transcript = rec.transcript
-    clocks = [0.0] * cfg.q
-    means = cfg.party_means()
-    for t, (m, i) in enumerate(schedule[: cfg.T], start=1):
-        if rec.stopped:
-            break
-        party = parties[m - 1]
-        clocks[m - 1] += means[m - 1]
-        now = clocks[m - 1]
-        upload = party.start_step(sample=i)
-        transcript.record(now, upload)
-        reply = server.handle_upload(upload)
-        transcript.record(now, reply)
-        rec.note_update(0, server.last_v0)
-        rec.note_update(m, party.apply_reply(reply))
-        rec.advance(t, now)
+            if rec.stopped:
+                break
     return rec.finish()
 
 

@@ -10,10 +10,13 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+from revelight import streams
 from revelight.cli import _label, synthetic_pair
+from revelight.engine import _centralized_start
 from revelight.errors import DomainError, ParseError
-from revelight.estimator import CHUNK_ROWS, SPHERE, dim_factor
-from revelight.models import GlobalModel, LocalModel
+from revelight.estimator import (CHUNK_ROWS, SPHERE, client_block_zoe, dim_factor, head_direction,
+                                 sample_direction, two_point_client, two_point_head)
+from revelight.models import GlobalModel, LocalModel, party_columns
 
 # Every Hypothesis test draws the same examples on every run and keeps no
 # example database, so the whole suite is seeded; each test's own settings
@@ -67,6 +70,72 @@ def direction_matrix(scheme: str, dim: int, draws: int, rng: np.random.Generator
     if scheme == SPHERE:
         U /= np.linalg.norm(U, axis=1, keepdims=True)
     return U
+
+
+def replay_transcript(cfg, data, local_model, global_model, transcript):
+    """A protocol run's numbers recomputed from its transcript by the
+    algorithm's pure math: `models`, `estimator`, `streams` and the warm start
+    of `engine._centralized_start`, with no node, queue, cache class or codec.
+
+    Walks the training rows (seq >= 0) in order.  An up row of party m, seq k
+    and sample i first applies m's answered step, if any, then takes the
+    two-point client step along the DIRECTION draw at (m, k).  A down row
+    answers that upload against the warm cache's row i with m's output in
+    place, along the head direction addressed by the number of down rows
+    before it; it steps w0 and writes the output into the cache.  In a
+    synrevel run the q down rows of a round use the round's own outputs and
+    w0, and their head estimates are summed in party order and applied once.
+    Each step left is applied at the end.
+
+    Returns each training row's recomputed payload (c then c_hat, or h then
+    h_bar) and the final w0 and w.
+    """
+    w0, w, cache = _centralized_start(cfg, data, local_model, global_model)
+    scheme, k_out, q = cfg.direction_scheme, global_model.party_output_dim, cfg.q
+    directions = streams.Stream(cfg.seed, streams.DIRECTION)
+    head_directions = streams.Stream(cfg.seed, streams.SERVER_DIRECTION)
+    uploads, answered, v0s, payloads = {}, {}, [], []
+
+    def apply_answered(m):
+        u, g0, g1, h, h_bar = answered.pop(m)
+        w[m - 1] = w[m - 1] - cfg.eta * client_block_zoe(h, h_bar, g0, g1, cfg.mu,
+                                                         cfg.lam_eff, u)
+
+    rows = np.flatnonzero(transcript.column("seq") >= 0)
+    ups = transcript.column("direction")[rows] == "up"
+    party, sample, seq = (transcript.column(key)[rows].tolist() for key in ("party", "sample", "seq"))
+    sync, downs = cfg.algorithm == "synrevel", 0
+    for up, m, i, k in zip(ups, party, sample, seq):
+        if up:
+            if m in answered:
+                apply_answered(m)
+            u = sample_direction(scheme, w[m - 1].size, directions.at(m, k))
+            c, c_hat, g0, g1 = two_point_client(local_model, w[m - 1], data.blocks[m - 1][i], u,
+                                                cfg.mu)
+            uploads[m] = (u, g0, g1, c, c_hat)
+            payloads.append(np.concatenate([c, c_hat]))
+            continue
+        if sync and downs % q == 0:  # a round's first reply: the round's outputs, party order
+            fresh = np.concatenate([uploads[p][3] for p in range(1, q + 1)])
+        u, g0, g1, c, c_hat = uploads.pop(m)
+        cols = party_columns(m, k_out)
+        row = fresh.copy() if sync else cache[i].copy()
+        row[cols] = c
+        u0 = head_direction(scheme, w0.size, head_directions, downs)
+        h, h_bar, v0 = two_point_head(global_model, w0, row, m, c_hat, data.labels[i], cfg.mu, u0)
+        if v0 is not None:
+            v0s.append(v0)
+        if not sync or downs % q == q - 1:
+            if v0s:
+                w0 = w0 - cfg.eta0 * sum(v0s[1:], v0s[0])
+            v0s = []
+        cache[i, cols] = c
+        answered[m] = (u, g0, g1, h, h_bar)
+        payloads.append(np.array([h, h_bar]))
+        downs += 1
+    for m in list(answered):
+        apply_answered(m)
+    return payloads, w0, w
 
 
 # Generic Monte-Carlo smoothing oracles: one Python call of f per draw.  They

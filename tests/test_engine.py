@@ -3,10 +3,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import replay_transcript
 from revelight.cli import synthetic_pair
 from revelight.engine import (
     ALGORITHMS,
+    APPLY,
+    HANDLE,
+    START,
     RunConfig,
+    event_schedule,
     evaluate_loss,
     matched_schedule,
     measure_comm,
@@ -17,7 +22,7 @@ from revelight.engine import (
     run_tig_baseline,
 )
 from revelight.errors import ConfigError, UsageError, UnsupportedModelError
-from revelight.fedproto import frame_bytes
+from revelight.fedproto import DelayModel, PartyNode, frame_bytes
 from revelight.models import GlobalModel, LocalModel, PartitionedDataset
 
 
@@ -26,6 +31,18 @@ def _cfg(**kw):
                 lam_eff=5e-5, seed=0)
     base.update(kw)
     return RunConfig(**base)
+
+
+def _count_draws(monkeypatch, name: str) -> list:
+    """The (party, step) of every later call of the DelayModel draw `name`."""
+    calls, draw = [], getattr(DelayModel, name)
+
+    def counted(self, party, step):
+        calls.append((party, step))
+        return draw(self, party, step)
+
+    monkeypatch.setattr(DelayModel, name, counted)
+    return calls
 
 
 class TestRunConfig:
@@ -143,16 +160,10 @@ class TestAsyRevel:
         assert paths[0] == paths[1]
 
     def test_one_latency_draw_per_upload(self, bench_data, glm_models, monkeypatch):
-        from revelight.fedproto import DelayModel
-
-        calls = []
-        draw = DelayModel.latency_time
-
-        def counted(self, party, step):
-            calls.append((party, step))
-            return draw(self, party, step)
-
-        monkeypatch.setattr(DelayModel, "latency_time", counted)
+        """One latency draw per upload, and one compute-time draw per party at
+        step 0, then one after each applied reply but the run's last."""
+        latency = _count_draws(monkeypatch, "latency_time")
+        compute = _count_draws(monkeypatch, "compute_time")
         train, _ = bench_data(4)
         lm, gm = glm_models(4)
         m = run_asyrevel(_cfg(T=300, tau=3, latency=0.6, latency_dist="uniform"), train, lm, gm)
@@ -160,7 +171,8 @@ class TestAsyRevel:
         sent_rows = (t.column("direction") == "up") & (t.column("seq") >= 0)
         sent = list(zip(t.column("party")[sent_rows].tolist(), t.column("seq")[sent_rows].tolist()))
         assert len(sent) == 300
-        assert sorted(calls) == sorted(sent)
+        assert sorted(latency) == sorted(sent)
+        assert len(compute) == 4 + 300 - 1
 
     def test_staleness_bounded_and_exercised(self, bench_data, glm_models):
         train, test = bench_data(4)
@@ -197,7 +209,8 @@ class TestAsyRevel:
         for pm, cnt in zip(p, counts):
             assert abs(cnt / events - pm) <= 3 * np.sqrt(pm * (1 - pm) / events)
 
-    def test_stop_loss_terminates_early(self, glm_models):
+    def test_stop_loss_terminates_early(self, glm_models, monkeypatch):
+        compute = _count_draws(monkeypatch, "compute_time")
         train, test = synthetic_pair("separable", 256, 256, 32, 4, seed=2)
         lm, gm = glm_models(4)
         m = run_asyrevel(
@@ -206,6 +219,8 @@ class TestAsyRevel:
         )
         assert m.reached and m.events_to_target < 8192
         assert m.rows[-1].loss <= 0.62
+        # the schedule is lazy: no compute time is drawn past the stop
+        assert len(compute) == 4 + m.rows[-1].t - 1
 
 
 class TestFinalRow:
@@ -278,6 +293,13 @@ class TestTranscriptStaleness:
         staleness = transcript_staleness(m.transcript)
         assert len(staleness) == T
         assert max(staleness) == m.rows[-1].staleness <= q - 1
+        # the schedule alone, with no node, gives the rows' order and staleness
+        ops = [(op, party, value) for _, op, party, value in event_schedule(cfg) if op != APPLY]
+        t = m.transcript
+        training = t.column("seq") >= 0
+        assert [("up" if op == START else "down", party) for op, party, _ in ops] == list(
+            zip(t.column("direction")[training], t.column("party")[training].tolist()))
+        assert [value for op, _, value in ops if op == HANDLE] == staleness
 
 
 class TestEquivalences:
@@ -307,6 +329,57 @@ class TestEquivalences:
         syn = run_synrevel(cfg_s, train, lm, gm, test)
         assert np.array_equal(asy.final_w[0], syn.final_w[0])
         assert [r.loss for r in asy.rows] == [r.loss for r in syn.rows]
+
+    @pytest.mark.parametrize("pair", [(0, 1), (-1, 3), (5, 1), (1, 32), (1, -1)])
+    def test_replay_refuses_a_pair_outside_the_run(self, bench_data, glm_models, monkeypatch,
+                                                   pair):
+        """A pair outside parties 1..q and samples 0..n-1 is one ConfigError
+        naming it, raised before the valid pair ahead of it runs."""
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a party stepped")
+
+        monkeypatch.setattr(PartyNode, "start_step", refuse)
+        train, _ = bench_data(4, n=32, d=16, n_test=0)
+        with pytest.raises(ConfigError, match=rf"schedule pair \({pair[0]}, {pair[1]}\)"):
+            run_asyrevel(_cfg(T=8), train, *glm_models(4), schedule=[(1, 0), pair])
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), q=st.integers(2, 16), T=st.integers(100, 600),
+           algorithm=st.sampled_from(["asyrevel_gau", "asyrevel_uni", "synrevel"]),
+           scheme=st.sampled_from(["gaussian", "sphere"]), mlp=st.booleans(),
+           latency=st.sampled_from([0.0, 0.6, 1.5]),
+           latency_dist=st.sampled_from(["constant", "uniform"]),
+           compute_dist=st.sampled_from(["constant", "exponential"]), seed=st.integers(0, 2**32))
+    def test_transcript_replay_recomputes_every_payload(self, bench_data, data, q, T, algorithm,
+                                                         scheme, mlp, latency, latency_dist,
+                                                         compute_dist, seed):
+        """Every training payload and the final parameters of a run at q > 1,
+        with latency, equal the algorithm's pure math replayed over its
+        transcript (`conftest.replay_transcript`), bit for bit."""
+        tau = data.draw(st.integers(q - 1, q + 3))
+        straggler = data.draw(st.none() | st.tuples(st.integers(1, q), st.just(2.0)))
+        cfg = _cfg(algorithm=algorithm, q=q, T=T, tau=tau, scheme=scheme, latency=latency,
+                   latency_dist=latency_dist, compute_dist=compute_dist, straggler=straggler,
+                   seed=seed, eta=5e-3, eta_server=0.05)
+        train, _ = bench_data(q, n=48, d=2 * q, n_test=0)
+        if mlp:  # a head with parameters, so head directions and w0 steps show
+            train = PartitionedDataset(train.blocks, (train.labels + 1) // 2)
+            lm = LocalModel(kind="mlp", layer_sizes=(4, 2))
+            gm = GlobalModel(kind="softmax_fcn", q=q, party_output_dim=2)
+        else:
+            lm, gm = LocalModel(), GlobalModel(kind="logistic", q=q)
+        m = run_algorithm(cfg, train, lm, gm)
+        payloads, w0, w = replay_transcript(cfg, train, lm, gm, m.transcript)
+        t = m.transcript
+        values, offsets = t.column("values"), t.column("offsets")
+        rows = np.flatnonzero(t.column("seq") >= 0)
+        assert len(payloads) == rows.size == 2 * m.rows[-1].t
+        differ = [r for r, p in zip(rows, payloads)
+                  if not np.array_equal(values[offsets[r]:offsets[r + 1]], p)]
+        assert not differ, f"{len(differ)} of {rows.size} payloads differ, first at row {differ[0]}"
+        assert np.array_equal(w0, m.final_w0)
+        assert all(np.array_equal(a, b) for a, b in zip(w, m.final_w))
 
 
 class TestSynRevel:
