@@ -379,18 +379,20 @@ def run_asyrevel(cfg: RunConfig, data: PartitionedDataset, local_model: LocalMod
                  schedule=None) -> RunMetrics:
     """Asynchronous run: warm-up, then T client-activation events in the
     order of `event_schedule(cfg)` or, the replay hook the equivalence
-    oracles use, serialized over `schedule`'s (party, sample) pairs; a pair
-    outside parties 1..q and samples 0..n-1 raises ConfigError first."""
+    oracles use, serialized over `schedule`'s first T (party, sample) pairs;
+    one not of integers in 1..q and 0..n-1 raises ConfigError first."""
     if cfg.algorithm not in ("asyrevel_gau", "asyrevel_uni"):
         raise ConfigError(f"run_asyrevel got algorithm {cfg.algorithm!r}")
-    for m, i in () if schedule is None else schedule:
+    for pair in () if schedule is None else schedule[:cfg.T]:  # -1 for a bool or non-int
+        m, i = (x if isinstance(x, (int, np.integer)) and not isinstance(x, bool) else -1
+                for x in pair)
         if not (1 <= m <= cfg.q and 0 <= i < data.n):
-            raise ConfigError(f"schedule pair {(m, i)} is outside parties 1..{cfg.q} "
+            raise ConfigError(f"schedule pair {tuple(pair)} is outside parties 1..{cfg.q} "
                               f"and samples 0..{data.n - 1}")
     parties, server, rec = _start_protocol(cfg, data, local_model, global_model, test_data)
     ops = event_schedule(cfg) if schedule is None else _replay_schedule(cfg, schedule)
     msgs = [None] * cfg.q  # each party's outstanding upload, then its reply
-    for now, op, m, value in ops:
+    for now, op, m, value in () if rec.stopped else ops:  # stopped at the event-0 row
         if op == START:
             msgs[m - 1] = parties[m - 1].start_step(sample=value)
             rec.transcript.record(now, msgs[m - 1])
@@ -431,25 +433,23 @@ def run_synrevel(cfg: RunConfig, data: PartitionedDataset, local_model: LocalMod
     a barrier waits for the slowest, the server answers every party from the
     same-round outputs (staleness identically zero), then updates apply."""
     parties, server, rec = _start_protocol(cfg, data, local_model, global_model, test_data)
-    transcript = rec.transcript
     delay = DelayModel(cfg)
     samples = streams.Stream(cfg.seed, streams.SAMPLE)
 
     vtime = 0.0
-    r = 0
     while rec.t < cfg.T and not rec.stopped:
+        r = rec.t // cfg.q  # the round: each one advances the event count by q
         i = round_sample(samples, r, data.n)
         uploads = [party.start_step(sample=i) for party in parties]
         vtime += max(delay.compute_time(m, r) for m in range(1, cfg.q + 1)) + 2 * cfg.latency
         for up in uploads:
-            transcript.record(vtime, up)
+            rec.transcript.record(vtime, up)
         replies = server.answer_round(uploads)
         for reply in replies:
-            transcript.record(vtime, reply)
+            rec.transcript.record(vtime, reply)
         rec.note_update(0, server.last_v0)
         for party, reply in zip(parties, replies):
             rec.note_update(party.id, party.apply_reply(reply))
-        r += 1
         rec.advance(rec.t + cfg.q, vtime)
     return rec.finish()
 
