@@ -13,14 +13,27 @@ run it copies that checkout's ``perfbench/.work/result_<workload>_<seed>_0.json`
 to ``<into>/<side>/<workload>_<seed>_<pair>.json``.  ``record`` reads those
 copies and writes, per workload and seed: every run's end-to-end metrics,
 their medians and quartiles on each side, the provenance of the runs, the
-fingerprints, and per metric the number of pairs the change won; it refuses
-a side whose runs ran different sources (their ``source_sha256`` differ).
+fingerprints, and per metric the number of pairs the change won and a
+verdict; it refuses a side whose runs ran different sources (their
+``source_sha256`` differ).
+
+A metric's verdict, against its relative ``bound`` in BENCHMARK.json, is the
+first of these that holds:
+
+- ``gain``: the change won at least 9 in 10 of the pairs, and its median is
+  better than the parent's by more than the parent's quartile spread;
+- ``worse``: the change's median is worse than the parent's by more than
+  the bound;
+- ``unresolved``: either side's quartile spread, over its median, is wider
+  than the bound, and the change did not win every pair;
+- ``within bound``: otherwise.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import shutil
 import statistics
@@ -72,9 +85,30 @@ def _side(results: list[dict]) -> dict:
     }
 
 
+def _relative_spread(summary: dict) -> float:
+    spread = summary["q3"] - summary["q1"]
+    if summary["median"]:
+        return spread / abs(summary["median"])
+    return math.inf if spread > 0 else 0.0
+
+
+def verdict(parent: dict, change: dict, sign: int, bound: float, won: int, pairs: int) -> str:
+    """The verdict on one metric from each side's summary; sign is +1 when
+    higher is better, -1 when lower is, and the change won `won` of `pairs`."""
+    gain = sign * (change["median"] - parent["median"])
+    if 10 * won >= 9 * pairs and gain > parent["q3"] - parent["q1"]:
+        return "gain"
+    if -gain > bound * abs(parent["median"]):
+        return "worse"
+    if max(_relative_spread(parent), _relative_spread(change)) > bound and won < pairs:
+        return "unresolved"
+    return "within bound"
+
+
 def record(args) -> None:
     spec = json.loads(SPEC.read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
     groups: dict[tuple[str, int], dict[str, list[dict]]] = {}
     for side in SIDES:
         for path in sorted((Path(args.into) / side).glob("*.json")):
@@ -87,9 +121,13 @@ def record(args) -> None:
         if len(entry) == len(SIDES):
             pairs = list(zip(entry["parent"]["runs"], entry["change"]["runs"]))
             sign = {m: 1 if b == "higher" else -1 for m, b in better.items()}
-            entry["change_won"] = {
-                m: f"{sum(sign[m] * (c[m] - p[m]) > 0 for p, c in pairs)}/{len(pairs)}"
-                for m in entry["parent"]["summary"]}
+            won = {m: sum(sign[m] * (c[m] - p[m]) > 0 for p, c in pairs)
+                   for m in entry["parent"]["summary"]}
+            entry["change_won"] = {m: f"{w}/{len(pairs)}" for m, w in won.items()}
+            entry["verdict"] = {
+                m: verdict(entry["parent"]["summary"][m], entry["change"]["summary"][m],
+                           sign[m], bounds[m], w, len(pairs))
+                for m, w in won.items() if m in bounds}
         workloads.setdefault(workload, {})[str(seed)] = entry
     out = {"parent": args.rev, "command": "PYTHONDONTWRITEBYTECODE=1 python3 perfbench/run.py "
            "--workload W --seed S --seconds N", "workloads": workloads}

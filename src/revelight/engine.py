@@ -21,38 +21,12 @@ import numpy as np
 
 from . import streams
 from .errors import ConfigError, ProtocolError, ShapeError, UsageError, UnsupportedModelError
-from .estimator import (
-    GAUSSIAN,
-    SCHEMES,
-    SPHERE,
-    client_block_zoe,
-    head_direction,
-    reject_nonfinite,
-    sample_direction,
-    two_point_client,
-    two_point_head,
-)
-from .fedproto import (
-    DelayModel,
-    PartyNode,
-    ServerNode,
-    StalenessQueue,
-    Transcript,
-    warmup_cache,
-)
-from .models import (
-    GlobalModel,
-    LocalModel,
-    PartitionedDataset,
-    head_gradients,
-    head_losses,
-    head_predictions,
-    init_state,
-    local_forward,
-    local_param_gradient,
-    nonconvex_reg,
-    party_columns,
-)
+from .estimator import (GAUSSIAN, SCHEMES, SPHERE, client_block_zoe, head_direction,
+                        reject_nonfinite, sample_direction, two_point_client, two_point_head)
+from .fedproto import DelayModel, PartyNode, ServerNode, StalenessQueue, Transcript, warmup_cache
+from .models import (GlobalModel, LocalModel, PartitionedDataset, head_gradients, head_losses,
+                     head_predictions, init_state, local_forward, local_param_gradient,
+                     nonconvex_reg, party_columns)
 
 ALGORITHMS = ("asyrevel_gau", "asyrevel_uni", "synrevel", "nonfed", "tig")
 COMPUTE_DISTS = ("constant", "exponential")
@@ -380,12 +354,12 @@ def run_asyrevel(cfg: RunConfig, data: PartitionedDataset, local_model: LocalMod
     """Asynchronous run: warm-up, then T client-activation events in the
     order of `event_schedule(cfg)` or, the replay hook the equivalence
     oracles use, serialized over `schedule`'s first T (party, sample) pairs;
-    one not of integers in 1..q and 0..n-1 raises ConfigError first."""
+    one not of two integers in 1..q and 0..n-1 raises ConfigError first."""
     if cfg.algorithm not in ("asyrevel_gau", "asyrevel_uni"):
         raise ConfigError(f"run_asyrevel got algorithm {cfg.algorithm!r}")
-    for pair in () if schedule is None else schedule[:cfg.T]:  # -1 for a bool or non-int
-        m, i = (x if isinstance(x, (int, np.integer)) and not isinstance(x, bool) else -1
-                for x in pair)
+    for pair in () if schedule is None else schedule[:cfg.T]:  # (-1, -1) unless two ints
+        ints = [x for x in pair if isinstance(x, (int, np.integer)) and not isinstance(x, bool)]
+        m, i = ints if len(ints) == len(pair) == 2 else (-1, -1)
         if not (1 <= m <= cfg.q and 0 <= i < data.n):
             raise ConfigError(f"schedule pair {tuple(pair)} is outside parties 1..{cfg.q} "
                               f"and samples 0..{data.n - 1}")

@@ -105,11 +105,12 @@ def two_point_client(model: LocalModel, w: np.ndarray, x: np.ndarray, u: Directi
     """A party's half of one two-point step on feature row x.
 
     Returns its local output c at w, c_hat at the perturbed point w + mu*u,
-    and the regularizer g0 at w and g1 at the perturbed point.
+    and the regularizer g0 at w and g1 at the perturbed point, both from one
+    reduction over the two points stacked.
     """
     w_hat = w + mu * u.u
-    return (local_forward(model, w, x), local_forward(model, w_hat, x),
-            nonconvex_reg(w), nonconvex_reg(w_hat))
+    g0, g1 = nonconvex_reg(np.array([w, w_hat]))
+    return local_forward(model, w, x), local_forward(model, w_hat, x), g0, g1
 
 
 def two_point_head(head: GlobalModel, w0: np.ndarray, row: np.ndarray, m: int,

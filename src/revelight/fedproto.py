@@ -393,10 +393,12 @@ class ServerCache:
         if not 1 <= party <= self.q:
             raise ProtocolError(f"unknown party id {party}")
 
-    def cols(self, sample: int, party: int) -> slice:
-        """Party's columns of the flat row; rejects an unknown sample or party."""
+    def cols(self, sample: int, party: int, *widths: int) -> slice:
+        """Party's columns of the flat row; rejects an unknown sample or party,
+        then any of the output `widths` that is not k."""
         self._check_sample(sample)
         self._check_party(party)
+        self.check_width(party, *widths)
         return party_columns(party, self.k)
 
     def check_width(self, party: int, *widths: int) -> None:
@@ -407,8 +409,10 @@ class ServerCache:
                                     f"the head takes {self.k}")
 
     def put(self, sample: int, party: int, c: np.ndarray, stamp: int) -> None:
-        cols = self.cols(sample, party)
-        self.check_width(party, np.size(c))
+        self.write(sample, party, self.cols(sample, party, np.size(c)), c, stamp)
+
+    def write(self, sample: int, party: int, cols: slice, c: np.ndarray, stamp: int) -> None:
+        """`put` of a cell already checked: only the stamp rule is left."""
         old = self.stamp[sample, party - 1]
         if stamp < old:
             raise ProtocolError(f"cache stamp would decrease for sample {sample}, party {party}")
@@ -434,10 +438,14 @@ class ServerCache:
     def row(self, sample: int) -> np.ndarray:
         """A copy of row `sample`: the flat head input of q*k values."""
         self._check_sample(sample)
+        self.check_warm(sample)
+        return self.values[sample].copy()
+
+    def check_warm(self, sample: int) -> None:
+        """Every cell of a known sample's row holds an upload."""
         if self.cold and self.stamp[sample].min() < 0:
             party = int(np.argmax(self.stamp[sample] < 0)) + 1
             raise ProtocolError(f"cache cell ({sample}, {party}) not warmed")
-        return self.values[sample].copy()
 
 
 class DelayModel:
@@ -609,8 +617,12 @@ class ServerNode:
         self.last_v0: np.ndarray | None = None
 
     def handle_upload(self, upload: Upload) -> Reply:
-        """Head values from the pre-update cache, reply, then cache overwrite."""
-        reply, v0 = self._step(upload, self.w0)
+        """Head values from the pre-update cache, reply, then cache overwrite;
+        each rule on the upload is checked once, before anything changes."""
+        i, cache = upload.sample, self.cache
+        cols = cache.cols(i, upload.party, np.size(upload.c), np.size(upload.c_hat))
+        cache.check_warm(i)
+        reply, v0 = self._step(upload, cols, self.w0, cache.values[i].copy())
         if v0 is not None:
             self.w0 = self.w0 - self.eta0 * v0
         self.last_v0 = v0
@@ -622,40 +634,37 @@ class ServerNode:
         zero), party m's cell stamped with the count of uploads answered
         through m, then the head estimates are summed in party order and
         applied once.  A round that is not parties 1..q in order, or holds
-        an output of the wrong width, is rejected before anything changes."""
+        an output of the wrong width or an unknown sample, is rejected before
+        anything changes."""
         parties = [up.party for up in uploads]
         if parties != list(range(1, self.cache.q + 1)):
             raise ProtocolError(f"a synchronous round needs one upload from each of parties "
                                 f"1..{self.cache.q} in order, got {parties}")
         for up in uploads:
             self.cache.check_width(up.party, np.size(up.c), np.size(up.c_hat))
+        cols = [self.cache.cols(up.sample, up.party) for up in uploads]
         w0, fresh = self.w0, np.concatenate([up.c for up in uploads])
-        steps = [self._step(up, w0, fresh) for up in uploads]
+        steps = [self._step(up, c, w0, fresh.copy()) for up, c in zip(uploads, cols)]
         v0s = [v0 for _, v0 in steps if v0 is not None]
         self.last_v0 = sum(v0s[1:], v0s[0]) if v0s else None
         if v0s:
             self.w0 = w0 - self.eta0 * self.last_v0
         return [reply for reply, _ in steps]
 
-    def _step(self, upload: Upload, w0: np.ndarray, fresh=None):
-        """Two-point step at head parameters w0 against the cached outputs,
-        or the flat row `fresh` when given; rejects an unknown sample or
-        party, outputs that are not k values wide and a non-finite head
-        estimate, counts the upload and caches its output stamped with the
-        count."""
+    def _step(self, upload: Upload, cols: slice, w0: np.ndarray, row: np.ndarray):
+        """Two-point step of a checked upload at head parameters w0 on `row`,
+        a flat head input the step may overwrite, party m's columns `cols`;
+        rejects a non-finite head estimate, then caches the output stamped
+        with the count of uploads answered and counts the upload."""
         i, m = upload.sample, upload.party
-        cache = self.cache
-        cols = cache.cols(i, m)
-        cache.check_width(m, np.size(upload.c), np.size(upload.c_hat))
-        row = cache.row(i) if fresh is None else fresh.copy()
         row[cols] = upload.c
         u0 = head_direction(self.scheme, w0.size, self.directions, self.uploads_seen)
         h, h_bar, v0 = two_point_head(self.model, w0, row, m, upload.c_hat, self.labels[i],
                                       self.mu, u0)
         if v0 is not None:
             reject_nonfinite(v0, 0, self.uploads_seen)
+        self.cache.write(i, m, cols, upload.c, stamp=self.uploads_seen + 1)
         self.uploads_seen += 1
-        cache.put(i, m, upload.c, stamp=self.uploads_seen)
         return Reply(m, i, h, h_bar, upload.seq), v0
 
 

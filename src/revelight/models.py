@@ -297,12 +297,13 @@ def head_predictions(model: GlobalModel, w0: np.ndarray, C: list[np.ndarray]) ->
     return np.argmax(scores, axis=1)
 
 
-def nonconvex_reg(w: np.ndarray) -> float:
-    """Bounded even regularizer sum_j w_j^2 / (1 + w_j^2) of a float64 vector: in
-    [0, dim(w)) while every w_j^2 is finite; past |w_j| ~ 1.3e154 the square
-    overflows and it is nan."""
+def nonconvex_reg(w: np.ndarray) -> float | list[float]:
+    """Bounded even regularizer sum_j w_j^2 / (1 + w_j^2) of a float64 vector,
+    or the list of it for each row of a stack of vectors (a row's sum is the
+    vector's, bit for bit): in [0, dim(w)) while every w_j^2 is finite; past
+    |w_j| ~ 1.3e154 the square overflows and it is nan."""
     sq = w * w
-    return float(np.add.reduce(sq / (1.0 + sq)))
+    return np.add.reduce(sq / (1.0 + sq), axis=-1).tolist()
 
 
 def partition_features(d_total: int, q: int) -> list[int]:

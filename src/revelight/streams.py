@@ -18,7 +18,10 @@ Two ways in, one sequence of draws per address:
   each (party, step) by resetting its counter.  The per-event draws use it,
   one instance per owner: `PartyNode` owns SAMPLE and DIRECTION,
   `ServerNode` SERVER_DIRECTION, `DelayModel` COMPUTE and LATENCY, and the
-  centralized and synchronous driver loops their own.
+  centralized and synchronous driver loops their own.  It holds the Philox
+  state's words as lists of Python ints, not numpy's uint64 arrays: the
+  state setter reads them one by one, and from a list that more than halves
+  the cost of a re-address, which every driver pays 2-3 times per event.
 - `stream()` builds an independent generator for one address.  It serves
   the cold sites (INIT, DATA, SPLIT, TRIAL) and any caller that keeps a
   generator across calls.
@@ -81,8 +84,10 @@ class Stream:
     def __init__(self, seed: int, purpose: int) -> None:
         self._bits = _philox(seed, purpose, 0, 0)
         self._gen = np.random.Generator(self._bits)
-        self._state = self._bits.state
-        self._counter = self._state["state"]["counter"]
+        state = self._bits.state  # counter, key and buffer as lists of Python ints
+        state["state"] = {word: value.tolist() for word, value in state["state"].items()}
+        state["buffer"] = state["buffer"].tolist()
+        self._state, self._counter = state, state["state"]["counter"]
 
     def at(self, party: int, step: int) -> np.random.Generator:
         counter = self._counter

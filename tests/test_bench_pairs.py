@@ -60,6 +60,7 @@ def test_record_summarises_each_side_and_counts_the_pairs_won(bench_pairs, tmp_p
                                                           "q3": 34.25}
     # events_per_s is better higher and setup_s lower (BENCHMARK.json); the tie counts for neither
     assert entry["change_won"] == {"events_per_s": "2/4", "setup_s": "2/4"}
+    assert entry["verdict"] == {"events_per_s": "unresolved", "setup_s": "unresolved"}
     assert [run["events_per_s"] for run in entry["change"]["runs"]] == [11, 20, 29, 50]
     assert entry["parent"]["runs"][0] == {"correct": True, "attempted": 3, "failed": 0,
                                           "events_per_s": 10, "setup_s": 1.0}
@@ -81,3 +82,40 @@ def test_a_side_of_two_sources_is_refused(bench_pairs, tmp_path):
     with pytest.raises(SystemExit, match="ref_drivers: one side's runs ran different sources"):
         _record(bench_pairs, tmp_path)
     assert not (tmp_path / "BENCH.json").exists()
+
+
+PARENT = [100, 104, 96, 102, 98, 101, 99, 103, 97, 100]  # median 100, quartiles 98.25, 101.75
+
+
+@pytest.mark.parametrize("change, expect", [
+    # won all 10 pairs and the medians differ by more than the parent's spread of 3.5
+    ([p + 5 for p in PARENT], "gain"),
+    # won 9 of 10: still a gain
+    ([p + 5 for p in PARENT[:9]] + [PARENT[9] - 1], "gain"),
+    # won 8 of 10: not a gain, and no more than the bound of 25% away
+    ([p + 5 for p in PARENT[:8]] + [p - 1 for p in PARENT[8:]], "within bound"),
+    # won all pairs, but by less than the parent's spread
+    ([p + 1 for p in PARENT], "within bound"),
+    # its median is 30% below the parent's, past the bound of 25%
+    ([0.7 * p for p in PARENT], "worse"),
+    # a side spread over more than the bound, not all pairs won: the pairs cannot tell
+    ([p * f for p, f in zip(PARENT, [0.5, 1.5] * 5)], "unresolved"),
+])
+def test_a_metric_gets_one_verdict(bench_pairs, tmp_path, change, expect):
+    _write(tmp_path / "runs", "parent", [_result(e, 1.0) for e in PARENT])
+    _write(tmp_path / "runs", "change", [_result(e, 1.0, source="bb") for e in change])
+    entry = _record(bench_pairs, tmp_path)["workloads"]["ref_drivers"]["0"]
+    # events_per_s is better higher; setup_s, equal on every run, did not move
+    assert entry["verdict"] == {"events_per_s": expect, "setup_s": "within bound"}
+
+
+def test_a_lower_better_metric_gains_when_it_falls(bench_pairs, tmp_path):
+    _write(tmp_path / "runs", "parent", [_result(100, s / 100) for s in PARENT])
+    _write(tmp_path / "runs", "change", [_result(100, s / 100 - 0.2, source="bb")
+                                         for s in PARENT])
+    entry = _record(bench_pairs, tmp_path)["workloads"]["ref_drivers"]["0"]
+    assert entry["verdict"]["setup_s"] == "gain"
+    _write(tmp_path / "runs", "change", [_result(100, s / 100 + 0.3, source="bb")
+                                         for s in PARENT])
+    entry = _record(bench_pairs, tmp_path)["workloads"]["ref_drivers"]["0"]
+    assert entry["verdict"]["setup_s"] == "worse"

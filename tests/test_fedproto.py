@@ -223,22 +223,24 @@ class TestWarmup:
         assert (transcript.column("seq") == -1).all()
 
     def test_one_upload_and_one_record_per_cell(self, monkeypatch):
-        """The counts a traced benchmark run checks: n*q warm uploads, and
-        n*q + 2T transcript records over a whole asynchronous run."""
+        """The counts a traced benchmark run checks: n*q warm uploads, T
+        steps started and n*q + 2T transcript records over a whole
+        asynchronous run."""
         from revelight.cli import synthetic_pair
         from revelight.engine import RunConfig, run_asyrevel
 
-        calls = {"warm_upload": 0, "record": 0}
-        for cls, name in ((PartyNode, "warm_upload"), (Transcript, "record")):
-            def counted(self, *args, _fn=getattr(cls, name), _name=name):
+        calls = {"warm_upload": 0, "start_step": 0, "record": 0}
+        for cls, name in ((PartyNode, "warm_upload"), (PartyNode, "start_step"),
+                          (Transcript, "record")):
+            def counted(self, *args, _fn=getattr(cls, name), _name=name, **kwargs):
                 calls[_name] += 1
-                return _fn(self, *args)
+                return _fn(self, *args, **kwargs)
             monkeypatch.setattr(cls, name, counted)
         n, q, T = 24, 3, 10
         train, _ = synthetic_pair("noisy", n, 8, 6, q, seed=0)
         run_asyrevel(RunConfig(algorithm="asyrevel_gau", q=q, T=T), train, LocalModel(),
                      GlobalModel(kind="logistic", q=q))
-        assert calls == {"warm_upload": n * q, "record": n * q + 2 * T}
+        assert calls == {"warm_upload": n * q, "start_step": T, "record": n * q + 2 * T}
 
     def test_wrong_output_width_raises_as_put(self):
         data, _, _, parties, _, transcript = _tiny_setup()
@@ -388,13 +390,39 @@ class TestServerHandleUpload:
         fresh_reply = server.handle_upload(up2)
         assert stale_reply.h != fresh_reply.h
 
-    def test_unknown_sample_id(self):
+    @staticmethod
+    def _server_state(server):
+        cache = server.cache
+        return cache.values.copy(), cache.stamp.copy(), cache.cold, server.w0.copy(), \
+            server.uploads_seen
+
+    def _assert_unchanged(self, server, before):
+        after = self._server_state(server)
+        assert all(np.array_equal(a, b) for a, b in zip(after, before))
+
+    @pytest.mark.parametrize("entry", ["handle_upload", "answer_round"])
+    def test_unknown_sample_id(self, entry):
+        """Rejected before anything changes, also as the last upload of a
+        round, after a valid one."""
         _, _, _, parties, server, transcript = _tiny_setup()
         warmup_cache(parties, server, transcript)
-        up = parties[0].start_step(sample=1)
+        up = parties[1].start_step(sample=1)
         up.sample = 999
-        with pytest.raises(ProtocolError, match="unknown sample"):
-            server.handle_upload(up)
+        before = self._server_state(server)
+        with pytest.raises(ProtocolError, match="unknown sample id 999"):
+            if entry == "handle_upload":
+                server.handle_upload(up)
+            else:
+                server.answer_round([parties[0].start_step(sample=1), up])
+        self._assert_unchanged(server, before)
+
+    def test_cold_cell_rejected_before_anything_changes(self):
+        _, _, _, parties, server, _ = _tiny_setup()
+        server.cache.put(3, 1, np.array([0.25]), stamp=0)  # party 2's cell stays cold
+        before = self._server_state(server)
+        with pytest.raises(ProtocolError, match=r"cache cell \(3, 2\) not warmed"):
+            server.handle_upload(parties[0].start_step(sample=3))
+        self._assert_unchanged(server, before)
 
     @pytest.mark.parametrize("entry", ["handle_upload", "answer_round"])
     def test_non_finite_head_estimate_rejected(self, entry):

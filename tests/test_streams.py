@@ -27,7 +27,7 @@ def _take(g, n):
 
 class TestStream:
     @settings(max_examples=300, deadline=None)
-    @given(st.integers(0, 2**63 - 1), purposes, uint64, uint64, uint64, uint64, draws,
+    @given(uint64, purposes, uint64, uint64, uint64, uint64, draws,
            st.integers(1, 10**6))
     def test_readdress_matches_fresh_stream(self, seed, purpose, party0, step0, party, step,
                                             prior, n):
