@@ -25,7 +25,8 @@ first of these that holds:
 - ``worse``: the change's median is worse than the parent's by more than
   the bound;
 - ``unresolved``: either side's quartile spread, over its median, is wider
-  than the bound, and the change did not win every pair;
+  than the bound, and not every run of the change is better than every run
+  of the parent;
 - ``within bound``: otherwise.
 """
 
@@ -92,15 +93,18 @@ def _relative_spread(summary: dict) -> float:
     return math.inf if spread > 0 else 0.0
 
 
-def verdict(parent: dict, change: dict, sign: int, bound: float, won: int, pairs: int) -> str:
-    """The verdict on one metric from each side's summary; sign is +1 when
-    higher is better, -1 when lower is, and the change won `won` of `pairs`."""
-    gain = sign * (change["median"] - parent["median"])
-    if 10 * won >= 9 * pairs and gain > parent["q3"] - parent["q1"]:
+def verdict(parent: list[float], change: list[float], sign: int, bound: float) -> str:
+    """The verdict on one metric from its runs, paired in order; sign is +1
+    when higher is better and -1 when lower is."""
+    p, c = _summary(parent), _summary(change)
+    won = sum(sign * (y - x) > 0 for x, y in zip(parent, change))
+    gain = sign * (c["median"] - p["median"])
+    if 10 * won >= 9 * len(parent) and gain > p["q3"] - p["q1"]:
         return "gain"
-    if -gain > bound * abs(parent["median"]):
+    if -gain > bound * abs(p["median"]):
         return "worse"
-    if max(_relative_spread(parent), _relative_spread(change)) > bound and won < pairs:
+    if (max(_relative_spread(p), _relative_spread(c)) > bound
+            and min(sign * y for y in change) <= max(sign * x for x in parent)):
         return "unresolved"
     return "within bound"
 
@@ -125,9 +129,8 @@ def record(args) -> None:
                    for m in entry["parent"]["summary"]}
             entry["change_won"] = {m: f"{w}/{len(pairs)}" for m, w in won.items()}
             entry["verdict"] = {
-                m: verdict(entry["parent"]["summary"][m], entry["change"]["summary"][m],
-                           sign[m], bounds[m], w, len(pairs))
-                for m, w in won.items() if m in bounds}
+                m: verdict([p[m] for p, _ in pairs], [c[m] for _, c in pairs], sign[m], bounds[m])
+                for m in won if m in bounds}
         workloads.setdefault(workload, {})[str(seed)] = entry
     out = {"parent": args.rev, "command": "PYTHONDONTWRITEBYTECODE=1 python3 perfbench/run.py "
            "--workload W --seed S --seconds N", "workloads": workloads}

@@ -386,7 +386,7 @@ def run_asyrevel(cfg: RunConfig, data: PartitionedDataset, local_model: LocalMod
 def round_sample(samples: streams.Stream, r: int, n: int) -> int:
     """The shared per-round index used by synchronous rounds: the SAMPLE
     stream `samples` at party slot 0, step r."""
-    return int(samples.at(0, r).integers(n))
+    return int(samples.at(0, r).integers(0, n))
 
 
 def matched_schedule(cfg: RunConfig, n: int):
@@ -453,7 +453,7 @@ def _centralized_events(cfg: RunConfig, n: int):
     for t in range(1, cfg.T + 1):
         now, pid = heapq.heappop(heap)
         k = steps[pid - 1]
-        yield t, now, pid, k, int(samples.at(pid, k).integers(n))
+        yield t, now, pid, k, int(samples.at(pid, k).integers(0, n))
         steps[pid - 1] = k + 1
         if t < cfg.T:  # no compute-time draw after the last event
             heapq.heappush(heap, (now + delay.compute_time(pid, k + 1), pid))

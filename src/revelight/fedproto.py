@@ -571,7 +571,7 @@ class PartyNode:
         if self.pending is not None:
             raise ProtocolError(f"party {self.id} already has an outstanding upload")
         k = self.steps
-        i = int(self.samples.at(self.id, k).integers(self.X.shape[0]) if sample is None else sample)
+        i = int(self.samples.at(self.id, k).integers(0, len(self.X)) if sample is None else sample)
         u = sample_direction(self.scheme, self.w.size, self.directions.at(self.id, k))
         c, c_hat, g0, g1 = two_point_client(self.model, self.w, self.X[i], u, self.mu)
         self.pending = (i, u, g0, g1)

@@ -18,10 +18,15 @@ Two ways in, one sequence of draws per address:
   each (party, step) by resetting its counter.  The per-event draws use it,
   one instance per owner: `PartyNode` owns SAMPLE and DIRECTION,
   `ServerNode` SERVER_DIRECTION, `DelayModel` COMPUTE and LATENCY, and the
-  centralized and synchronous driver loops their own.  It holds the Philox
-  state's words as lists of Python ints, not numpy's uint64 arrays: the
-  state setter reads them one by one, and from a list that more than halves
-  the cost of a re-address, which every driver pays 2-3 times per event.
+  centralized and synchronous driver loops their own.  A re-address hands
+  numpy's state setter the Philox words as Python ints, not uint64 arrays:
+  the setter reads them one by one, and from ints a re-address, which every
+  driver pays 2-3 times per event, costs about 30% less.  The state dict
+  is built per call and dropped: word lists kept in each Stream are objects
+  the cyclic garbage collector tracks, and at q = 128 they put off its full
+  collections enough to raise the peak memory by 3 MiB.  A sample index is
+  drawn as `integers(0, n)`, the draw of `integers(n)` at two thirds of its
+  cost.
 - `stream()` builds an independent generator for one address.  It serves
   the cold sites (INIT, DATA, SPLIT, TRIAL) and any caller that keeps a
   generator across calls.
@@ -69,6 +74,9 @@ def stream(seed: int, purpose: int, party: int = 0, step: int = 0) -> np.random.
     return np.random.Generator(_philox(seed, purpose, party, step))
 
 
+_NO_BUFFER = (0, 0, 0, 0)
+
+
 class Stream:
     """One owner's generator for a (seed, purpose) pair, re-addressed in place.
 
@@ -79,23 +87,16 @@ class Stream:
     position of the previous one, so each instance has one owner.
     """
 
-    __slots__ = ("_bits", "_gen", "_state", "_counter")
+    __slots__ = ("_bits", "_gen", "_key", "_purpose")
 
     def __init__(self, seed: int, purpose: int) -> None:
         self._bits = _philox(seed, purpose, 0, 0)
         self._gen = np.random.Generator(self._bits)
-        state = self._bits.state  # counter, key and buffer as lists of Python ints
-        state["state"] = {word: value.tolist() for word, value in state["state"].items()}
-        state["buffer"] = state["buffer"].tolist()
-        self._state, self._counter = state, state["state"]["counter"]
+        self._key, self._purpose = tuple(self._bits.state["state"]["key"].tolist()), purpose
 
     def at(self, party: int, step: int) -> np.random.Generator:
-        counter = self._counter
-        counter[1] = step
-        counter[2] = party
-        state = self._state
-        state["buffer_pos"] = 4  # buffer exhausted: the next draw runs the counter
-        state["has_uint32"] = 0
-        state["uinteger"] = 0
-        self._bits.state = state  # copied in; state["buffer"] stays zero
+        # the buffer exhausted, so the next draw runs the counter
+        self._bits.state = {"bit_generator": "Philox", "buffer": _NO_BUFFER, "buffer_pos": 4,
+                            "has_uint32": 0, "uinteger": 0, "state": {
+                                "counter": (0, step, party, self._purpose), "key": self._key}}
         return self._gen

@@ -85,24 +85,30 @@ def test_a_side_of_two_sources_is_refused(bench_pairs, tmp_path):
 
 
 PARENT = [100, 104, 96, 102, 98, 101, 99, 103, 97, 100]  # median 100, quartiles 98.25, 101.75
+WIDE = [60, 140, 60, 140, 100, 100, 60, 140, 100, 100]  # median 100, quartiles 70, 130
 
 
-@pytest.mark.parametrize("change, expect", [
+@pytest.mark.parametrize("parent, change, expect", [
     # won all 10 pairs and the medians differ by more than the parent's spread of 3.5
-    ([p + 5 for p in PARENT], "gain"),
+    (PARENT, [p + 5 for p in PARENT], "gain"),
     # won 9 of 10: still a gain
-    ([p + 5 for p in PARENT[:9]] + [PARENT[9] - 1], "gain"),
+    (PARENT, [p + 5 for p in PARENT[:9]] + [PARENT[9] - 1], "gain"),
     # won 8 of 10: not a gain, and no more than the bound of 25% away
-    ([p + 5 for p in PARENT[:8]] + [p - 1 for p in PARENT[8:]], "within bound"),
+    (PARENT, [p + 5 for p in PARENT[:8]] + [p - 1 for p in PARENT[8:]], "within bound"),
     # won all pairs, but by less than the parent's spread
-    ([p + 1 for p in PARENT], "within bound"),
+    (PARENT, [p + 1 for p in PARENT], "within bound"),
     # its median is 30% below the parent's, past the bound of 25%
-    ([0.7 * p for p in PARENT], "worse"),
+    (PARENT, [0.7 * p for p in PARENT], "worse"),
     # a side spread over more than the bound, not all pairs won: the pairs cannot tell
-    ([p * f for p, f in zip(PARENT, [0.5, 1.5] * 5)], "unresolved"),
+    (PARENT, [p * f for p, f in zip(PARENT, [0.5, 1.5] * 5)], "unresolved"),
+    # the parent's spread is wider than the bound and every pair is won, but
+    # not every change run is above every parent run
+    (WIDE, [p + 1 for p in WIDE], "unresolved"),
+    # as wide, but every change run is above every parent run
+    (WIDE, list(range(141, 151)), "within bound"),
 ])
-def test_a_metric_gets_one_verdict(bench_pairs, tmp_path, change, expect):
-    _write(tmp_path / "runs", "parent", [_result(e, 1.0) for e in PARENT])
+def test_a_metric_gets_one_verdict(bench_pairs, tmp_path, parent, change, expect):
+    _write(tmp_path / "runs", "parent", [_result(e, 1.0) for e in parent])
     _write(tmp_path / "runs", "change", [_result(e, 1.0, source="bb") for e in change])
     entry = _record(bench_pairs, tmp_path)["workloads"]["ref_drivers"]["0"]
     # events_per_s is better higher; setup_s, equal on every run, did not move

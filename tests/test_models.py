@@ -124,6 +124,16 @@ class TestNonconvexReg:
         assert 0.0 <= g < w.size
         assert g == nonconvex_reg(-w)
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 299), st.integers(1, 3), st.sampled_from([1e-3, 1.0, 1e3]),
+           st.integers(0, 2**32 - 1))
+    def test_a_stack_is_each_row_bit_for_bit(self, d, rows, scale, seed):
+        """Past 8 values numpy sums in blocks, and past 128 by halves."""
+        W = scale * np.random.default_rng(seed).standard_normal((rows, d))
+        g = nonconvex_reg(W)
+        assert g == [nonconvex_reg(w) for w in W]
+        assert all(type(x) is float for x in g) and type(nonconvex_reg(W[0])) is float
+
 
 class TestPartitionFeatures:
     def test_nearly_equal_127_8(self):

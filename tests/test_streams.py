@@ -1,3 +1,5 @@
+import gc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -36,6 +38,22 @@ class TestStream:
         for kind, arg in prior:
             _DRAWS[kind](g, arg)
         assert _take(owned.at(party, step), n) == _take(streams.stream(seed, purpose, party, step), n)
+
+    @settings(max_examples=200, deadline=None)
+    @given(uint64, uint64, st.integers(1, 2**63 - 1))
+    def test_a_sample_index_is_the_draw_of_integers_n(self, seed, step, n):
+        """The drivers draw `integers(0, n)`; it is `integers(n)`, and leaves
+        the same half word behind for the next draw."""
+        a, b = (streams.stream(seed, streams.SAMPLE, 1, step) for _ in range(2))
+        assert (a.integers(0, n), a.integers(2**31)) == (b.integers(n), b.integers(2**31))
+
+    def test_a_stream_keeps_no_word_lists(self):
+        """A re-address builds its state dict and drops it: lists or dicts kept
+        in each Stream are objects the cyclic collector tracks, which at
+        q = 128 put off full collections and raised the peak memory."""
+        owned = streams.Stream(5, streams.SAMPLE)
+        owned.at(3, 4).integers(10)
+        assert not any(isinstance(o, (list, dict)) for o in gc.get_referents(owned))
 
     def test_addresses_above_2_53_stay_distinct(self):
         a = streams.stream(1, streams.SAMPLE, 2**53, 0).integers(2**62)
