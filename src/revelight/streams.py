@@ -74,9 +74,6 @@ def stream(seed: int, purpose: int, party: int = 0, step: int = 0) -> np.random.
     return np.random.Generator(_philox(seed, purpose, party, step))
 
 
-_NO_BUFFER = (0, 0, 0, 0)
-
-
 class Stream:
     """One owner's generator for a (seed, purpose) pair, re-addressed in place.
 
@@ -96,7 +93,7 @@ class Stream:
 
     def at(self, party: int, step: int) -> np.random.Generator:
         # the buffer exhausted, so the next draw runs the counter
-        self._bits.state = {"bit_generator": "Philox", "buffer": _NO_BUFFER, "buffer_pos": 4,
+        self._bits.state = {"bit_generator": "Philox", "buffer": (0, 0, 0, 0), "buffer_pos": 4,
                             "has_uint32": 0, "uinteger": 0, "state": {
                                 "counter": (0, step, party, self._purpose), "key": self._key}}
         return self._gen
