@@ -308,19 +308,20 @@ def event_schedule(cfg: RunConfig):
     is drawn past the op the caller stops at, nor past the T-th APPLY.
     """
     delay, queue = DelayModel(cfg), StalenessQueue(cfg.tau)
+    push, pop, T = heapq.heappush, heapq.heappop, cfg.T
     # keys (time, kind, party or serial) are unique, so no last item is compared
     heap = [(delay.compute_time(m, 0), _FINISH, m, None) for m in range(1, cfg.q + 1)]
     heapq.heapify(heap)
     steps = [0] * cfg.q  # replies applied per party: its next upload's seq
     sent = handled = applied = 0
-    while applied < cfg.T:
-        now, kind, idx, lat = heapq.heappop(heap)
-        if kind == _FINISH and sent < cfg.T:  # after T uploads, parties idle
+    while applied < T:
+        now, kind, idx, lat = pop(heap)
+        if kind == _FINISH and sent < T:  # after T uploads, parties idle
             yield now, START, idx, None
             sent += 1
             lat = delay.latency_time(idx, steps[idx - 1])
             queue.send(sent, handled)
-            heapq.heappush(heap, (now + lat, _DELIVER, sent, (idx, lat)))
+            push(heap, (now + lat, _DELIVER, sent, (idx, lat)))
         elif kind == _DELIVER:
             queue.deliver(idx, lat)
             while (nxt := queue.pop_next(handled)) is not None:
@@ -328,14 +329,14 @@ def event_schedule(cfg: RunConfig):
                 yield now, HANDLE, m, handled - send_count
                 handled += 1
                 # the reply travels the same (party, seq) link as its upload
-                heapq.heappush(heap, (now + lat, _REPLY, m, None))
+                push(heap, (now + lat, _REPLY, m, None))
         elif kind == _REPLY:
             yield now, APPLY, idx, None
             applied += 1
             steps[idx - 1] += 1
-            if applied < cfg.T:
+            if applied < T:
                 nxt_t = now + delay.compute_time(idx, steps[idx - 1])
-                heapq.heappush(heap, (nxt_t, _FINISH, idx, None))
+                push(heap, (nxt_t, _FINISH, idx, None))
 
 
 def _replay_schedule(cfg: RunConfig, schedule):
@@ -366,14 +367,15 @@ def run_asyrevel(cfg: RunConfig, data: PartitionedDataset, local_model: LocalMod
     parties, server, rec = _start_protocol(cfg, data, local_model, global_model, test_data)
     ops = event_schedule(cfg) if schedule is None else _replay_schedule(cfg, schedule)
     msgs = [None] * cfg.q  # each party's outstanding upload, then its reply
+    record = rec.transcript.record
     for now, op, m, value in () if rec.stopped else ops:  # stopped at the event-0 row
         if op == START:
             msgs[m - 1] = parties[m - 1].start_step(sample=value)
-            rec.transcript.record(now, msgs[m - 1])
+            record(now, msgs[m - 1])
         elif op == HANDLE:
             rec.max_stal = max(rec.max_stal, value)
             msgs[m - 1] = server.handle_upload(msgs[m - 1])
-            rec.transcript.record(now, msgs[m - 1])
+            record(now, msgs[m - 1])
             rec.note_update(0, server.last_v0)
         else:
             rec.note_update(m, parties[m - 1].apply_reply(msgs[m - 1]))

@@ -21,6 +21,7 @@ vectorized Monte-Carlo kernels for a quadratic serve the verification checks.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,7 +36,7 @@ SPHERE = "sphere"
 SCHEMES = (GAUSSIAN, SPHERE)
 
 
-@dataclass
+@dataclass(slots=True)
 class Direction:
     """One sampled perturbation direction."""
 
@@ -52,7 +53,7 @@ def sample_direction(scheme: str, dim: int, rng: np.random.Generator) -> Directi
         raise DomainError(f"unknown scheme {scheme!r}")
     u = rng.standard_normal(dim)
     if scheme == SPHERE:
-        u = u / np.sqrt(u.dot(u))  # np.linalg.norm's formula, without its wrapper
+        u = u / math.sqrt(u.dot(u))  # np.linalg.norm's formula, without its wrapper
     return Direction(u=u, scheme=scheme)
 
 
@@ -137,7 +138,7 @@ def two_point_head(head: GlobalModel, w0: np.ndarray, row: np.ndarray, m: int,
 def reject_nonfinite(v: np.ndarray, party: int, step: int) -> None:
     """Raise ProtocolError when update v of party (0 for the server's head)
     holds a non-finite value; the message names the party and its step."""
-    if not np.logical_and.reduce(np.isfinite(v)):
+    if np.count_nonzero(np.isfinite(v)) < v.size:
         who = f"party {party}: non-finite update" if party else "server: non-finite head update"
         raise ProtocolError(f"{who} rejected at step {step}")
 

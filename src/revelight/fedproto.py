@@ -620,7 +620,7 @@ class ServerNode:
         """Head values from the pre-update cache, reply, then cache overwrite;
         each rule on the upload is checked once, before anything changes."""
         i, cache = upload.sample, self.cache
-        cols = cache.cols(i, upload.party, np.size(upload.c), np.size(upload.c_hat))
+        cols = cache.cols(i, upload.party, upload.c.size, upload.c_hat.size)
         cache.check_warm(i)
         reply, v0 = self._step(upload, cols, self.w0, cache.values[i].copy())
         if v0 is not None:
@@ -641,7 +641,7 @@ class ServerNode:
             raise ProtocolError(f"a synchronous round needs one upload from each of parties "
                                 f"1..{self.cache.q} in order, got {parties}")
         for up in uploads:
-            self.cache.check_width(up.party, np.size(up.c), np.size(up.c_hat))
+            self.cache.check_width(up.party, up.c.size, up.c_hat.size)
         cols = [self.cache.cols(up.sample, up.party) for up in uploads]
         w0, fresh = self.w0, np.concatenate([up.c for up in uploads])
         steps = [self._step(up, c, w0, fresh.copy()) for up, c in zip(uploads, cols)]

@@ -21,12 +21,12 @@ Two ways in, one sequence of draws per address:
   centralized and synchronous driver loops their own.  A re-address hands
   numpy's state setter the Philox words as Python ints, not uint64 arrays:
   the setter reads them one by one, and from ints a re-address, which every
-  driver pays 2-3 times per event, costs about 30% less.  The state dict
-  is built per call and dropped: word lists kept in each Stream are objects
-  the cyclic garbage collector tracks, and at q = 128 they put off its full
-  collections enough to raise the peak memory by 3 MiB.  A sample index is
-  drawn as `integers(0, n)`, the draw of `integers(n)` at two thirds of its
-  cost.
+  driver pays 2-3 times per event, costs about a third as much.  Each Stream
+  keeps its state dict and swaps in a new counter tuple per call, which
+  costs a third less than building the dict; the words are tuples, since
+  word lists kept in each Stream raised the peak memory at q = 128 by
+  3 MiB.  A sample index is drawn as `integers(0, n)`, the draw of
+  `integers(n)` at two thirds of its cost.
 - `stream()` builds an independent generator for one address.  It serves
   the cold sites (INIT, DATA, SPLIT, TRIAL) and any caller that keeps a
   generator across calls.
@@ -84,16 +84,18 @@ class Stream:
     position of the previous one, so each instance has one owner.
     """
 
-    __slots__ = ("_bits", "_gen", "_key", "_purpose")
+    __slots__ = ("_bits", "_gen", "_state", "_words", "_purpose")
 
     def __init__(self, seed: int, purpose: int) -> None:
         self._bits = _philox(seed, purpose, 0, 0)
         self._gen = np.random.Generator(self._bits)
-        self._key, self._purpose = tuple(self._bits.state["state"]["key"].tolist()), purpose
+        key = tuple(self._bits.state["state"]["key"].tolist())
+        self._words, self._purpose = {"counter": (0, 0, 0, purpose), "key": key}, purpose
+        # the buffer exhausted, so the next draw runs the counter
+        self._state = {"bit_generator": "Philox", "buffer": (0, 0, 0, 0), "buffer_pos": 4,
+                       "has_uint32": 0, "uinteger": 0, "state": self._words}
 
     def at(self, party: int, step: int) -> np.random.Generator:
-        # the buffer exhausted, so the next draw runs the counter
-        self._bits.state = {"bit_generator": "Philox", "buffer": (0, 0, 0, 0), "buffer_pos": 4,
-                            "has_uint32": 0, "uinteger": 0, "state": {
-                                "counter": (0, step, party, self._purpose), "key": self._key}}
+        self._words["counter"] = (0, step, party, self._purpose)
+        self._bits.state = self._state
         return self._gen
