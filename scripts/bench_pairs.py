@@ -13,15 +13,17 @@ run it copies that checkout's ``perfbench/.work/result_<workload>_<seed>_0.json`
 to ``<into>/<side>/<workload>_<seed>_<pair>.json``.  ``record`` reads those
 copies and writes, per workload and seed: every run's end-to-end metrics,
 their medians and quartiles on each side, the provenance of the runs, the
-fingerprints, and per metric the number of pairs the change won and a
-verdict; it refuses a side whose runs ran different sources (their
-``source_sha256`` differ).
+fingerprints, each side's total of failed operations, and per metric the
+number of pairs the change won and a verdict; it refuses a side whose runs
+ran different sources (their ``source_sha256`` differ), and a result
+without metrics (every operation of its run failed).
 
 A metric's verdict, against its relative ``bound`` in BENCHMARK.json, is the
 first of these that holds:
 
-- ``gain``: the change won at least 9 in 10 of the pairs, and its median is
-  better than the parent's by more than the parent's quartile spread;
+- ``gain``: the change won at least 9 in 10 of the pairs, its median is
+  better than the parent's by more than the parent's quartile spread, and
+  its runs failed no more operations in all than the parent's;
 - ``worse``: the change's median is worse than the parent's by more than
   the bound;
 - ``unresolved``: either side's quartile spread, over its median, is wider
@@ -82,6 +84,7 @@ def _side(results: list[dict]) -> dict:
         "provenance": provenance,
         "fingerprints": sorted({f for r in results for f in r["provenance"]["fingerprints"]}),
         "runs": runs,
+        "failed": sum(r["failed"] for r in results),
         "summary": {m: _summary([run[m] for run in runs]) for m in metrics},
     }
 
@@ -93,13 +96,15 @@ def _relative_spread(summary: dict) -> float:
     return math.inf if spread > 0 else 0.0
 
 
-def verdict(parent: list[float], change: list[float], sign: int, bound: float) -> str:
+def verdict(parent: list[float], change: list[float], sign: int, bound: float,
+            more_failed: bool = False) -> str:
     """The verdict on one metric from its runs, paired in order; sign is +1
-    when higher is better and -1 when lower is."""
+    when higher is better and -1 when lower is, and more_failed that the
+    change's runs failed more operations than the parent's."""
     p, c = _summary(parent), _summary(change)
     won = sum(sign * (y - x) > 0 for x, y in zip(parent, change))
     gain = sign * (c["median"] - p["median"])
-    if 10 * won >= 9 * len(parent) and gain > p["q3"] - p["q1"]:
+    if 10 * won >= 9 * len(parent) and gain > p["q3"] - p["q1"] and not more_failed:
         return "gain"
     if -gain > bound * abs(p["median"]):
         return "worse"
@@ -117,6 +122,8 @@ def record(args) -> None:
     for side in SIDES:
         for path in sorted((Path(args.into) / side).glob("*.json")):
             result = json.loads(path.read_text())
+            if not result.get("metrics"):
+                sys.exit(f"{path}: no metrics, every operation of the run failed")
             key = (result["provenance"]["workload"], result["provenance"]["seed"])
             groups.setdefault(key, {s: [] for s in SIDES})[side].append(result)
     workloads: dict[str, dict] = {}
@@ -128,8 +135,10 @@ def record(args) -> None:
             won = {m: sum(sign[m] * (c[m] - p[m]) > 0 for p, c in pairs)
                    for m in entry["parent"]["summary"]}
             entry["change_won"] = {m: f"{w}/{len(pairs)}" for m, w in won.items()}
+            more_failed = entry["change"]["failed"] > entry["parent"]["failed"]
             entry["verdict"] = {
-                m: verdict([p[m] for p, _ in pairs], [c[m] for _, c in pairs], sign[m], bounds[m])
+                m: verdict([p[m] for p, _ in pairs], [c[m] for _, c in pairs], sign[m], bounds[m],
+                           more_failed)
                 for m in won if m in bounds}
         workloads.setdefault(workload, {})[str(seed)] = entry
     out = {"parent": args.rev, "command": "PYTHONDONTWRITEBYTECODE=1 python3 perfbench/run.py "

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,7 +24,8 @@ from . import streams
 from .errors import ConfigError, ProtocolError, ShapeError, UsageError, UnsupportedModelError
 from .estimator import (GAUSSIAN, SCHEMES, SPHERE, client_block_zoe, head_direction,
                         reject_nonfinite, sample_direction, two_point_client, two_point_head)
-from .fedproto import DelayModel, PartyNode, ServerNode, StalenessQueue, Transcript, warmup_cache
+from .fedproto import (KINDS, DelayModel, PartyNode, ServerNode, StalenessQueue, Transcript,
+                       frame_bytes, warmup_cache)
 from .models import (GlobalModel, LocalModel, PartitionedDataset, head_gradients, head_losses,
                      head_predictions, init_state, local_forward, local_param_gradient,
                      nonconvex_reg, party_columns)
@@ -519,10 +521,13 @@ def run_tig_baseline(cfg: RunConfig, data: PartitionedDataset, local_model: Loca
     transcript = Transcript()
     w0, w, cache = _centralized_start(cfg, data, local_model, global_model)
     odim = global_model.party_output_dim
-    for i in range(data.n):
-        for m in range(cfg.q):
-            transcript.record_raw(0.0, "up", "tig_output", m + 1, i, -1,
-                                  cache[i, party_columns(m + 1, odim)])
+    # the warm-up uploads in one append, row-major from the cache: sample i, then party m
+    rows = data.n * cfg.q
+    ids = np.empty((data.n, cfg.q, 3), dtype=np.int64)
+    ids[..., 0], ids[..., 1], ids[..., 2] = np.arange(1, cfg.q + 1), np.arange(data.n)[:, None], -1
+    transcript.extend(array("d", [0.0]) * rows, [KINDS.index(("up", "tig_output"))] * rows,
+                      array("q", ids.tobytes()), [odim] * rows, [frame_bytes(odim)] * rows,
+                      array("d", cache.tobytes()))
     rec = _Recorder(cfg, data, test_data, local_model, global_model, transcript, lambda: (w0, w))
     for t, now, pid, k, i in _centralized_events(cfg, data.n):
         if rec.stopped:

@@ -9,10 +9,6 @@ class DomainError(ValueError):
     """Argument outside the operation's domain (labels, radii, counts)."""
 
 
-class DecodeError(ValueError):
-    """Malformed wire frame; the message names the failing byte offset."""
-
-
 class ProtocolError(RuntimeError):
     """Message sequencing violated the client/server contract, or a run
     diverged: an update or the training loss went non-finite."""

@@ -29,7 +29,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import streams
-from .errors import ConfigError, DecodeError, DomainError, ParseError, ProtocolError, ShapeError
+from .errors import ConfigError, DomainError, ParseError, ProtocolError, ShapeError
 from .estimator import (client_block_zoe, head_direction, reject_nonfinite, sample_direction,
                         two_point_client, two_point_head)
 from .models import GlobalModel, LocalModel, local_forward, party_columns
@@ -101,38 +101,8 @@ def encode_message(msg) -> bytes:
         tag, veclen, floats = REPLY_TAG, 2, np.array([msg.h, msg.h_bar], dtype=np.float64)
     else:
         raise DomainError(f"cannot encode {type(msg).__name__}")
-    head = _HEAD.pack(HEADER_BYTES - 4 + 8 * floats.size, tag, msg.party, msg.sample, msg.seq,
-                      veclen)
+    head = _HEAD.pack(frame_bytes(floats.size) - 4, tag, msg.party, msg.sample, msg.seq, veclen)
     return head + floats.astype("<f8").tobytes()
-
-
-def decode_message(data: bytes):
-    """Decode one frame; raises DecodeError naming the failing offset."""
-    if len(data) < 4:
-        raise DecodeError("truncated header at offset 0")
-    if len(data) < HEADER_BYTES:
-        raise DecodeError(f"truncated header at offset {len(data)}")
-    length, tag, party, sample, seq, veclen = _HEAD.unpack_from(data, 0)
-    if len(data) - 4 != length:
-        raise DecodeError(
-            f"length mismatch at offset 4: declared {length}, found {len(data) - 4}"
-        )
-    if tag == UPLOAD_TAG:
-        n_floats = 2 * veclen
-    elif tag == REPLY_TAG:
-        if veclen != 2:
-            raise DecodeError(f"length mismatch at offset {HEADER_BYTES - 2}: reply needs 2 values")
-        n_floats = 2
-    else:
-        raise DecodeError(f"unknown variant tag {tag} at offset 4")
-    if len(data) != frame_bytes(n_floats):
-        raise DecodeError(
-            f"length mismatch at offset {HEADER_BYTES}: payload needs {8 * n_floats} bytes"
-        )
-    floats = np.frombuffer(data, dtype="<f8", offset=HEADER_BYTES).copy()
-    if tag == UPLOAD_TAG:
-        return Upload(party, sample, floats[:veclen], floats[veclen:], seq)
-    return Reply(party, sample, float(floats[0]), float(floats[1]), seq)
 
 
 # The JSONL keys, in the order every line writes them.
@@ -284,10 +254,14 @@ class Transcript:
                     return t
                 if not lines[-1].endswith("\n"):
                     lines[-1] += "\n"
-                t._extend(*_parse_chunk(path, lines, first))
+                t.extend(*_parse_chunk(path, lines, first))
                 first += len(lines)
 
-    def _extend(self, time, codes, ints, sizes, nbytes, values) -> None:
+    def extend(self, time, codes, ints, sizes, nbytes, values) -> None:
+        """Append rows in bulk from checked columns: times, kind codes, party,
+        sample and seq three to a row, payload sizes, their frame_bytes, and
+        the payload values back to back.  Typed columns (array "d" and "q")
+        cannot fail half-way."""
         up = sum(itertools.compress(nbytes, map(_UP.__getitem__, codes)))
         self._bytes["up"] += up
         self._bytes["down"] += sum(nbytes) - up
@@ -713,8 +687,10 @@ def audit_transcript(transcript: Transcript, dims: list[int], d0: int = 0,
     blocked = {int(d) for d in dims}
     if d0 > 0:
         blocked.add(int(d0))
-    # vector lengths are non-negative int64, so other dims can never match
+    # vector lengths are non-negative int64, so other dims can never match and
+    # a bound of 2**63 or more bounds nothing
     blocked = np.array([b for b in blocked if 0 <= b < 2**63], dtype=np.int64)
+    bound = min(max_output_dim, 2**63 - 1)
     code = np.array(transcript._codes)
     upload, reply = code == UPLOAD_TAG, code == REPLY_TAG
     size = np.diff(transcript.column("offsets"))
@@ -724,8 +700,8 @@ def audit_transcript(transcript: Transcript, dims: list[int], d0: int = 0,
     length = np.stack([first, np.where(upload, size - first, 1)], axis=1)[
         np.stack([np.ones_like(two), two], axis=1)]
     entry = np.repeat(np.arange(size.size), 1 + two)
-    own = np.where(upload, max_output_dim, np.where(reply, 1, -1))[entry]
-    hits = np.flatnonzero((length > max_output_dim) | (np.isin(length, blocked) & (length != own)))
+    own = np.where(upload, bound, np.where(reply, 1, -1))[entry]
+    hits = np.flatnonzero((length > bound) | (np.isin(length, blocked) & (length != own)))
     if not hits.size:
         return AuditReport(True, length.size)
     checked = int(hits[0]) + 1

@@ -4,6 +4,7 @@ synthetic `result_*.json` copies for the two sides."""
 
 import importlib.util
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -19,12 +20,12 @@ def bench_pairs():
     return module
 
 
-def _result(events_per_s, setup_s, source="aa", fingerprint="f0"):
+def _result(events_per_s, setup_s, source="aa", fingerprint="f0", failed=0):
     """A run's result as perfbench/run.py writes it, cut to what `record` reads."""
     return {
         "provenance": {"workload": "ref_drivers", "seed": 0, "source_sha256": source,
                        "fingerprints": [fingerprint], "operations": {"untraced": 3}},
-        "correct": True, "attempted": 3, "failed": 0,
+        "correct": not failed, "attempted": 3, "failed": failed,
         "metrics": {"events_per_s": {"value": events_per_s, "unit": "ev/s"},
                     "setup_s": {"value": setup_s, "unit": "s"}},
     }
@@ -125,3 +126,29 @@ def test_a_lower_better_metric_gains_when_it_falls(bench_pairs, tmp_path):
                                          for s in PARENT])
     entry = _record(bench_pairs, tmp_path)["workloads"]["ref_drivers"]["0"]
     assert entry["verdict"]["setup_s"] == "worse"
+
+
+def test_no_gain_when_the_change_fails_more_operations(bench_pairs, tmp_path):
+    # the change wins all 10 pairs by a gain, but one of its runs failed an operation
+    _write(tmp_path / "runs", "parent", [_result(e, 1.0, failed=int(e == 96)) for e in PARENT])
+    _write(tmp_path / "runs", "change", [_result(e + 5, 1.0, source="bb", failed=int(e == 96))
+                                         for e in PARENT])
+    entry = _record(bench_pairs, tmp_path)["workloads"]["ref_drivers"]["0"]
+    assert (entry["parent"]["failed"], entry["change"]["failed"]) == (1, 1)
+    assert entry["verdict"]["events_per_s"] == "gain"
+    _write(tmp_path / "runs", "change", [_result(e + 5, 1.0, source="bb", failed=2 * int(e == 96))
+                                         for e in PARENT])
+    entry = _record(bench_pairs, tmp_path)["workloads"]["ref_drivers"]["0"]
+    assert (entry["parent"]["failed"], entry["change"]["failed"]) == (1, 2)
+    assert entry["verdict"] == {"events_per_s": "within bound", "setup_s": "within bound"}
+
+
+def test_a_result_without_metrics_is_refused(bench_pairs, tmp_path):
+    _write(tmp_path / "runs", "parent", [_result(10, 1.0)])
+    empty = dict(_result(10, 1.0, source="bb", failed=3), metrics={})
+    _write(tmp_path / "runs", "change", [empty])
+    path = tmp_path / "runs" / "change" / "ref_drivers_0_00.json"
+    with pytest.raises(SystemExit, match=re.escape(f"{path}: no metrics, every operation of "
+                                                   "the run failed")):
+        _record(bench_pairs, tmp_path)
+    assert not (tmp_path / "BENCH.json").exists()

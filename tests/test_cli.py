@@ -824,6 +824,14 @@ class TestMainCli:
         assert rc == 1
         assert "error: audit violation" in capsys.readouterr().err
 
+    def test_audit_bound_past_int64_bounds_nothing(self, tmp_path, capsys):
+        transcript = tmp_path / "t.jsonl"
+        transcript.write_text(json.dumps(self.UPLOAD) + "\n")
+        rc = main(["audit", "--transcript", str(transcript), "--dims", "2",
+                   "--max-output-dim", "100000000000000000000"])
+        assert rc == 0
+        assert "audit pass" in capsys.readouterr().out
+
     def test_audit_command_passes_at_q_equals_d(self, tmp_path, capsys):
         cfgp = tmp_path / "run.cfg"
         cfgp.write_text(CONFIG.replace("d = 16", "d = 4").replace("T = 512", "T = 64"))

@@ -255,7 +255,7 @@ class TestFinalRow:
         assert [r.t for r in m.rows] == [0, 128, 256, 300]
 
 
-def transcript_staleness(transcript) -> list[int]:
+def transcript_staleness(transcript, tau: int) -> list[int]:
     """Each answered upload's staleness, read from the transcript alone.
 
     The server writes one `down` row per upload it processes, so an upload's
@@ -264,8 +264,10 @@ def transcript_staleness(transcript) -> list[int]:
     seq), and its staleness the difference.  Asserts on the way that every
     reply follows its upload and carries its sample, that a party's upload
     k follows the reply to its upload k - 1, that every upload is answered
-    and that time never decreases.  Warm-up uploads (seq -1) are not
-    answered and are skipped.
+    and that time never decreases; and that under deadline pressure the
+    server answers the oldest unanswered upload: pressure when slot i of the
+    unanswered uploads, oldest first, would reach the i-th upload's send
+    count plus tau.  Warm-up uploads (seq -1) are not answered and are skipped.
     """
     down = transcript.column("direction") == "down"
     downs_before = np.cumsum(down) - down
@@ -278,6 +280,9 @@ def transcript_staleness(transcript) -> list[int]:
             assert key not in sent and (key[1] == 0 or (key[0], key[1] - 1) in answered), row
             sent[key] = row
             continue
+        if any(downs_before[row] + i >= downs_before[up] + tau
+               for i, up in enumerate(sent.values())):
+            assert key == next(iter(sent)), row
         up = sent.pop(key)  # a KeyError is a reply without an earlier upload
         assert sample[up] == sample[row], row
         answered.add(key)
@@ -304,7 +309,7 @@ class TestTranscriptStaleness:
                    seed=seed)
         train, _ = bench_data(q, n=64, d=16, n_test=0)
         m = run_asyrevel(cfg, train, *glm_models(q))
-        staleness = transcript_staleness(m.transcript)
+        staleness = transcript_staleness(m.transcript, q - 1)
         assert len(staleness) == T
         assert max(staleness) == m.rows[-1].staleness <= q - 1
         # the schedule alone, with no node, gives the rows' order and staleness

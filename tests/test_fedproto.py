@@ -1,4 +1,5 @@
 import itertools
+import struct
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from hypothesis.stateful import (
 
 from revelight import streams
 from revelight.engine import RunConfig, run_algorithm
-from revelight.errors import ConfigError, DecodeError, DomainError, ProtocolError, ShapeError
+from revelight.errors import ConfigError, DomainError, ProtocolError, ShapeError
 from revelight.fedproto import (
     DelayModel,
     PartyNode,
@@ -25,7 +26,6 @@ from revelight.fedproto import (
     Transcript,
     Upload,
     audit_transcript,
-    decode_message,
     encode_message,
     frame_bytes,
     warmup_cache,
@@ -42,6 +42,12 @@ from revelight.models import (
 finite_floats = st.floats(allow_nan=False, allow_infinity=False, width=64)
 
 
+def _read_frame(frame: bytes):
+    """The header fields and the floats of a frame, read by the documented
+    layout: length, tag, party, sample, seq, vector length, then <f8 values."""
+    return struct.unpack_from("<IBiiiH", frame), np.frombuffer(frame, "<f8", offset=19)
+
+
 class TestCodec:
     @settings(max_examples=500, deadline=None)
     @given(
@@ -49,24 +55,22 @@ class TestCodec:
         st.lists(finite_floats, min_size=1, max_size=16),
         st.lists(finite_floats, min_size=1, max_size=16),
     )
-    def test_upload_round_trip(self, party, sample, seq, c, c_hat):
-        c = np.array(c[: len(c_hat)] or [0.0])
-        c_hat = np.array(list(c_hat)[: len(c)] or [0.0])
+    def test_upload_frame_layout(self, party, sample, seq, c, c_hat):
         n = min(len(c), len(c_hat))
-        msg = Upload(party, sample, c[:n], c_hat[:n], seq)
-        out = decode_message(encode_message(msg))
-        assert isinstance(out, Upload)
-        assert (out.party, out.sample, out.seq) == (party, sample, seq)
-        assert np.array_equal(out.c, msg.c) and np.array_equal(out.c_hat, msg.c_hat)
+        frame = encode_message(Upload(party, sample, np.array(c[:n]), np.array(c_hat[:n]), seq))
+        head, floats = _read_frame(frame)
+        assert head == (len(frame) - 4, 0, party, sample, seq, n)
+        assert len(frame) == frame_bytes(2 * n)
+        assert list(map(float.hex, floats.tolist())) == list(map(float.hex, c[:n] + c_hat[:n]))
 
     @settings(max_examples=500, deadline=None)
     @given(st.integers(0, 2**31 - 1), st.integers(0, 2**31 - 1), st.integers(0, 2**31 - 1),
            finite_floats, finite_floats)
-    def test_reply_round_trip(self, party, sample, seq, h, h_bar):
-        msg = Reply(party, sample, h, h_bar, seq)
-        out = decode_message(encode_message(msg))
-        assert isinstance(out, Reply)
-        assert (out.party, out.sample, out.seq, out.h, out.h_bar) == (party, sample, seq, h, h_bar)
+    def test_reply_frame_layout(self, party, sample, seq, h, h_bar):
+        frame = encode_message(Reply(party, sample, h, h_bar, seq))
+        head, floats = _read_frame(frame)
+        assert head == (len(frame) - 4, 1, party, sample, seq, 2)
+        assert list(map(float.hex, floats.tolist())) == [h.hex(), h_bar.hex()]
 
     def test_upload_frame_is_35_bytes(self):
         # 4 length + 1 tag + 4 party + 4 sample + 4 seq + 2 veclen + 2*8 floats
@@ -76,26 +80,6 @@ class TestCodec:
     def test_reply_frame_is_35_bytes(self):
         assert len(encode_message(Reply(1, 2, 0.1, 0.2, 7))) == 35
         assert frame_bytes(2) == 35
-
-    def test_empty_bytes(self):
-        with pytest.raises(DecodeError, match="truncated header"):
-            decode_message(b"")
-
-    def test_unknown_tag(self):
-        raw = bytearray(encode_message(Reply(0, 0, 0.0, 0.0, 0)))
-        raw[4] = 9
-        with pytest.raises(DecodeError, match="unknown variant tag 9 at offset 4"):
-            decode_message(bytes(raw))
-
-    def test_length_mismatch(self):
-        raw = encode_message(Reply(0, 0, 0.0, 0.0, 0)) + b"\x00"
-        with pytest.raises(DecodeError, match="length mismatch at offset 4"):
-            decode_message(raw)
-
-    def test_truncated_frame(self):
-        raw = encode_message(Upload(1, 1, np.array([1.0]), np.array([2.0]), 0))[:20]
-        with pytest.raises(DecodeError):
-            decode_message(raw)
 
     def test_vector_longer_than_length_field(self):
         longest = np.zeros(0xFFFF)
@@ -116,32 +100,8 @@ class TestCodec:
             encode_message(msg)
 
     def test_header_fields_at_int32_limits(self):
-        msg = Reply(2**31 - 1, -2**31, 0.1, 0.2, seq=-2**31)
-        assert decode_message(encode_message(msg)) == msg
-
-    @settings(max_examples=60, deadline=None)
-    @given(st.sampled_from(["upload1", "upload3", "reply"]),
-           st.integers(-2**31, 2**31 - 1), st.integers(-2**31, 2**31 - 1),
-           st.integers(-2**31, 2**31 - 1), st.lists(st.floats(width=64), min_size=6, max_size=6))
-    def test_every_truncation_and_bit_flip_decodes_or_raises_decode_error(
-            self, kind, party, sample, seq, values):
-        if kind == "reply":
-            msg = Reply(party, sample, values[0], values[1], seq)
-        else:
-            width = int(kind[-1])
-            msg = Upload(party, sample, np.array(values[:width]), np.array(values[3:3 + width]), seq)
-        frame = encode_message(msg)
-        mutants = [frame[:n] for n in range(len(frame))]
-        for bit in range(8 * len(frame)):
-            flipped = bytearray(frame)
-            flipped[bit // 8] ^= 1 << (bit % 8)
-            mutants.append(bytes(flipped))
-        for mutant in mutants:
-            try:
-                out = decode_message(mutant)
-            except DecodeError:
-                continue
-            assert isinstance(out, (Upload, Reply))
+        frame = encode_message(Reply(2**31 - 1, -2**31, 0.1, 0.2, seq=-2**31))
+        assert _read_frame(frame)[0] == (31, 1, 2**31 - 1, -2**31, -2**31, 2)
 
 
 def _sphere_run(q: int, **fields) -> RunConfig:

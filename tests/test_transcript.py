@@ -494,7 +494,8 @@ def audit_cases(draw):
     rows = draw(st.lists(st.tuples(st.sampled_from(KINDS), lengths, st.integers(1, 4)),
                          max_size=12))
     dims = draw(st.lists(st.integers(0, 10), min_size=1, max_size=4))
-    return rows, dims, draw(st.integers(0, 10)), draw(st.integers(0, 4))
+    huge = st.integers(2**63 - 1, 2**65)  # past int64: no length reaches it
+    return rows, dims, draw(st.integers(0, 10) | huge), draw(st.integers(0, 4) | huge)
 
 
 class TestAuditColumns:
