@@ -24,7 +24,7 @@ from revelight.engine import (
     run_tig_baseline,
 )
 from revelight.errors import ConfigError, UsageError, UnsupportedModelError
-from revelight.fedproto import DelayModel, PartyNode, frame_bytes
+from revelight.fedproto import DelayModel, PartyNode, Transcript, frame_bytes
 from revelight.models import GlobalModel, LocalModel, PartitionedDataset
 
 
@@ -475,6 +475,31 @@ class TestTig:
         yy = int(y[i])
         grad = -yy * 0.5 * X[i]  # sigmoid(0) = 1/2 at the zero init
         assert np.allclose(m.final_w[0], -eta * grad, atol=1e-15)
+
+    def test_warmup_rows_are_the_cache_row_major(self):
+        """tig's warm-up rows, written in one bulk append, are the rows one
+        record_raw call per (sample, party) wrote from the warm output cache."""
+        from revelight.engine import _centralized_start
+
+        rng = np.random.default_rng(3)
+        data = PartitionedDataset.from_matrix(rng.standard_normal((12, 6)),
+                                              rng.integers(0, 2, 12), [2, 2, 2])
+        lm = LocalModel(kind="mlp", layer_sizes=(3, 2))
+        gm = GlobalModel(kind="softmax_fcn", q=3, party_output_dim=2, classes=2)
+        cfg = _cfg(algorithm="tig", q=3, T=4, seed=5)
+        m = run_tig_baseline(cfg, data, lm, gm)
+        cache = _centralized_start(cfg, data, lm, gm)[2]
+        want = Transcript()
+        for i in range(data.n):
+            for p in range(cfg.q):
+                want.record_raw(0.0, "up", "tig_output", p + 1, i, -1, cache[i, 2 * p:2 * p + 2])
+        warm = data.n * cfg.q
+        for name in ("time", "direction", "variant", "party", "sample", "seq", "nbytes"):
+            assert m.transcript.column(name)[:warm].tolist() == want.column(name).tolist(), name
+        assert m.transcript.column("offsets")[:warm + 1].tolist() == \
+            want.column("offsets").tolist()
+        assert m.transcript.column("values")[:2 * warm].tobytes() == \
+            want.column("values").tobytes()
 
     def test_download_frames_dominate_reply(self):
         # intermediate gradient + chain payload: two frames always beat one reply

@@ -9,6 +9,7 @@ import json
 import math
 import re
 import tracemalloc
+from array import array
 from types import SimpleNamespace
 
 import numpy as np
@@ -262,6 +263,28 @@ class TestRowLayout:
             with pytest.raises(KeyError):
                 transcript.column(name)
 
+    def test_extend_appends_what_record_raw_appends(self):
+        """One bulk append after a recorded row gives the rows, offsets and
+        byte totals that one record_raw call per row gives."""
+        kinds = [KINDS.index(kind) for kind in KINDS[2:]] * 2
+        sizes = [3, 0, 1, 2, 4, 1, 2, 3][:len(kinds)]
+        ids = [[m + 1, 10 + m, -m] for m in range(len(kinds))]
+        values = np.arange(sum(sizes), dtype=float) / 7
+        ends = list(itertools.accumulate(sizes, initial=0))
+        bulk, single = Transcript(), Transcript()
+        for transcript in (bulk, single):
+            transcript.record(0.5, Upload(1, 0, np.zeros(2), np.ones(2), 0))
+        bulk.extend(array("d", [0.25 * m for m in range(len(kinds))]), kinds,
+                    array("q", [v for row in ids for v in row]), sizes,
+                    [frame_bytes(n) for n in sizes], array("d", values.tolist()))
+        for m, code in enumerate(kinds):
+            single.record_raw(0.25 * m, *KINDS[code], *ids[m], values[ends[m]:ends[m + 1]])
+        assert len(bulk) == len(single) == 1 + len(kinds)
+        assert bulk.column("offsets").tolist() == single.column("offsets").tolist()
+        _equal_entries(rows(bulk), rows(single))
+        for direction in ("up", "down"):
+            assert bulk.total_bytes(direction) == single.total_bytes(direction)
+
     def test_kind_codes_are_positions_in_kinds_and_frame_tags(self):
         transcript = Transcript()
         upload, reply = Upload(1, 0, np.zeros(1), np.ones(1), 0), Reply(1, 0, 0.5, 0.25, 0)
@@ -510,3 +533,12 @@ class TestAuditColumns:
         want = reference_audit(transcript, dims, d0=d0, max_output_dim=max_output_dim)
         assert (got.ok, got.checked, got.violation_index, got.reason) == \
                (want.ok, want.checked, want.violation_index, want.reason)
+
+    @pytest.mark.parametrize("bound", [2**63 - 1, 2**63, 2**64, 10**20])
+    def test_bound_past_int64_bounds_nothing(self, bound):
+        transcript = Transcript()
+        transcript.record(0.0, Upload(1, 0, np.zeros(3), np.ones(3), 0))
+        transcript.record(0.0, Reply(1, 0, 0.5, 0.25, 0))
+        assert audit_transcript(transcript, [2], d0=bound, max_output_dim=bound) == \
+            AuditReport(True, 4)
+        assert not audit_transcript(transcript, [3], max_output_dim=bound).ok
