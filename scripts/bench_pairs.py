@@ -13,10 +13,11 @@ run it copies that checkout's ``perfbench/.work/result_<workload>_<seed>_0.json`
 to ``<into>/<side>/<workload>_<seed>_<pair>.json``.  ``record`` reads those
 copies and writes, per workload and seed: every run's end-to-end metrics,
 their medians and quartiles on each side, the provenance of the runs, the
-fingerprints, each side's total of failed operations, and per metric the
-number of pairs the change won and a verdict; it refuses a side whose runs
-ran different sources (their ``source_sha256`` differ), and a result
-without metrics (every operation of its run failed).
+fingerprints and whether the two sides' lists of them are equal
+(``fingerprints_equal``), each side's total of failed operations, and per
+metric the number of pairs the change won and a verdict; it refuses a side
+whose runs ran different sources (their ``source_sha256`` differ), and a
+result without metrics (every operation of its run failed).
 
 A metric's verdict, against its relative ``bound`` in BENCHMARK.json, is the
 first of these that holds:
@@ -135,6 +136,8 @@ def record(args) -> None:
             won = {m: sum(sign[m] * (c[m] - p[m]) > 0 for p, c in pairs)
                    for m in entry["parent"]["summary"]}
             entry["change_won"] = {m: f"{w}/{len(pairs)}" for m, w in won.items()}
+            entry["fingerprints_equal"] = \
+                entry["parent"]["fingerprints"] == entry["change"]["fingerprints"]
             more_failed = entry["change"]["failed"] > entry["parent"]["failed"]
             entry["verdict"] = {
                 m: verdict([p[m] for p, _ in pairs], [c[m] for _, c in pairs], sign[m], bounds[m],

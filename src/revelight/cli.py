@@ -26,7 +26,8 @@ import numpy as np
 
 from . import streams
 from .engine import RunConfig, run_algorithm, run_asyrevel, run_tig_baseline, measure_comm
-from .errors import ConfigError, DomainError, FormatError, ParseError, ProtocolError, UsageError
+from .errors import (ConfigError, DomainError, FormatError, ParseError, ProtocolError, ShapeError,
+                     UsageError)
 from .fedproto import Transcript, audit_transcript
 from .models import GlobalModel, LocalModel, PartitionedDataset, partition_features
 from .verify import (
@@ -520,7 +521,7 @@ def main(argv=None) -> int:
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             return args.fn(args)
     except (ConfigError, DomainError, UsageError, ParseError, FormatError, ProtocolError,
-            OSError, MemoryError) as exc:
+            ShapeError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -387,12 +387,6 @@ def run_asyrevel(cfg: RunConfig, data: PartitionedDataset, local_model: LocalMod
     return rec.finish()
 
 
-def round_sample(samples: streams.Stream, r: int, n: int) -> int:
-    """The shared per-round index used by synchronous rounds: the SAMPLE
-    stream `samples` at party slot 0, step r."""
-    return int(samples.at(0, r).integers(0, n))
-
-
 def matched_schedule(cfg: RunConfig, n: int):
     """Round-robin schedule of cfg.T events on the synchronous rounds' draws.
 
@@ -401,7 +395,7 @@ def matched_schedule(cfg: RunConfig, n: int):
     trajectories coincide exactly (a barrier over one worker is a no-op).
     """
     samples = streams.Stream(cfg.seed, streams.SAMPLE)
-    rounds = [round_sample(samples, r, n) for r in range(-(-cfg.T // cfg.q))]
+    rounds = [streams.sample_index(samples, 0, r, n) for r in range(-(-cfg.T // cfg.q))]
     return [(m, i) for i in rounds for m in range(1, cfg.q + 1)][:cfg.T]
 
 
@@ -417,7 +411,7 @@ def run_synrevel(cfg: RunConfig, data: PartitionedDataset, local_model: LocalMod
     vtime = 0.0
     while rec.t < cfg.T and not rec.stopped:
         r = rec.t // cfg.q  # the round: each one advances the event count by q
-        i = round_sample(samples, r, data.n)
+        i = streams.sample_index(samples, 0, r, data.n)  # party slot 0 holds the round's index
         uploads = [party.start_step(sample=i) for party in parties]
         vtime += max(delay.compute_time(m, r) for m in range(1, cfg.q + 1)) + 2 * cfg.latency
         for up in uploads:
@@ -457,7 +451,7 @@ def _centralized_events(cfg: RunConfig, n: int):
     for t in range(1, cfg.T + 1):
         now, pid = heapq.heappop(heap)
         k = steps[pid - 1]
-        yield t, now, pid, k, int(samples.at(pid, k).integers(0, n))
+        yield t, now, pid, k, streams.sample_index(samples, pid, k, n)
         steps[pid - 1] = k + 1
         if t < cfg.T:  # no compute-time draw after the last event
             heapq.heappush(heap, (now + delay.compute_time(pid, k + 1), pid))

@@ -90,19 +90,14 @@ def _check_header(party, sample, seq, c_size: int = 0, c_hat_size: int = 0) -> N
 
 
 def encode_message(msg) -> bytes:
-    """Encode one message as a length-prefixed binary frame."""
-    if isinstance(msg, Upload):
-        c = np.asarray(msg.c, dtype=np.float64).reshape(-1)
-        c_hat = np.asarray(msg.c_hat, dtype=np.float64).reshape(-1)
-        _check_header(msg.party, msg.sample, msg.seq, c.size, c_hat.size)
-        tag, veclen, floats = UPLOAD_TAG, c.size, np.concatenate([c, c_hat])
-    elif isinstance(msg, Reply):
-        _check_header(msg.party, msg.sample, msg.seq)
-        tag, veclen, floats = REPLY_TAG, 2, np.array([msg.h, msg.h_bar], dtype=np.float64)
-    else:
-        raise DomainError(f"cannot encode {type(msg).__name__}")
-    head = _HEAD.pack(frame_bytes(floats.size) - 4, tag, msg.party, msg.sample, msg.seq, veclen)
-    return head + floats.astype("<f8").tobytes()
+    """Encode one message as a length-prefixed binary frame: the row that
+    `Transcript.record` makes of it, framed, so a message no frame holds
+    raises record's error."""
+    row = Transcript()
+    row.record(0.0, msg)
+    tag, values = row._codes[0], np.asarray(row._values, dtype="<f8")
+    veclen = values.size // 2 if tag == UPLOAD_TAG else 2
+    return _HEAD.pack(frame_bytes(values.size) - 4, tag, *row._ints, veclen) + values.tobytes()
 
 
 # The JSONL keys, in the order every line writes them.
@@ -544,8 +539,8 @@ class PartyNode:
         """
         if self.pending is not None:
             raise ProtocolError(f"party {self.id} already has an outstanding upload")
-        k = self.steps
-        i = int(self.samples.at(self.id, k).integers(0, len(self.X)) if sample is None else sample)
+        k, n = self.steps, len(self.X)
+        i = streams.sample_index(self.samples, self.id, k, n) if sample is None else int(sample)
         u = sample_direction(self.scheme, self.w.size, self.directions.at(self.id, k))
         c, c_hat, g0, g1 = two_point_client(self.model, self.w, self.X[i], u, self.mu)
         self.pending = (i, u, g0, g1)
@@ -609,14 +604,12 @@ class ServerNode:
         through m, then the head estimates are summed in party order and
         applied once.  A round that is not parties 1..q in order, or holds
         an output of the wrong width or an unknown sample, is rejected before
-        anything changes."""
+        anything changes, with the first faulty upload's error."""
         parties = [up.party for up in uploads]
         if parties != list(range(1, self.cache.q + 1)):
             raise ProtocolError(f"a synchronous round needs one upload from each of parties "
                                 f"1..{self.cache.q} in order, got {parties}")
-        for up in uploads:
-            self.cache.check_width(up.party, up.c.size, up.c_hat.size)
-        cols = [self.cache.cols(up.sample, up.party) for up in uploads]
+        cols = [self.cache.cols(up.sample, up.party, up.c.size, up.c_hat.size) for up in uploads]
         w0, fresh = self.w0, np.concatenate([up.c for up in uploads])
         steps = [self._step(up, c, w0, fresh.copy()) for up, c in zip(uploads, cols)]
         v0s = [v0 for _, v0 in steps if v0 is not None]
@@ -687,10 +680,10 @@ def audit_transcript(transcript: Transcript, dims: list[int], d0: int = 0,
     blocked = {int(d) for d in dims}
     if d0 > 0:
         blocked.add(int(d0))
-    # vector lengths are non-negative int64, so other dims can never match and
-    # a bound of 2**63 or more bounds nothing
+    # vector lengths are non-negative int64, so other dims can never match, a
+    # bound of 2**63 or more bounds nothing and one below 0 bounds everything
     blocked = np.array([b for b in blocked if 0 <= b < 2**63], dtype=np.int64)
-    bound = min(max_output_dim, 2**63 - 1)
+    bound = min(max(max_output_dim, -1), 2**63 - 1)
     code = np.array(transcript._codes)
     upload, reply = code == UPLOAD_TAG, code == REPLY_TAG
     size = np.diff(transcript.column("offsets"))

@@ -12,24 +12,22 @@ The backing generator is Philox, whose 256-bit counter we partition as
 one key plus a settable counter reaches every address (Salmon et al.,
 "Parallel random numbers: as easy as 1, 2, 3", SC'11).
 
-Two ways in, one sequence of draws per address:
+One construction, one sequence of draws per address: `Stream` keeps one
+generator for a (seed, purpose) pair and moves it to each (party, step) by
+resetting its counter.  The per-event draws use it, one instance per owner:
+`PartyNode` owns SAMPLE and DIRECTION, `ServerNode` SERVER_DIRECTION,
+`DelayModel` COMPUTE and LATENCY, and the centralized and synchronous driver
+loops their own.  A re-address hands numpy's state setter the Philox words
+as Python ints, not uint64 arrays: the setter reads them one by one, and
+from ints a re-address, which every driver pays 2-3 times per event, costs
+about a third as much.  Each Stream keeps its state dict and swaps in a new
+counter tuple per call, which costs a third less than building the dict;
+the words are tuples, since word lists kept in each Stream raised the peak
+memory at q = 128 by 3 MiB.
 
-- `Stream` keeps one generator for a (seed, purpose) pair and moves it to
-  each (party, step) by resetting its counter.  The per-event draws use it,
-  one instance per owner: `PartyNode` owns SAMPLE and DIRECTION,
-  `ServerNode` SERVER_DIRECTION, `DelayModel` COMPUTE and LATENCY, and the
-  centralized and synchronous driver loops their own.  A re-address hands
-  numpy's state setter the Philox words as Python ints, not uint64 arrays:
-  the setter reads them one by one, and from ints a re-address, which every
-  driver pays 2-3 times per event, costs about a third as much.  Each Stream
-  keeps its state dict and swaps in a new counter tuple per call, which
-  costs a third less than building the dict; the words are tuples, since
-  word lists kept in each Stream raised the peak memory at q = 128 by
-  3 MiB.  A sample index is drawn as `integers(0, n)`, the draw of
-  `integers(n)` at two thirds of its cost.
-- `stream()` builds an independent generator for one address.  It serves
-  the cold sites (INIT, DATA, SPLIT, TRIAL) and any caller that keeps a
-  generator across calls.
+`stream()` is the cold sites' convenience (INIT, DATA, SPLIT, TRIAL, and any
+caller that keeps a generator across calls): a fresh `Stream` moved to one
+address, so its generator is independent of every other.
 """
 
 from __future__ import annotations
@@ -57,37 +55,35 @@ def check_seed(seed: int) -> None:
         raise DomainError(f"seed {seed} is outside [0, 2**64)")
 
 
-def _philox(seed: int, purpose: int, party: int, step: int) -> np.random.Philox:
-    check_seed(seed)
-    # an explicit uint64 array: a list mixing ints and np.uint64 would pass
-    # through float64 and merge addresses above 2**53
-    counter = np.array([0, step, party, purpose], dtype=np.uint64)
-    return np.random.Philox(key=np.uint64(seed), counter=counter)
-
-
 def stream(seed: int, purpose: int, party: int = 0, step: int = 0) -> np.random.Generator:
-    """Return a new, independent generator for one address.
+    """A new, independent generator for one address: a fresh `Stream` moved
+    there.  Addresses with distinct (purpose, party, step) never overlap; hot
+    loops re-address one `Stream` rather than pay a Philox set-up per draw."""
+    return Stream(seed, purpose).at(party, step)
 
-    Addresses with distinct (purpose, party, step) never overlap.  Building
-    one costs a Philox set-up; hot loops re-address a `Stream` instead.
-    """
-    return np.random.Generator(_philox(seed, purpose, party, step))
+
+def sample_index(samples: "Stream", party: int, step: int, n: int) -> int:
+    """The one SAMPLE draw: the index in [0, n) that `samples` draws at (party,
+    step), as `integers(0, n)`, the draw of `integers(n)` at two thirds of its cost."""
+    return int(samples.at(party, step).integers(0, n))
 
 
 class Stream:
     """One owner's generator for a (seed, purpose) pair, re-addressed in place.
 
     `at(party, step)` resets the generator to the start of that address and
-    returns it; its draws are exactly those of `stream(seed, purpose, party,
-    step)`.  The reset also drops any buffered output, including the half
-    32-bit word `integers` can leave behind.  A re-address invalidates the
-    position of the previous one, so each instance has one owner.
+    returns it: numpy's Philox keyed by the seed, its counter at (0, step,
+    party, purpose).  The reset also drops any buffered output, including
+    the half 32-bit word `integers` can leave behind.  A re-address
+    invalidates the position of the previous one, so each instance has one
+    owner.
     """
 
     __slots__ = ("_bits", "_gen", "_state", "_words", "_purpose")
 
     def __init__(self, seed: int, purpose: int) -> None:
-        self._bits = _philox(seed, purpose, 0, 0)
+        check_seed(seed)
+        self._bits = np.random.Philox(key=np.uint64(seed))  # `at` sets the whole counter
         self._gen = np.random.Generator(self._bits)
         key = tuple(self._bits.state["state"]["key"].tolist())
         self._words, self._purpose = {"counter": (0, 0, 0, purpose), "key": key}, purpose

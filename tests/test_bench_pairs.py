@@ -68,6 +68,7 @@ def test_record_summarises_each_side_and_counts_the_pairs_won(bench_pairs, tmp_p
     assert entry["parent"]["provenance"] == {"workload": "ref_drivers", "seed": 0,
                                              "source_sha256": "aa", "fingerprints": ["f0"]}
     assert (entry["parent"]["fingerprints"], entry["change"]["fingerprints"]) == (["f0"], ["f1"])
+    assert entry["fingerprints_equal"] is False
 
 
 def test_one_side_alone_is_summarised_without_pairs(bench_pairs, tmp_path):
@@ -75,6 +76,19 @@ def test_one_side_alone_is_summarised_without_pairs(bench_pairs, tmp_path):
     entry = _record(bench_pairs, tmp_path)["workloads"]["ref_drivers"]["0"]
     assert entry["parent"]["summary"]["events_per_s"] == {"median": 10, "q1": 10, "q3": 10}
     assert "change" not in entry and "change_won" not in entry
+    assert "fingerprints_equal" not in entry
+
+
+@pytest.mark.parametrize("change, equal", [(["f0", "f1"], True), (["f0", "f2"], False)],
+                         ids=["equal", "unequal"])
+def test_record_says_whether_the_sides_fingerprints_are_equal(bench_pairs, tmp_path, change,
+                                                              equal):
+    """Each side's fingerprints are the sorted set over its runs."""
+    _write(tmp_path / "runs", "parent", [_result(10, 1.0, fingerprint=f) for f in ["f1", "f0"]])
+    _write(tmp_path / "runs", "change",
+           [_result(10, 1.0, source="bb", fingerprint=f) for f in change])
+    entry = _record(bench_pairs, tmp_path)["workloads"]["ref_drivers"]["0"]
+    assert entry["fingerprints_equal"] is equal
 
 
 def test_a_side_of_two_sources_is_refused(bench_pairs, tmp_path):

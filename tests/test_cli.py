@@ -34,6 +34,7 @@ from revelight.cli import (
 )
 from revelight.engine import CommRow, RunConfig
 from revelight.errors import ConfigError, FormatError, ParseError, UsageError
+from revelight.fedproto import PartyNode
 from revelight.models import partition_features
 from revelight.verify import BoundReport
 
@@ -764,6 +765,21 @@ class TestMainCli:
         assert main(argv if in_config else [*argv, "--seed", str(seed)]) == 2
         assert capsys.readouterr().err.splitlines() == [
             f"error: seed {seed} is outside [0, 2**64)"]
+
+    def test_seq_past_the_frame_is_one_error_line(self, tmp_path, capsys, monkeypatch):
+        """At q = 1 upload seq 2**31 comes after 2**31 events; a party that
+        starts at step 2**31 - 1 reaches it on its second upload."""
+        start = PartyNode.__init__
+
+        def late_start(self, *args, **kwargs):
+            start(self, *args, **kwargs)
+            self.steps = 2**31 - 1
+        monkeypatch.setattr(PartyNode, "__init__", late_start)
+        cfgp = tmp_path / "run.cfg"
+        cfgp.write_text(self.EDGE_CONFIG.replace("q = 4", "q = 1"))
+        assert main(["train", "--config", str(cfgp), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: seq 2147483648 does not fit the frame's 4-byte field"]
 
     def test_failed_bound_check_is_exit_1_and_one_error_line(self, tmp_path, capsys,
                                                              monkeypatch):

@@ -99,6 +99,10 @@ class TestCodec:
         with pytest.raises(ShapeError, match="does not fit the frame's 4-byte field"):
             encode_message(msg)
 
+    def test_non_message_raises_records_error(self):
+        with pytest.raises(DomainError, match="^cannot record ndarray$"):
+            encode_message(np.zeros(2))
+
     def test_header_fields_at_int32_limits(self):
         frame = encode_message(Reply(2**31 - 1, -2**31, 0.1, 0.2, seq=-2**31))
         assert _read_frame(frame)[0] == (31, 1, 2**31 - 1, -2**31, -2**31, 2)
@@ -443,6 +447,17 @@ class TestServerHandleUpload:
         width = next(len(v) for v in (c, c_hat) if len(v) != 1)
         assert str(err.value) == f"party {server.cache.q} output has {width} values, the head takes 1"
         assert np.array_equal(server.cache.values, cached) and server.uploads_seen == 0
+
+    def test_round_reports_its_first_faulty_upload(self):
+        """Party 1's unknown sample, not party 2's width: each upload is
+        checked whole, in party order."""
+        _, _, _, parties, server, transcript = _tiny_setup()
+        warmup_cache(parties, server, transcript)
+        before = self._server_state(server)
+        with pytest.raises(ProtocolError, match="unknown sample id 999"):
+            server.answer_round([Upload(1, 999, np.array([0.3]), np.array([0.4]), 0),
+                                 Upload(2, 1, np.zeros(2), np.zeros(2), 0)])
+        self._assert_unchanged(server, before)
 
     def test_party_slices_of_a_wider_head(self):
         # k = 2: party m's output sits at columns 2(m-1), 2m - 1 of the flat row

@@ -27,25 +27,38 @@ def _take(g, n):
             float(g.exponential(1.5)), int(g.integers(2**40)))
 
 
+def _numpy_philox(seed, purpose, party, step) -> np.random.Generator:
+    """numpy's own Philox at the documented address: the seed as key, the
+    counter (0, step, party, purpose)."""
+    counter = np.array([0, step, party, purpose], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=np.uint64(seed), counter=counter))
+
+
 class TestStream:
     @settings(max_examples=300, deadline=None)
     @given(uint64, purposes, uint64, uint64, uint64, uint64, draws,
            st.integers(1, 10**6))
     def test_readdress_matches_fresh_stream(self, seed, purpose, party0, step0, party, step,
                                             prior, n):
+        """A re-addressed Stream, whatever it drew before, and `stream()` draw
+        what numpy's Philox draws at the address."""
         owned = streams.Stream(seed, purpose)
         g = owned.at(party0, step0)
         for kind, arg in prior:
             _DRAWS[kind](g, arg)
-        assert _take(owned.at(party, step), n) == _take(streams.stream(seed, purpose, party, step), n)
+        want = _take(_numpy_philox(seed, purpose, party, step), n)
+        assert _take(owned.at(party, step), n) == want
+        assert _take(streams.stream(seed, purpose, party, step), n) == want
 
     @settings(max_examples=200, deadline=None)
-    @given(uint64, uint64, st.integers(1, 2**63 - 1))
-    def test_a_sample_index_is_the_draw_of_integers_n(self, seed, step, n):
-        """The drivers draw `integers(0, n)`; it is `integers(n)`, and leaves
-        the same half word behind for the next draw."""
-        a, b = (streams.stream(seed, streams.SAMPLE, 1, step) for _ in range(2))
-        assert (a.integers(0, n), a.integers(2**31)) == (b.integers(n), b.integers(2**31))
+    @given(uint64, uint64, uint64, st.integers(1, 2**63 - 1))
+    def test_a_sample_index_is_the_draw_of_integers_n(self, seed, party, step, n):
+        """`sample_index` draws `integers(0, n)`; it is `integers(n)`, and
+        leaves the same half word behind for the next draw."""
+        samples = streams.Stream(seed, streams.SAMPLE)
+        index = streams.sample_index(samples, party, step, n)
+        want = _numpy_philox(seed, streams.SAMPLE, party, step)
+        assert (index, samples._gen.integers(2**31)) == (want.integers(n), want.integers(2**31))
 
     def test_a_stream_keeps_no_word_lists(self):
         """The kept state holds its words as tuples: word lists kept in each

@@ -518,7 +518,8 @@ def audit_cases(draw):
                          max_size=12))
     dims = draw(st.lists(st.integers(0, 10), min_size=1, max_size=4))
     huge = st.integers(2**63 - 1, 2**65)  # past int64: no length reaches it
-    return rows, dims, draw(st.integers(0, 10) | huge), draw(st.integers(0, 4) | huge)
+    below = st.integers(-2**65, -2**63 - 1)  # below int64: every length exceeds it
+    return rows, dims, draw(st.integers(0, 10) | huge), draw(st.integers(0, 4) | huge | below)
 
 
 class TestAuditColumns:
@@ -542,3 +543,13 @@ class TestAuditColumns:
         assert audit_transcript(transcript, [2], d0=bound, max_output_dim=bound) == \
             AuditReport(True, 4)
         assert not audit_transcript(transcript, [3], max_output_dim=bound).ok
+
+    @pytest.mark.parametrize("bound", [-1, -2, -2**63, -2**63 - 1, -2**64, -10**20])
+    def test_negative_bound_bounds_everything(self, bound):
+        """Every negative bound gives the one verdict: the first vector exceeds it."""
+        transcript = Transcript()
+        transcript.record(0.0, Upload(1, 0, np.zeros(3), np.ones(3), 0))
+        transcript.record(0.0, Reply(1, 0, 0.5, 0.25, 0))
+        assert audit_transcript(transcript, [2], max_output_dim=bound) == AuditReport(
+            False, 1, 0, f"entry 0 (upload, party 1): payload vector length 3 exceeds max "
+                         f"local output dim {bound}")
