@@ -16,8 +16,10 @@ their medians and quartiles on each side, the provenance of the runs, the
 fingerprints and whether the two sides' lists of them are equal
 (``fingerprints_equal``), each side's total of failed operations, and per
 metric the number of pairs the change won and a verdict; it refuses a side
-whose runs ran different sources (their ``source_sha256`` differ), and a
-result without metrics (every operation of its run failed).
+whose runs ran different sources (their ``source_sha256`` differ), a
+result without metrics (every operation of its run failed), and a workload
+whose runs differ in run length, tracing, CPU count, Python, numpy or BLAS
+threads, or whose two sides ran different numbers of runs.
 
 A metric's verdict, against its relative ``bound`` in BENCHMARK.json, is the
 first of these that holds:
@@ -47,6 +49,8 @@ from pathlib import Path
 
 SIDES = ("parent", "change")
 SPEC = Path(__file__).resolve().parents[1] / "BENCHMARK.json"  # the metrics' better direction
+# provenance fields that every run of a workload, on either side, must share
+CONDITIONS = ("seconds", "trace", "cpus", "python", "numpy", "blas_threads")
 
 
 def run_pairs(args) -> None:
@@ -129,8 +133,15 @@ def record(args) -> None:
             groups.setdefault(key, {s: [] for s in SIDES})[side].append(result)
     workloads: dict[str, dict] = {}
     for (workload, seed), sides in sorted(groups.items()):
+        runs = [r for results in sides.values() for r in results]
+        for field in CONDITIONS:
+            if len({r["provenance"][field] for r in runs}) > 1:
+                sys.exit(f"{workload}: its runs differ in {field}")
         entry = {side: _side(results) for side, results in sides.items() if results}
         if len(entry) == len(SIDES):
+            if len(sides["parent"]) != len(sides["change"]):
+                sys.exit(f"{workload}: the sides ran {len(sides['parent'])} and "
+                         f"{len(sides['change'])} runs")
             pairs = list(zip(entry["parent"]["runs"], entry["change"]["runs"]))
             sign = {m: 1 if b == "higher" else -1 for m, b in better.items()}
             won = {m: sum(sign[m] * (c[m] - p[m]) > 0 for p, c in pairs)

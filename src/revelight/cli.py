@@ -238,6 +238,13 @@ def _floats(text: str) -> list[float]:
     return [float(tok) for tok in text.split(",")]
 
 
+def _path(text: str) -> str:
+    """A path value, refused when it holds a NUL byte, which no OS path can."""
+    if "\0" in text:
+        raise ValueError("a path cannot hold a NUL byte")
+    return text
+
+
 def _straggler(text: str) -> tuple[int, float]:
     party, factor = text.split(":")
     return int(party), float(factor)
@@ -271,9 +278,10 @@ CONFIG_KEYS = {
     "latency_dist": ConfigKey(str, ignored_by=("synrevel", *_OFF_WIRE)),
     "eval_every": ConfigKey(int),
     "stop_loss": ConfigKey(float), "p": ConfigKey(_floats), "straggler": ConfigKey(_straggler),
-    "dataset": ConfigKey(str, "dataset"), "format": ConfigKey(str, "fmt", dataset_kind="file"),
+    "dataset": ConfigKey(_path, "dataset"), "format": ConfigKey(str, "fmt", dataset_kind="file"),
     "n": ConfigKey(int, "n", 1, "synthetic"), "d": ConfigKey(int, "d", 1, "synthetic"),
-    "n_test": ConfigKey(int, "n_test", 0, "synthetic"), "out": ConfigKey(Path, "out_dir"),
+    "n_test": ConfigKey(int, "n_test", 0, "synthetic"),
+    "out": ConfigKey(lambda text: Path(_path(text)), "out_dir"),
 }
 
 

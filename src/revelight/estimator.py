@@ -143,22 +143,30 @@ def reject_nonfinite(v: np.ndarray, party: int, step: int) -> None:
         raise ProtocolError(f"{who} rejected at step {step}")
 
 
-# Rows of directions drawn and reduced at once by the Monte-Carlo kernels: a
-# (CHUNK_ROWS, 16) block is 1 MiB, so a kernel holds a few MiB whatever its
-# number of draws.
-CHUNK_ROWS = 8192
+# Direction values drawn and reduced at once by the Monte-Carlo kernels: a
+# block U is 256 KiB and its work buffer P, one column wider, at most twice
+# that (at dim 1), whatever the dimension or the number of draws.
+BLOCK_VALUES = 32768
+
+
+def block_rows(dim: int) -> int:
+    """Rows of dimension `dim` in one Monte-Carlo block: BLOCK_VALUES // dim,
+    and at least one."""
+    return max(1, BLOCK_VALUES // dim)
 
 
 def _direction_chunks(scheme: str, dim: int, draws: int, rng: np.random.Generator):
-    """`draws` directions in blocks U of at most CHUNK_ROWS rows, each paired
-    with the same rows P of a work buffer one column wider; both buffers are
-    reused, so a pair is valid only until the next.  Rows are drawn in order
-    and each is normalized on its own (a sphere block's squares go to P's last
-    dim columns: np.linalg.norm's formula for real input without its conj()
-    copy), so the blocks stack to the one-shot (draws, dim) matrix bit for bit."""
-    rows = min(CHUNK_ROWS, draws)
+    """`draws` directions in blocks U of at most block_rows(dim) rows, each
+    paired with the same rows P of a work buffer one column wider; both buffers
+    are reused, so a pair is valid only until the next.  Rows are drawn in
+    order and each is normalized on its own (a sphere block's squares go to P's
+    last dim columns: np.linalg.norm's formula for real input without its
+    conj() copy), so the blocks stack to the one-shot (draws, dim) matrix bit
+    for bit."""
+    step = block_rows(dim)
+    rows = min(step, draws)
     U_buf, P_buf = np.empty((rows, dim)), np.empty((rows, dim + 1))
-    for left in range(draws, 0, -CHUNK_ROWS):  # rows still to draw, at most `rows` a block
+    for left in range(draws, 0, -step):  # rows still to draw, at most `rows` a block
         U, P = rng.standard_normal(out=U_buf[:left]), P_buf[:left]
         if scheme == SPHERE:
             U /= np.sqrt(np.add.reduce(np.multiply(U, U, out=P[:, 1:]), axis=1, keepdims=True))
@@ -203,7 +211,7 @@ def require_draws(draws: int) -> None:
 def smoothed_value_mc_quadratic(H, b, w, mu, scheme, draws, rng: np.random.Generator):
     """Monte-Carlo mean and standard error of f(w + mu*u) over fresh
     directions, for f(w) = 0.5 w'Hw + b'w.  Directions are drawn and reduced
-    CHUNK_ROWS at a time into one reused pair of buffers."""
+    block_rows(dim) at a time into one reused pair of buffers."""
     require_draws(draws)
     f0 = 0.5 * float(w @ H @ w) + float(b @ w)
     changes = _value_changes(H, b, w, mu, scheme, draws, rng)
@@ -218,7 +226,8 @@ def smoothed_grad_mc_quadratic(H, b, w, mu, scheme, draws, rng: np.random.Genera
     The per-draw function-value difference has the closed form
     mu*(Hw + b)'u + 0.5*mu^2*u'Hu, which lets verification sweeps run with
     matrix products instead of a Python loop over draws; directions are drawn
-    and reduced CHUNK_ROWS at a time, estimates written over their directions.
+    and reduced block_rows(dim) at a time, estimates written over their
+    directions.
     """
     require_draws(draws)
     factor = dim_factor(scheme, w.size)

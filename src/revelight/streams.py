@@ -36,6 +36,10 @@ import numpy as np
 
 from .errors import DomainError
 
+# Every Philox is built from this one seed sequence, whose key `at` overwrites
+# with the seed: Philox(key=...) would first seed a SeedSequence from the OS.
+_SEEDS = np.random.SeedSequence(0)
+
 # Stream purposes.  Values are part of the reproducibility contract: changing
 # them changes every trajectory.
 INIT = 1          # parameter initialization
@@ -83,10 +87,10 @@ class Stream:
 
     def __init__(self, seed: int, purpose: int) -> None:
         check_seed(seed)
-        self._bits = np.random.Philox(key=np.uint64(seed))  # `at` sets the whole counter
+        self._bits = np.random.Philox(_SEEDS)  # `at` sets the key and the whole counter
         self._gen = np.random.Generator(self._bits)
-        key = tuple(self._bits.state["state"]["key"].tolist())
-        self._words, self._purpose = {"counter": (0, 0, 0, purpose), "key": key}, purpose
+        # the key's two 64-bit words, as Philox(key=seed) lays out a seed below 2**64
+        self._words, self._purpose = {"counter": (0, 0, 0, purpose), "key": (seed, 0)}, purpose
         # the buffer exhausted, so the next draw runs the counter
         self._state = {"bit_generator": "Philox", "buffer": (0, 0, 0, 0), "buffer_pos": 4,
                        "has_uint32": 0, "uinteger": 0, "state": self._words}

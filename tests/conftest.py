@@ -14,7 +14,7 @@ from revelight import streams
 from revelight.cli import _label, synthetic_pair
 from revelight.engine import _centralized_start
 from revelight.errors import DomainError, ParseError
-from revelight.estimator import (CHUNK_ROWS, SPHERE, client_block_zoe, dim_factor, head_direction,
+from revelight.estimator import (SPHERE, block_rows, client_block_zoe, dim_factor, head_direction,
                                  sample_direction, two_point_client, two_point_head)
 from revelight.models import GlobalModel, LocalModel, party_columns
 
@@ -198,14 +198,15 @@ def smoothed_grad_mc_quadratic_oneshot(H, b, w, mu, scheme, draws, rng: np.rando
 
 
 # The chunked Monte-Carlo kernels as they were before their blocks shared two
-# buffers: every block of CHUNK_ROWS directions, its product and its
+# buffers: every block of block_rows(dim) directions, its product and its
 # estimates in fresh arrays.  They are the bit-exact references of the
 # `_quadratic` kernels.
 
 
 def _fresh_direction_chunks(scheme, dim, draws, rng):
-    for start in range(0, draws, CHUNK_ROWS):
-        yield direction_matrix(scheme, dim, min(CHUNK_ROWS, draws - start), rng)
+    rows = block_rows(dim)
+    for start in range(0, draws, rows):
+        yield direction_matrix(scheme, dim, min(rows, draws - start), rng)
 
 
 def _fresh_mean_stderr(blocks):

@@ -20,11 +20,16 @@ def bench_pairs():
     return module
 
 
-def _result(events_per_s, setup_s, source="aa", fingerprint="f0", failed=0):
+CONDITIONS = {"seconds": 40.0, "trace": 0, "cpus": 2, "python": "3.11.7", "numpy": "2.4.6",
+              "blas_threads": 1}
+
+
+def _result(events_per_s, setup_s, source="aa", fingerprint="f0", failed=0, **conditions):
     """A run's result as perfbench/run.py writes it, cut to what `record` reads."""
     return {
-        "provenance": {"workload": "ref_drivers", "seed": 0, "source_sha256": source,
-                       "fingerprints": [fingerprint], "operations": {"untraced": 3}},
+        "provenance": {"workload": "ref_drivers", "seed": 0, **CONDITIONS, **conditions,
+                       "source_sha256": source, "fingerprints": [fingerprint],
+                       "operations": {"untraced": 3}},
         "correct": not failed, "attempted": 3, "failed": failed,
         "metrics": {"events_per_s": {"value": events_per_s, "unit": "ev/s"},
                     "setup_s": {"value": setup_s, "unit": "s"}},
@@ -65,7 +70,7 @@ def test_record_summarises_each_side_and_counts_the_pairs_won(bench_pairs, tmp_p
     assert [run["events_per_s"] for run in entry["change"]["runs"]] == [11, 20, 29, 50]
     assert entry["parent"]["runs"][0] == {"correct": True, "attempted": 3, "failed": 0,
                                           "events_per_s": 10, "setup_s": 1.0}
-    assert entry["parent"]["provenance"] == {"workload": "ref_drivers", "seed": 0,
+    assert entry["parent"]["provenance"] == {"workload": "ref_drivers", "seed": 0, **CONDITIONS,
                                              "source_sha256": "aa", "fingerprints": ["f0"]}
     assert (entry["parent"]["fingerprints"], entry["change"]["fingerprints"]) == (["f0"], ["f1"])
     assert entry["fingerprints_equal"] is False
@@ -95,6 +100,27 @@ def test_a_side_of_two_sources_is_refused(bench_pairs, tmp_path):
     _write(tmp_path / "runs", "parent", [_result(10, 1.0), _result(20, 2.0)])
     _write(tmp_path / "runs", "change", [_result(10, 1.0, source="bb"), _result(20, 2.0)])
     with pytest.raises(SystemExit, match="ref_drivers: one side's runs ran different sources"):
+        _record(bench_pairs, tmp_path)
+    assert not (tmp_path / "BENCH.json").exists()
+
+
+@pytest.mark.parametrize("field, value", [("seconds", 20.0), ("trace", 1), ("cpus", 4),
+                                          ("python", "3.12.1"), ("numpy", "2.3.0"),
+                                          ("blas_threads", 2)])
+def test_pairs_run_under_different_conditions_are_refused(bench_pairs, tmp_path, field, value):
+    _write(tmp_path / "runs", "parent", [_result(10, 1.0), _result(20, 2.0)])
+    _write(tmp_path / "runs", "change", [_result(10, 1.0, source="bb"),
+                                         _result(20, 2.0, source="bb", **{field: value})])
+    with pytest.raises(SystemExit, match=f"^ref_drivers: its runs differ in {field}$"):
+        _record(bench_pairs, tmp_path)
+    assert not (tmp_path / "BENCH.json").exists()
+
+
+def test_sides_of_unequal_run_counts_are_refused(bench_pairs, tmp_path):
+    _write(tmp_path / "runs", "parent", [_result(10, 1.0), _result(20, 2.0), _result(30, 3.0)])
+    _write(tmp_path / "runs", "change", [_result(10, 1.0, source="bb"),
+                                         _result(20, 2.0, source="bb")])
+    with pytest.raises(SystemExit, match="^ref_drivers: the sides ran 3 and 2 runs$"):
         _record(bench_pairs, tmp_path)
     assert not (tmp_path / "BENCH.json").exists()
 

@@ -515,6 +515,17 @@ class TestMainCli:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:")
 
+    @pytest.mark.parametrize("key", ["dataset", "out"])
+    def test_path_with_a_nul_byte_is_one_error_line(self, tmp_path, capsys, monkeypatch, key):
+        """Run without --out, so the config's out is the directory the run would make."""
+        monkeypatch.chdir(tmp_path)
+        cfgp = tmp_path / "run.cfg"
+        cfgp.write_text(CONFIG + f"{key} = a\0b\n")
+        assert main(["train", "--config", str(cfgp)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {key} = a\0b: a path cannot hold a NUL byte"]
+        assert not (tmp_path / "runs").exists()
+
     EDGE_CONFIG = ("algorithm = asyrevel_gau\nq = 4\nT = 64\nseed = 7\n"
                    "dataset = synthetic:noisy\nn = 64\nd = 16\nn_test = 64\n")
     EDGE_ACCEPTED = {"T = 0", "lam_eff = 0", "tau = 0", "seed = 0", "latency = 0",
@@ -934,7 +945,8 @@ _VALID = {
     "format": [b"libsvm", b"csv"], "n": [b"16"], "d": [b"4"], "n_test": [b"0", b"8"],
     "out": [b"o"],
 }
-_HOSTILE = [b"abc", b"nan", b"inf", b"-inf", b"-1", b"0", str(10**20).encode(), b"\xff"]
+_HOSTILE = [b"abc", b"nan", b"inf", b"-inf", b"-1", b"0", str(10**20).encode(), b"\xff",
+            b"a\x00b"]
 _HOSTILE_T = [v for v in _HOSTILE if v != str(10**20).encode()]  # a huge T would just run
 _LABELS = ([b"0", b"1", b"-1"], [b"2", b"1.5", b"1e20", b"nan", b"x", b"\xff"])
 _FIELDS = {

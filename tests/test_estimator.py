@@ -4,8 +4,9 @@ import pytest
 from revelight import streams
 from revelight.errors import DomainError, UsageError
 from revelight.estimator import (
-    CHUNK_ROWS,
+    BLOCK_VALUES,
     _direction_chunks,
+    block_rows,
     smoothed_value_mc_quadratic,
     GAUSSIAN,
     SPHERE,
@@ -235,22 +236,38 @@ def _quadratic(d, seed):
     return (A + A.T) / 2, rng.standard_normal(d), rng.standard_normal(d)
 
 
+# draws at both sides of a block edge: blocks * block_rows(dim) + extra
+AT_BLOCK_EDGES = pytest.mark.parametrize(
+    "blocks, extra", [(0, 2), (1, -1), (1, 0), (1, 1), (2, 5)],
+    ids=["2", "edge-1", "edge", "edge+1", "2edge+5"])
+
+
 class TestChunkedQuadraticKernels:
+    @pytest.mark.parametrize("dim, rows", [(1, 32768), (2, 16384), (3, 10922), (4, 8192),
+                                           (8, 4096), (16, 2048), (64, 512)])
+    def test_block_rows_is_the_most_rows_within_block_values(self, dim, rows):
+        assert block_rows(dim) == rows
+        assert rows * dim <= BLOCK_VALUES < (rows + 1) * dim
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4, 8, 16, 64])
     @pytest.mark.parametrize("scheme", [GAUSSIAN, SPHERE])
-    def test_chunks_stack_to_the_one_shot_matrix(self, scheme):
-        draws = 2 * CHUNK_ROWS + 5
+    def test_chunks_stack_to_the_one_shot_matrix(self, scheme, dim):
+        rows = block_rows(dim)
+        draws = 2 * rows + 5
         chunked, whole = _rng(40), _rng(40)
         # every block is written into one buffer, so each is copied before the next
-        blocks = [U.copy() for U, _ in _direction_chunks(scheme, 3, draws, chunked)]
-        assert [len(U) for U in blocks] == [CHUNK_ROWS, CHUNK_ROWS, 5]
-        assert np.array_equal(np.concatenate(blocks), direction_matrix(scheme, 3, draws, whole))
+        blocks = [U.copy() for U, _ in _direction_chunks(scheme, dim, draws, chunked)]
+        assert [len(U) for U in blocks] == [rows, rows, 5]
+        assert max(U.size for U in blocks) <= BLOCK_VALUES
+        assert np.array_equal(np.concatenate(blocks), direction_matrix(scheme, dim, draws, whole))
         # both generators are left at the same point for the next draw
         assert chunked.random() == whole.random()
 
-    @pytest.mark.parametrize("draws", [2, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1, 20000])
+    @AT_BLOCK_EDGES
     @pytest.mark.parametrize("scheme", [GAUSSIAN, SPHERE])
-    def test_match_one_shot_oracle(self, scheme, draws):
+    def test_match_one_shot_oracle(self, scheme, blocks, extra):
         H, b, w = _quadratic(6, 41)
+        draws = blocks * block_rows(6) + extra
         got = smoothed_value_mc_quadratic(H, b, w, 0.1, scheme, draws, _rng(42))
         want = smoothed_value_mc_quadratic_oneshot(H, b, w, 0.1, scheme, draws, _rng(42))
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
@@ -259,11 +276,12 @@ class TestChunkedQuadraticKernels:
         np.testing.assert_allclose(gmean, wmean, rtol=1e-12, atol=0)
         np.testing.assert_allclose(gse, wse, rtol=1e-12, atol=0)
 
-    @pytest.mark.parametrize("draws", [2, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1, 20000])
+    @AT_BLOCK_EDGES
     @pytest.mark.parametrize("dim", [1, 2, 8, 16])
     @pytest.mark.parametrize("scheme", [GAUSSIAN, SPHERE])
-    def test_shared_buffers_match_fresh_blocks_bit_for_bit(self, scheme, dim, draws):
+    def test_shared_buffers_match_fresh_blocks_bit_for_bit(self, scheme, dim, blocks, extra):
         H, b, w = _quadratic(dim, 45)
+        draws = blocks * block_rows(dim) + extra
         got = smoothed_value_mc_quadratic(H, b, w, 0.1, scheme, draws, _rng(46))
         assert got == smoothed_value_mc_quadratic_fresh(H, b, w, 0.1, scheme, draws, _rng(46))
         gmean, gse = smoothed_grad_mc_quadratic(H, b, w, 0.1, scheme, draws, _rng(47))
